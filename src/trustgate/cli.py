@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .core_math import DomainError, tsallis_entropy
-from .landscape import emit, gradient_landscape
+from .landscape import emit, gradient_landscape, write_atomic
 from .objectives import ObjectiveKind
 from .trainer import BuildError, RegimeSpec, TrainConfig, build_task, finetune
 from .verification import RULE_MAIN, RULE_PROPER, minimize_risk, reports_to_json, run_property_suite
@@ -77,6 +77,8 @@ def _load_train_config(path: str, args: argparse.Namespace) -> dict:
             raise ConfigError(f"unknown config field {key!r}")
         if not isinstance(value, _TRAIN_SCHEMA[key]) or isinstance(value, bool):
             raise ConfigError(f"config field {key!r} has invalid type {type(value).__name__}")
+        if key in ("seed", "task_seed") and value < 0:
+            raise ConfigError(f"config field {key!r} must be a non-negative integer, got {value}")
     # flags take precedence over config fields
     for flag in ("objective", "steps", "seed", "learning_rate"):
         value = getattr(args, flag)
@@ -109,8 +111,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     record = finetune(task.model, task.labels, train_cfg, clean_labels=task.clean_labels)
     emit_record = record.to_dict()
     emit_record["config"]["regime"] = spec.regime
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(json.dumps(emit_record, indent=2) + "\n")
+    write_atomic(args.out, json.dumps(emit_record, indent=2) + "\n")
     summary = {
         "out": args.out,
         "objective": train_cfg.objective.encode(),
@@ -140,9 +141,19 @@ def _cmd_duality(args: argparse.Namespace) -> int:
     payload = json.dumps(body, indent=2)
     print(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(payload + "\n")
+        write_atomic(args.out, payload + "\n")
     return 0
+
+
+def _seed(text: str) -> int:
+    """argparse type for RNG seeds: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: expected a non-negative integer")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the full numerical property suite")
-    p_verify.add_argument("--seed", type=int, default=7)
+    p_verify.add_argument("--seed", type=_seed, default=7)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_land = sub.add_parser("landscape", help="export a gradient-magnitude grid")
@@ -175,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--objective", default=None)
     p_train.add_argument("--steps", type=int, default=None)
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=_seed, default=None)
     p_train.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     p_train.set_defaults(func=_cmd_train)
 

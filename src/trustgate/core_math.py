@@ -60,6 +60,28 @@ def validate_dist(probs) -> np.ndarray:
     return arr
 
 
+def validate_rows(probs) -> np.ndarray:
+    """Validate a (rows, vocab >= 2) stack of probability vectors row by row.
+
+    Applies every check of ``validate_dist`` to each row and returns the stack
+    as a float64 ndarray. Raises DomainError on the first violation.
+    """
+    arr = np.asarray(probs, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise DomainError(f"distributions must be a (rows, >= 2) array, got shape {arr.shape}")
+    totals = arr.sum(axis=1)
+    # One pass decides validity (NaN fails >= 0, +inf makes its row sum inf);
+    # the checks below only name the violation.
+    if (arr >= 0.0).all() and (np.abs(totals - 1.0) <= DIST_SUM_TOL).all():
+        return arr
+    if not np.isfinite(arr).all():
+        raise DomainError("distribution contains non-finite entries")
+    if (arr < 0.0).any():
+        raise DomainError(f"distribution has negative entries (min {arr.min()!r})")
+    total = float(totals[np.abs(totals - 1.0) > DIST_SUM_TOL][0])
+    raise DomainError(f"distribution sums to {total!r}, expected 1 within {DIST_SUM_TOL}")
+
+
 def q_log(x: float, q: float) -> float:
     """Generalized logarithm ln_q(x) = (x^(1-q) - 1) / (1 - q) for x > 0.
 

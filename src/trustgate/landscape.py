@@ -10,19 +10,24 @@ metadata), and ``emit`` writes byte-deterministic CSV/JSON artifacts.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .core_math import DomainError, shannon_entropy
-from .objectives import ObjectiveKind, gate
+from .core_math import PROB_FLOOR, DomainError, validate_rows
+from .objectives import ObjectiveKind, gate_per_row
 from .trainer import RunRecord
 from .verification import PropertyReport
 
 _BISECTION_TOL = 1e-6
 _BISECTION_MAX_ITERS = 200
+# Grid cells are realized in blocks of at most this many distribution entries
+# (512 cells at vocabulary 32), so peak memory stays flat in the grid size.
+_BLOCK_ENTRIES = 1 << 14
 
 
 class FeasibilityError(DomainError):
@@ -40,26 +45,81 @@ class LandscapeGrid:
     objective: str
 
 
-def _family_dist(p: float, mix: float, vocab: int) -> np.ndarray:
-    """Spike-plus-tail member: target p, secondary spike fading into a uniform tail."""
+def _family_rows(p: np.ndarray, mix, vocab: int) -> np.ndarray:
+    """Spike-plus-tail members, one row per cell: target p, a secondary spike fading into a tail."""
     tail_mass = 1.0 - p
-    dist = np.empty(vocab)
-    dist[0] = p
+    rows = np.empty((p.size, vocab))
+    rows[:, 0] = p
     share = tail_mass * mix / (vocab - 1)
-    dist[1] = tail_mass * (1.0 - mix) + share
-    dist[2:] = share
-    return dist
+    rows[:, 1] = tail_mass * (1.0 - mix) + share
+    rows[:, 2:] = share[:, None]
+    return rows
+
+
+def _row_entropy(rows: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each validated row, with 0*log(0) = 0."""
+    rows = validate_rows(rows)
+    return -(rows * np.log(np.where(rows > 0.0, rows, 1.0))).sum(axis=1)
+
+
+def _blocks(count: int, vocab: int):
+    step = max(1, _BLOCK_ENTRIES // vocab)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _check_vocab(vocab: int) -> None:
+    if vocab < 3:
+        raise DomainError(f"vocabulary must have >= 3 tokens, got {vocab}")
+
+
+def _entropy_bounds(p: np.ndarray, vocab: int) -> tuple[np.ndarray, np.ndarray]:
+    """Attainable entropy interval [low, high] for each target mass in p."""
+    low, high = np.empty(p.size), np.empty(p.size)
+    for block in _blocks(p.size, vocab):
+        low[block] = _row_entropy(_family_rows(p[block], 0.0, vocab))
+        high[block] = _row_entropy(_family_rows(p[block], 1.0, vocab))
+    return low, high
+
+
+def _realize(p, entropy, low, high, vocab: int) -> np.ndarray:
+    """Family rows hitting each cell's entropy, by one bisection over all the cells.
+
+    Cells must be feasible (within _BISECTION_TOL of [low, high]). Each cell
+    follows the scalar rule: clamp the target into [low, high], take an
+    endpoint member when it lands on one, else bisect the mixing weight from
+    [0, 1] until the entropy is within _BISECTION_TOL / 2 of the target or
+    _BISECTION_MAX_ITERS midpoints were tried, keeping the last midpoint.
+    """
+    target = np.minimum(np.maximum(entropy, low), high)
+    mix = np.where(target == low, 0.0, 1.0)
+    cell = np.flatnonzero((target != low) & (target != high))
+    cell_p, cell_target = p[cell], target[cell]
+    lo, hi = np.zeros(cell.size), np.ones(cell.size)
+    mid = np.empty(0)
+    for _ in range(_BISECTION_MAX_ITERS):
+        if cell.size == 0:
+            break
+        mid = 0.5 * (lo + hi)
+        value = _row_entropy(_family_rows(cell_p, mid, vocab))
+        below = value < cell_target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        going = np.abs(value - cell_target) > _BISECTION_TOL * 0.5
+        if not going.all():
+            mix[cell[~going]] = mid[~going]
+            cell, cell_p, cell_target = cell[going], cell_p[going], cell_target[going]
+            lo, hi, mid = lo[going], hi[going], mid[going]
+    mix[cell] = mid  # cells that used every iteration keep their last midpoint
+    return _family_rows(p, mix, vocab)
 
 
 def feasible_entropy_range(p: float, vocab: int) -> tuple[float, float]:
     """Attainable Shannon-entropy interval for target mass p in this family."""
-    if vocab < 3:
-        raise DomainError(f"vocabulary must have >= 3 tokens, got {vocab}")
+    _check_vocab(vocab)
     if not (0.0 < p < 1.0):
         raise DomainError(f"target probability must lie in (0, 1), got {p!r}")
-    low = shannon_entropy(_family_dist(p, 0.0, vocab))
-    high = shannon_entropy(_family_dist(p, 1.0, vocab))
-    return low, high
+    low, high = _entropy_bounds(np.array([p], dtype=np.float64), vocab)
+    return float(low[0]), float(high[0])
 
 
 def construct_distribution(p: float, entropy: float, vocab: int) -> np.ndarray:
@@ -67,7 +127,8 @@ def construct_distribution(p: float, entropy: float, vocab: int) -> np.ndarray:
 
     Bisects the spike-to-tail mixing weight (entropy is strictly increasing in
     it) to tolerance 1e-6 within 200 iterations. Raises FeasibilityError,
-    naming the attainable interval, when the pair cannot be realized.
+    naming the attainable interval, when the pair cannot be realized. This is
+    the one-cell case of the bisection ``gradient_landscape`` runs per grid.
     """
     low, high = feasible_entropy_range(p, vocab)
     if entropy < low - _BISECTION_TOL or entropy > high + _BISECTION_TOL:
@@ -75,48 +136,55 @@ def construct_distribution(p: float, entropy: float, vocab: int) -> np.ndarray:
             f"entropy {entropy!r} unattainable for p={p!r}, vocab={vocab}: "
             f"feasible interval is [{low:.6f}, {high:.6f}]"
         )
-    target = min(max(entropy, low), high)
-    if target == low:
-        return _family_dist(p, 0.0, vocab)
-    if target == high:
-        return _family_dist(p, 1.0, vocab)
-    lo, hi = 0.0, 1.0
-    dist = _family_dist(p, 0.5, vocab)
-    for _ in range(_BISECTION_MAX_ITERS):
-        mid = 0.5 * (lo + hi)
-        dist = _family_dist(p, mid, vocab)
-        value = shannon_entropy(dist)
-        if abs(value - target) <= _BISECTION_TOL * 0.5:
-            return dist
-        if value < target:
-            lo = mid
-        else:
-            hi = mid
-    return dist
+    cell = [np.array([value], dtype=np.float64) for value in (p, entropy, low, high)]
+    return _realize(*cell, vocab)[0]
+
+
+def _check_grid(values: np.ndarray, what: str) -> None:
+    if (
+        values.ndim != 1
+        or values.size == 0
+        or not np.all(np.isfinite(values))
+        or np.any(np.diff(values) <= 0.0)
+    ):
+        raise DomainError(f"{what} grid must be a nonempty ascending vector of finite values")
 
 
 def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> LandscapeGrid:
-    """Learning-signal magnitude at each feasible (p, H) cell, grid-normalized."""
+    """Learning-signal magnitude at each feasible (p, H) cell, grid-normalized.
+
+    All feasible cells are realized by one batched bisection (see
+    ``construct_distribution``) and gated row-wise. Raises DomainError when
+    feasible cells exist but none carries a positive finite signal, since
+    the grid then cannot be normalized.
+    """
     p_grid = np.asarray(p_grid, dtype=np.float64)
     h_grid = np.asarray(h_grid, dtype=np.float64)
-    if p_grid.ndim != 1 or p_grid.size == 0 or (p_grid.size > 1 and np.any(np.diff(p_grid) <= 0.0)):
-        raise DomainError("p grid must be a nonempty ascending vector")
-    if h_grid.ndim != 1 or h_grid.size == 0 or (h_grid.size > 1 and np.any(np.diff(h_grid) <= 0.0)):
-        raise DomainError("entropy grid must be a nonempty ascending vector")
+    _check_grid(p_grid, "p")
+    _check_grid(h_grid, "entropy")
     if np.any(p_grid <= 0.0) or np.any(p_grid >= 1.0):
         raise DomainError("p grid values must lie strictly inside (0, 1)")
+    _check_vocab(vocab)
 
+    low, high = _entropy_bounds(p_grid, vocab)
+    row, col = np.nonzero(
+        (h_grid >= low[:, None] - _BISECTION_TOL) & (h_grid <= high[:, None] + _BISECTION_TOL)
+    )
+    signal = np.empty(row.size)
+    for block in _blocks(row.size, vocab):
+        i, j = row[block], col[block]
+        dists = _realize(p_grid[i], h_grid[j], low[i], high[i], vocab)
+        error = 1.0 - np.clip(dists[:, 0], PROB_FLOOR, 1.0)
+        signal[block] = gate_per_row(kind, dists, np.zeros(i.size, dtype=np.int64)) * error
     cells = np.full((p_grid.size, h_grid.size), np.nan)
-    for i, p in enumerate(p_grid):
-        low, high = feasible_entropy_range(float(p), vocab)
-        for j, entropy in enumerate(h_grid):
-            if entropy < low - _BISECTION_TOL or entropy > high + _BISECTION_TOL:
-                continue
-            dist = construct_distribution(float(p), float(entropy), vocab)
-            cells[i, j] = gate(kind, dist, 0).signal
-    finite = cells[np.isfinite(cells)]
-    if finite.size and finite.max() > 0.0:
-        cells = cells / finite.max()
+    if signal.size:
+        top = signal.max()
+        if not (np.isfinite(top) and top > 0.0):
+            raise DomainError(
+                f"objective {kind.encode()} has no positive finite learning signal on any "
+                "feasible cell, so the grid cannot be normalized"
+            )
+        cells[row, col] = signal / top
     return LandscapeGrid(
         p_grid=p_grid, h_grid=h_grid, cells=cells, vocab_size=vocab, objective=kind.encode()
     )
@@ -126,23 +194,41 @@ Artifact = Union[LandscapeGrid, RunRecord, Sequence[PropertyReport]]
 
 
 def _grid_rows(grid: LandscapeGrid):
-    for i, p in enumerate(grid.p_grid):
-        for j, entropy in enumerate(grid.h_grid):
-            value = grid.cells[i, j]
-            if np.isfinite(value):
-                yield float(p), float(entropy), float(value)
+    row, col = np.nonzero(np.isfinite(grid.cells))
+    return zip(grid.p_grid[row].tolist(), grid.h_grid[col].tolist(), grid.cells[row, col].tolist())
 
 
 def _grid_to_dict(grid: LandscapeGrid) -> dict:
-    cells = [[None if not np.isfinite(v) else float(v) for v in row] for row in grid.cells]
+    cells = grid.cells.astype(object)
+    cells[~np.isfinite(grid.cells)] = None
     return {
         "objective": grid.objective,
         "vocab_size": grid.vocab_size,
         "normalization": "per-grid",
-        "p_grid": [float(p) for p in grid.p_grid],
-        "h_grid": [float(h) for h in grid.h_grid],
-        "cells": cells,
+        "p_grid": grid.p_grid.tolist(),
+        "h_grid": grid.h_grid.tolist(),
+        "cells": cells.tolist(),
     }
+
+
+def write_atomic(path, text: str) -> None:
+    """Write UTF-8 text with LF endings to ``path`` all at once or not at all.
+
+    The text goes to a new temporary file in the target's directory, which
+    then replaces the target with ``os.replace``. If anything fails, the
+    target keeps its old contents and the temporary file is removed.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    handle = open(temp, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
 
 
 def emit(artifact: Artifact, path, fmt: str = "csv") -> None:
@@ -174,5 +260,4 @@ def emit(artifact: Artifact, path, fmt: str = "csv") -> None:
     else:
         raise DomainError(f"unknown format {fmt!r}, expected 'csv' or 'json'")
 
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(payload)
+    write_atomic(path, payload)

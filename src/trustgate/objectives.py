@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_math import (
+    PROB_FLOOR,
     DomainError,
     cayley_alpha,
     clamp_prob,
@@ -169,6 +170,38 @@ def gate(kind: ObjectiveKind, P, target: int) -> GateError:
     g = _gate_value(kind, P, p, target)
     error = 1.0 - p
     return GateError(gate=g, error=error, signal=g * error)
+
+
+def focus_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Focus exponent of each row of a (rows, vocab) prediction stack; row-wise ``focus_index``."""
+    rows = np.arange(probs.shape[0])
+    if kind.name in ("nll", "eaft"):
+        return np.zeros(probs.shape[0])
+    if kind.name == "linear":
+        return np.ones(probs.shape[0])
+    if kind.name == "alpha":
+        return np.full(probs.shape[0], float(kind.alpha))  # type: ignore[arg-type]
+    if kind.name == "cayley":
+        p = np.clip(probs[rows, labels], PROB_FLOOR, 1.0)
+        root = np.sqrt(1.0 - p)
+        return p / (1.0 + root) ** 2
+    return (probs * probs).sum(axis=1)  # deft
+
+
+def gate_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Trust gate of each row of a (rows, vocab) prediction stack; row-wise ``gate(...).gate``.
+
+    Rows are taken as valid distributions and labels as in range; callers check them.
+    """
+    rows = np.arange(probs.shape[0])
+    p = np.clip(probs[rows, labels], PROB_FLOOR, 1.0)
+    if kind.name == "nll":
+        return np.ones(probs.shape[0])
+    if kind.name == "eaft":
+        clipped = np.clip(probs, 1e-300, None)
+        entropy = -(probs * np.log(clipped)).sum(axis=1)
+        return entropy / math.log(probs.shape[1])
+    return p ** focus_per_row(kind, probs, labels)
 
 
 def loss(kind: ObjectiveKind, P, target: int) -> float:

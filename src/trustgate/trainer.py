@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .core_math import DomainError, deformed_loss
-from .objectives import ObjectiveKind
+from .objectives import ObjectiveKind, focus_per_row, gate_per_row
 
 REGIMES = ("strong", "intermediate", "weak")
 CONFLICT_POLICIES = ("confident_only", "uniform")
@@ -202,35 +202,6 @@ def _row_softmax(table: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _focus_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vectorized focus exponent per context; mirrors objectives.focus_index."""
-    rows = np.arange(probs.shape[0])
-    if kind.name in ("nll", "eaft"):
-        return np.zeros(probs.shape[0])
-    if kind.name == "linear":
-        return np.ones(probs.shape[0])
-    if kind.name == "alpha":
-        return np.full(probs.shape[0], float(kind.alpha))  # type: ignore[arg-type]
-    if kind.name == "cayley":
-        p = np.clip(probs[rows, labels], 1e-12, 1.0)
-        root = np.sqrt(1.0 - p)
-        return p / (1.0 + root) ** 2
-    return (probs * probs).sum(axis=1)  # deft
-
-
-def _gate_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vectorized trust gate per context; mirrors objectives.gate."""
-    rows = np.arange(probs.shape[0])
-    p = np.clip(probs[rows, labels], 1e-12, 1.0)
-    if kind.name == "nll":
-        return np.ones(probs.shape[0])
-    if kind.name == "eaft":
-        clipped = np.clip(probs, 1e-300, None)
-        entropy = -(probs * np.log(clipped)).sum(axis=1)
-        return entropy / math.log(probs.shape[1])
-    return p ** _focus_per_row(kind, probs, labels)
-
-
 def _nll_pretrain(table: np.ndarray, labels: np.ndarray, stop_at: float, ceiling: float | None) -> None:
     """Full-batch NLL ascent of the label probabilities, in place.
 
@@ -330,7 +301,7 @@ def _loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) ->
         clipped = np.clip(probs, 1e-300, None)
         entropy = -(probs * np.log(clipped)).sum(axis=1)
         return (entropy / math.log(probs.shape[1])) * -np.log(p)
-    focus = _focus_per_row(kind, probs, labels)
+    focus = focus_per_row(kind, probs, labels)
     return np.array([deformed_loss(float(pi), float(ai)) for pi, ai in zip(p, focus)])
 
 
@@ -427,6 +398,17 @@ def _histogram_snapshot(step: int, model: ToyModel, labels: np.ndarray) -> dict:
     }
 
 
+def _check_labels(name: str, labels, model: ToyModel) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (model.num_contexts,):
+        raise DomainError(
+            f"{name} shape {labels.shape} does not match {model.num_contexts} contexts"
+        )
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= model.vocab_size:
+        raise DomainError(f"{name} contain out-of-range token indices")
+    return labels
+
+
 def finetune(
     model: ToyModel,
     labels: np.ndarray,
@@ -443,16 +425,10 @@ def finetune(
     ``clean_labels`` (defaults to the supervision labels). ``on_step``, when
     given, sees the current model before each update, for instrumentation.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (model.num_contexts,):
-        raise DomainError(
-            f"labels shape {labels.shape} does not match {model.num_contexts} contexts"
-        )
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= model.vocab_size:
-        raise DomainError("labels contain out-of-range token indices")
+    labels = _check_labels("labels", labels, model)
     if clean_labels is None:
         clean_labels = labels
-    clean_labels = np.asarray(clean_labels, dtype=np.int64)
+    clean_labels = _check_labels("clean_labels", clean_labels, model)
 
     table = model.logit_table.copy()
     initial = table.copy()
@@ -468,7 +444,7 @@ def finetune(
     for step in range(cfg.steps):
         probs = _row_softmax(table)
         mean_target_p.append(float(probs[rows, labels].mean()))
-        mean_alpha.append(float(_focus_per_row(cfg.objective, probs, labels).mean()))
+        mean_alpha.append(float(focus_per_row(cfg.objective, probs, labels).mean()))
         if on_step is not None:
             on_step(step, ToyModel(table.copy()))
 
@@ -483,7 +459,7 @@ def finetune(
             cursor += batch
             member_probs = probs[members]
 
-        gates = _gate_per_row(cfg.objective, member_probs, labels[members])
+        gates = gate_per_row(cfg.objective, member_probs, labels[members])
         grad = gates[:, None] * member_probs
         grad[np.arange(members.size), labels[members]] -= gates
         table[members] -= cfg.learning_rate * grad

@@ -21,6 +21,12 @@ class TestVerify:
         assert all(set(r) == {"name", "passed", "max_error", "detail"} for r in reports)
 
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--seed", "-1")
+        assert code == 2
+        assert "usage:" in err and "non-negative" in err
+
+
 class TestLandscape:
     def test_grid_size_bound(self, tmp_path, capsys):
         out_path = tmp_path / "g.csv"
@@ -53,6 +59,21 @@ class TestLandscape:
         assert code == 0
         body = json.loads(out_path.read_text())
         assert body["objective"] == "deft" and body["normalization"] == "per-grid"
+
+    def test_unnormalizable_grid_is_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "g.csv"
+        code, _, err = run_cli(
+            capsys,
+            "landscape",
+            "--objective", "alpha:1e308",
+            "--p-steps", "5",
+            "--h-steps", "5",
+            "--vocab", "8",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert "alpha:1e+308" in err and "normalized" in err
+        assert not out_path.exists()
 
     def test_unknown_objective_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -133,6 +154,26 @@ class TestTrain:
         )
         assert code == 2
         assert "steps" in err
+
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        code, _, err = run_cli(
+            capsys,
+            "train",
+            "--config", str(config),
+            "--out", str(tmp_path / "o.json"),
+            "--seed", "-3",
+        )
+        assert code == 2
+        assert "usage:" in err
+
+    def test_negative_config_seed_exits_two(self, tmp_path, capsys):
+        config = self._config(tmp_path, task_seed=-1)
+        code, _, err = run_cli(
+            capsys, "train", "--config", str(config), "--out", str(tmp_path / "o.json")
+        )
+        assert code == 2
+        assert "task_seed" in err
 
     def test_determinism_across_invocations(self, tmp_path, capsys):
         config = self._config(tmp_path)

@@ -21,6 +21,7 @@ from trustgate import (
     uncertainty_radius,
     validate_dist,
 )
+from trustgate.core_math import validate_rows
 
 
 class TestQLog:
@@ -288,3 +289,24 @@ class TestValidation:
     def test_dist_rejects_nonfinite(self, entry):
         with pytest.raises(DomainError):
             validate_dist([entry, 0.5])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.5, 0.4, 0.0], [1.1, -0.1, 0.0], [float("nan"), 0.5, 0.5], [float("inf"), 0.5, 0.0]],
+    )
+    def test_rows_fail_as_their_bad_row_does(self, bad):
+        good = [0.2, 0.3, 0.5]
+        with pytest.raises(DomainError) as scalar:
+            validate_dist(bad)
+        with pytest.raises(DomainError) as rows:
+            validate_rows([good, bad, good])
+        assert str(rows.value) == str(scalar.value)
+
+    def test_rows_accept_valid_stack(self):
+        stack = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+        assert np.array_equal(validate_rows(stack), stack)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 1), (1, 2, 2)])
+    def test_rows_need_a_two_dimensional_stack(self, shape):
+        with pytest.raises(DomainError):
+            validate_rows(np.full(shape, 0.5))

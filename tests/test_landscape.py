@@ -1,11 +1,16 @@
 """Landscape realization, grid construction, and artifact emission."""
 
+import hashlib
 import json
 import math
+import os
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustgate import (
     DEFT,
@@ -18,12 +23,54 @@ from trustgate import (
     TrainConfig,
     build_task,
     construct_distribution,
+    default_kinds,
     emit,
     feasible_entropy_range,
     finetune,
+    fixed_alpha,
+    gate,
     gradient_landscape,
     shannon_entropy,
 )
+from trustgate.cli import parse_and_run
+from trustgate.landscape import _realize, write_atomic
+
+
+def scalar_construct(p, entropy, vocab):
+    """Per-cell reference: the spike-plus-tail bisection as one Python loop per cell.
+
+    Kept apart from the batched code on purpose: the batched bisection must
+    reproduce this rule bit for bit.
+    """
+
+    def member(mix):
+        dist = np.empty(vocab)
+        dist[0] = p
+        share = (1.0 - p) * mix / (vocab - 1)
+        dist[1] = (1.0 - p) * (1.0 - mix) + share
+        dist[2:] = share
+        return dist
+
+    low, high = shannon_entropy(member(0.0)), shannon_entropy(member(1.0))
+    if entropy < low - 1e-6 or entropy > high + 1e-6:
+        return None
+    target = min(max(entropy, low), high)
+    if target == low:
+        return member(0.0)
+    if target == high:
+        return member(1.0)
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        dist = member(mid)
+        value = shannon_entropy(dist)
+        if abs(value - target) <= 0.5e-6:
+            return dist
+        if value < target:
+            lo = mid
+        else:
+            hi = mid
+    return dist
 
 
 class TestConstructDistribution:
@@ -65,6 +112,40 @@ class TestConstructDistribution:
         with pytest.raises(DomainError):
             construct_distribution(0.5, 0.5, 2)
 
+    def test_matches_scalar_reference_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            p = float(rng.uniform(0.01, 0.99))
+            vocab = int(rng.integers(3, 300))
+            low, high = feasible_entropy_range(p, vocab)
+            entropy = rng.choice([low, high, low - 1e-6, high + 1e-6, rng.uniform(low, high)])
+            dist = construct_distribution(p, float(entropy), vocab)
+            assert np.array_equal(dist, scalar_construct(p, float(entropy), vocab))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+    vocab=st.integers(3, 256),
+    fraction=st.floats(0.0, 1.0),
+    others=st.lists(st.tuples(st.floats(0.02, 0.98), st.floats(0.0, 1.0)), max_size=6),
+)
+def test_batched_row_matches_one_cell_call(p, vocab, fraction, others):
+    """A cell realized inside a batch equals its one-cell and scalar-reference realizations."""
+    cells = [(p, fraction)] + others
+    ps = np.array([c[0] for c in cells])
+    bounds = [feasible_entropy_range(float(q), vocab) for q in ps]
+    low = np.array([b[0] for b in bounds])
+    high = np.array([b[1] for b in bounds])
+    targets = low + np.array([c[1] for c in cells]) * (high - low)
+    row = _realize(ps, targets, low, high, vocab)[0]
+    target = float(targets[0])
+    assert row[0] == p
+    assert abs(row.sum() - 1.0) <= 1e-9
+    assert abs(shannon_entropy(row) - target) <= 1e-6
+    assert np.array_equal(row, construct_distribution(p, target, vocab))
+    assert np.array_equal(row, scalar_construct(p, target, vocab))
+
 
 class TestGradientLandscape:
     def test_log_loss_rows_constant_in_entropy(self):
@@ -102,10 +183,101 @@ class TestGradientLandscape:
         assert np.all(np.isfinite(row))
         assert np.all(np.diff(row) >= -1e-12)
 
+    @pytest.mark.parametrize("vocab", [3, 8, 64])
+    def test_matches_per_cell_reference(self, vocab):
+        """Batched grid against construct_distribution plus the scalar gate, cell by cell."""
+        p_grid = np.linspace(0.03, 0.97, 9)
+        h_grid = np.linspace(0.0, math.log(vocab), 11)
+        for kind in default_kinds(0.5) + [fixed_alpha(1.37)]:
+            grid = gradient_landscape(kind, p_grid, h_grid, vocab)
+            reference = np.full(grid.cells.shape, np.nan)
+            for i, p in enumerate(p_grid):
+                for j, entropy in enumerate(h_grid):
+                    try:
+                        dist = construct_distribution(float(p), float(entropy), vocab)
+                    except FeasibilityError:
+                        continue
+                    reference[i, j] = gate(kind, dist, 0).signal
+            reference /= np.nanmax(reference)
+            assert np.array_equal(np.isfinite(grid.cells), np.isfinite(reference))
+            feasible = np.isfinite(reference)
+            assert float(np.abs(grid.cells[feasible] - reference[feasible]).max()) <= 4.5e-16
+
+    def test_unnormalizable_grid_names_objective(self):
+        # p**1e308 underflows to 0 in every cell
+        kind = fixed_alpha(1e308)
+        with pytest.raises(DomainError, match=re.escape(kind.encode())):
+            gradient_landscape(kind, np.linspace(0.2, 0.8, 5), np.linspace(0.5, 2.0, 5), 8)
+
+    @pytest.mark.parametrize(
+        "p_grid, h_grid",
+        [([0.2, np.nan], [0.5]), ([0.5], [0.5, np.nan]), ([0.5], [np.inf]), ([0.5, 0.4], [0.5])],
+    )
+    def test_rejects_bad_grids(self, p_grid, h_grid):
+        with pytest.raises(DomainError):
+            gradient_landscape(NLL, np.array(p_grid), np.array(h_grid), 8)
+
     def test_infeasible_cells_absent(self):
         # entropy 0 is unattainable whenever the target holds less than full mass
         grid = gradient_landscape(NLL, np.array([0.5]), np.array([1e-6]), 8)
         assert not np.isfinite(grid.cells[0, 0])
+
+
+# sha256 of the CSV written by the seed's per-cell bisection for the CLI grids
+# used by the benchmark (100x100) and the README (20x20), both at vocab 32.
+GOLDEN_CSV_SHA256 = {
+    ("nll", 100): "87d14098eeb1393ab15ae08496c2c2dee1cd8bc2014adc08169014d4bf2711be",
+    ("nll", 20): "65ea5f6f9c8afa7b0ab179fd7c7544d1c3d5bda6ecc116a0474817d68f6634dc",
+    ("linear", 100): "bbee164f33e7bb1c99d926e9a3f250167c44be65bb3e77d82b6311c122ac10f1",
+    ("linear", 20): "baab045c682a03668dbd94202f6e9b7bcce901a09b35b5ce8848fb0edcb3fc99",
+    ("alpha:0.5", 100): "058e08f9738e65a5f4726fd57bd535d00fdc9168ac8356996ac3f0a6e2b19d04",
+    ("alpha:0.5", 20): "cc47a19dd8e55d2f87e804632a7226559b04a16b02d8fbf849c1e08b07f132e7",
+    ("cayley", 100): "de495dc9c019fe8c6fa9067d311e49a00777beb2cfda2745f854b42f368c9ebe",
+    ("cayley", 20): "7fc67786e8bd10448d0134979aea7919755a977170d87ed155161c91456b7078",
+    ("deft", 100): "41e074c736cac79ced7122cf29261f13839f9558b3e7ea1267a5c169c774bf3f",
+    ("deft", 20): "aa3858db1e81d4d8f15734873f72a0151a7ccde8db27d37c6f8395e15b08fc00",
+    ("eaft", 100): "c2e17ac2a2fcc8e5dc638b51a38345f33a56d353ca1e345fd32721983d1ac21e",
+    ("eaft", 20): "d39b7608bb4ea805aa4a4976cb21da0618c81f7c508f5aecd010888b0d634a89",
+}
+
+
+@pytest.mark.parametrize("objective, steps", sorted(GOLDEN_CSV_SHA256))
+def test_golden_csv(objective, steps, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    argv = ["landscape", "--objective", objective, "--p-steps", str(steps), "--h-steps", str(steps)]
+    assert parse_and_run(argv + ["--vocab", "32", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[(objective, steps)]
+
+
+class TestWriteAtomic:
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        write_atomic(path, "new\r\nline\n")
+        assert path.read_bytes() == b"new\r\nline\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(path, "partial" + "\ud800")  # a lone surrogate cannot be encoded
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failed_replace_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_atomic(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 class TestEmit:

@@ -5,7 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from trustgate import (
+    CAYLEY,
     DEFT,
+    EAFT,
     LINEAR,
     NLL,
     BuildError,
@@ -16,6 +18,7 @@ from trustgate import (
     TrainConfig,
     build_task,
     finetune,
+    fixed_alpha,
     gate,
     probability_histogram,
     quadrant_stats,
@@ -165,7 +168,8 @@ class TestFinetune:
             on_step=check,
         )
 
-    @pytest.mark.parametrize("kind", [NLL, LINEAR, DEFT])
+    # the first three keep their original ids (kind0-kind2); the rest complete the family
+    @pytest.mark.parametrize("kind", [NLL, LINEAR, DEFT, fixed_alpha(0.5), CAYLEY, EAFT])
     def test_vectorized_step_matches_per_token_gradient(self, kind):
         """One full-batch step equals applying the per-token gradient per row."""
         from trustgate import logit_gradient
@@ -190,6 +194,13 @@ class TestFinetune:
         task = build_task(RegimeSpec(regime="weak"), 1)
         with pytest.raises(DomainError):
             finetune(task.model, task.labels[:-1], TrainConfig(objective=NLL, steps=1, seed=0))
+
+    @pytest.mark.parametrize("bad", [np.full(256, -1), np.full(256, 32), np.zeros(255, dtype=int)])
+    def test_clean_labels_checked_like_labels(self, bad):
+        task = build_task(RegimeSpec(regime="weak"), 1)
+        with pytest.raises(DomainError, match="clean_labels"):
+            cfg = TrainConfig(objective=NLL, steps=1, seed=0)
+            finetune(task.model, task.labels, cfg, clean_labels=bad)
 
 
 class TestQuadrantStats:
