@@ -49,7 +49,7 @@ from .trainer import (
     RegimeSpec,
     RunRecord,
     SyntheticTask,
-    TokenDelta,
+    TokenDeltas,
     ToyModel,
     TrainConfig,
     TrainingError,

@@ -109,9 +109,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     task = build_task(spec, cfg.get("task_seed", seed))
     record = finetune(task.model, task.labels, train_cfg, clean_labels=task.clean_labels)
-    emit_record = record.to_dict()
-    emit_record["config"]["regime"] = spec.regime
-    write_atomic(args.out, json.dumps(emit_record, indent=2) + "\n")
+    record.config["regime"] = spec.regime
+    emit(record, args.out, "json")
     summary = {
         "out": args.out,
         "objective": train_cfg.objective.encode(),

@@ -23,18 +23,57 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import (
-    PROB_FLOOR,
-    DomainError,
-    cayley_alpha,
-    clamp_prob,
-    concentration,
-    deformed_loss,
-    shannon_entropy,
-    validate_dist,
-)
+from .core_math import ALPHA_SWITCH, PROB_FLOOR, DomainError, validate_dist
 
-_KIND_NAMES = ("nll", "linear", "alpha", "cayley", "deft", "eaft")
+
+def _target_p(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Target probability of each row, clamped to [PROB_FLOOR, 1]."""
+    # np.clip gives the same values but costs more per call on the trainer's small rows
+    return np.minimum(np.maximum(probs[np.arange(probs.shape[0]), labels], PROB_FLOOR), 1.0)
+
+
+# The family as one table. Every member freezes a weight w and a focus
+# exponent a at the current prediction; its loss is w * (1 - p^a) / a (with
+# the -w log p limit at a -> 0) and its gate is w * p^a. Each rule maps
+# (kind, probs, labels) of a (rows, vocab) stack to one value per row, so a
+# new member is one entry here.
+def _unit(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return np.ones(probs.shape[0])
+
+
+def _zero(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return np.zeros(probs.shape[0])
+
+
+def _fixed(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return np.full(probs.shape[0], float(kind.alpha))  # type: ignore[arg-type]
+
+
+def _cayley(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    p = _target_p(probs, labels)
+    return p / (1.0 + np.sqrt(1.0 - p)) ** 2
+
+
+def _collision(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return (probs * probs).sum(axis=1)
+
+
+def _normalized_entropy(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    entropy = -(probs * np.log(np.maximum(probs, 1e-300))).sum(axis=1)
+    # at most 1; a uniform row's entropy can round to one ulp above log V
+    return np.minimum(entropy / math.log(probs.shape[1]), 1.0)
+
+
+_RULES = {
+    # name: (weight rule, focus rule)
+    "nll": (_unit, _zero),
+    "linear": (_unit, _unit),
+    "alpha": (_unit, _fixed),
+    "cayley": (_unit, _cayley),
+    "deft": (_unit, _collision),
+    "eaft": (_normalized_entropy, _zero),
+}
+_KIND_NAMES = tuple(_RULES)
 _DYNAMIC = ("cayley", "deft")
 
 
@@ -128,6 +167,12 @@ def _check_target(P: np.ndarray, target: int) -> int:
     return target
 
 
+def _one_row(P, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one distribution and its target; return them as a one-row stack."""
+    P = validate_dist(P)
+    return P[None, :], np.array([_check_target(P, target)])
+
+
 def focus_index(kind: ObjectiveKind, P, target: int) -> float:
     """Focus exponent of the gate at the current prediction.
 
@@ -136,72 +181,20 @@ def focus_index(kind: ObjectiveKind, P, target: int) -> float:
     target probability through the Cayley trajectory and ``deft`` returns the
     collision mass of the full predictive distribution.
     """
-    P = validate_dist(P)
-    target = _check_target(P, target)
-    if kind.name == "nll" or kind.name == "eaft":
-        return 0.0
-    if kind.name == "linear":
-        return 1.0
-    if kind.name == "alpha":
-        return float(kind.alpha)  # type: ignore[arg-type]
-    if kind.name == "cayley":
-        return cayley_alpha(clamp_prob(float(P[target])))
-    return concentration(P)  # deft
-
-
-def _gate_value(kind: ObjectiveKind, P: np.ndarray, p: float, target: int) -> float:
-    if kind.name == "nll":
-        return 1.0
-    if kind.name == "eaft":
-        # Normalized predictive entropy, treated as a frozen weight.
-        return shannon_entropy(P) / math.log(P.size)
-    return p ** focus_index(kind, P, target)
+    return float(focus_per_row(kind, *_one_row(P, target))[0])
 
 
 def gate(kind: ObjectiveKind, P, target: int) -> GateError:
     """Trust gate, prediction error 1 - p, and their product.
 
-    The gate is p^alpha for the deformed members (alpha per ``focus_index``),
-    1 for ``nll``, and the normalized predictive entropy for ``eaft``.
+    The gate is w * p^a with the frozen weight w and focus exponent a of
+    ``frozen_state``: p^a for the deformed members, 1 for ``nll``, and the
+    normalized predictive entropy for ``eaft``.
     """
-    P = validate_dist(P)
-    target = _check_target(P, target)
-    p = clamp_prob(float(P[target]))
-    g = _gate_value(kind, P, p, target)
-    error = 1.0 - p
+    probs, labels = _one_row(P, target)
+    g = float(gate_per_row(kind, probs, labels)[0])
+    error = 1.0 - float(_target_p(probs, labels)[0])
     return GateError(gate=g, error=error, signal=g * error)
-
-
-def focus_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Focus exponent of each row of a (rows, vocab) prediction stack; row-wise ``focus_index``."""
-    rows = np.arange(probs.shape[0])
-    if kind.name in ("nll", "eaft"):
-        return np.zeros(probs.shape[0])
-    if kind.name == "linear":
-        return np.ones(probs.shape[0])
-    if kind.name == "alpha":
-        return np.full(probs.shape[0], float(kind.alpha))  # type: ignore[arg-type]
-    if kind.name == "cayley":
-        p = np.clip(probs[rows, labels], PROB_FLOOR, 1.0)
-        root = np.sqrt(1.0 - p)
-        return p / (1.0 + root) ** 2
-    return (probs * probs).sum(axis=1)  # deft
-
-
-def gate_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Trust gate of each row of a (rows, vocab) prediction stack; row-wise ``gate(...).gate``.
-
-    Rows are taken as valid distributions and labels as in range; callers check them.
-    """
-    rows = np.arange(probs.shape[0])
-    p = np.clip(probs[rows, labels], PROB_FLOOR, 1.0)
-    if kind.name == "nll":
-        return np.ones(probs.shape[0])
-    if kind.name == "eaft":
-        clipped = np.clip(probs, 1e-300, None)
-        entropy = -(probs * np.log(clipped)).sum(axis=1)
-        return entropy / math.log(probs.shape[1])
-    return p ** focus_per_row(kind, probs, labels)
 
 
 def loss(kind: ObjectiveKind, P, target: int) -> float:
@@ -212,16 +205,46 @@ def loss(kind: ObjectiveKind, P, target: int) -> float:
     whose gradient the update rule follows. Nonnegative; zero iff p == 1
     (``eaft`` is also zero when the prediction is deterministic).
     """
-    P = validate_dist(P)
-    target = _check_target(P, target)
-    p = clamp_prob(float(P[target]))
-    if kind.name == "nll":
-        return -math.log(p)
-    if kind.name == "linear":
-        return 1.0 - p
-    if kind.name == "eaft":
-        return (shannon_entropy(P) / math.log(P.size)) * -math.log(p)
-    return deformed_loss(p, focus_index(kind, P, target))
+    return float(loss_per_row(kind, *_one_row(P, target))[0])
+
+
+def frozen_state(
+    kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clamped target probability p, weight w and focus exponent a of each row.
+
+    Rows of the (rows, vocab) stack are taken as valid distributions and
+    labels as in range; callers check them.
+    """
+    weight, focus = _RULES[kind.name]
+    return _target_p(probs, labels), weight(kind, probs, labels), focus(kind, probs, labels)
+
+
+def focus_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Focus exponent of each row of a (rows, vocab) prediction stack; row-wise ``focus_index``."""
+    # The focus rule alone: the weight of eaft would cost a pass over the table.
+    return _RULES[kind.name][1](kind, probs, labels)
+
+
+def gate_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Trust gate w * p^a of each row of a (rows, vocab) prediction stack; row-wise ``gate(...).gate``."""
+    p, w, a = frozen_state(kind, probs, labels)
+    return w * p**a
+
+
+def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Frozen-state token loss w * (1 - p^a) / a of each row; row-wise ``loss``.
+
+    Below ALPHA_SWITCH the exact limit -w log p is taken, without dividing by a.
+    """
+    p, w, a = frozen_state(kind, probs, labels)
+    log_p = np.log(p)
+    small = a < ALPHA_SWITCH
+    a = np.where(small, 1.0, a)
+    # a * log p may overflow to -inf for huge a, where expm1 gives the exact limit -1
+    with np.errstate(over="ignore"):
+        deformed = -np.expm1(a * log_p) / a
+    return w * np.where(small, -log_p, deformed)
 
 
 def logit_gradient(kind: ObjectiveKind, z, target: int) -> np.ndarray:

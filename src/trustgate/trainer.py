@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core_math import DomainError, deformed_loss
-from .objectives import ObjectiveKind, focus_per_row, gate_per_row
+from .core_math import DomainError
+from .objectives import ObjectiveKind, focus_per_row, frozen_state, loss_per_row
 
 REGIMES = ("strong", "intermediate", "weak")
 CONFLICT_POLICIES = ("confident_only", "uniform")
@@ -79,6 +79,16 @@ class RegimeSpec:
             raise DomainError(
                 f"unknown conflict_policy {self.conflict_policy!r}, expected one of {CONFLICT_POLICIES}"
             )
+        if self.regime == "weak" and self.conflict_policy == "confident_only" and self.num_conflicts:
+            raise DomainError(
+                f"confident_only conflicts need {self.num_conflicts} confident contexts, but a weak "
+                "model has none; use conflict_policy 'uniform'"
+            )
+
+    @property
+    def num_conflicts(self) -> int:
+        """Number of contexts whose label is replaced."""
+        return int(self.conflict_fraction * self.num_contexts)
 
 
 @dataclass
@@ -89,8 +99,8 @@ class ToyModel:
 
     def __post_init__(self) -> None:
         table = np.asarray(self.logit_table, dtype=np.float64)
-        if table.ndim != 2 or table.shape[1] < 2:
-            raise DomainError(f"logit table must be (contexts, vocab >= 2), got {table.shape}")
+        if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 2:
+            raise DomainError(f"logit table must be (contexts >= 1, vocab >= 2), got {table.shape}")
         if not np.all(np.isfinite(table)):
             raise DomainError("logit table contains non-finite entries")
         self.logit_table = table
@@ -135,22 +145,20 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class TokenDelta:
-    """Change of one context's original-label probability over a run.
+class TokenDeltas:
+    """Original-label probability and frozen-state loss of every context, before and after a run.
 
-    Quadrants follow the (delta p, delta loss) plane: Q4 (p up, loss down) is
-    learning, Q2 (p down, loss up) is forgetting; Q1/Q3 hold ties and the
-    remaining sign patterns. A token is high-confidence when its probability
-    before training reached HIGH_CONFIDENCE_THRESHOLD.
+    Entry i of each array belongs to context i. Quadrants follow the
+    (delta p, delta loss) plane: Q4 (p up, loss down) is learning, Q2 (p down,
+    loss up) is forgetting; Q1/Q3 hold ties and the remaining sign patterns.
+    A token is high-confidence when its probability before training reached
+    HIGH_CONFIDENCE_THRESHOLD.
     """
 
-    context: int
-    p_before: float
-    p_after: float
-    loss_before: float
-    loss_after: float
-    quadrant: str
-    high_confidence: bool
+    p_before: np.ndarray
+    p_after: np.ndarray
+    loss_before: np.ndarray
+    loss_after: np.ndarray
 
 
 @dataclass
@@ -181,7 +189,7 @@ class RunRecord:
     config: dict
     mean_target_p: list[float]
     mean_alpha: list[float]
-    deltas: list[TokenDelta]
+    deltas: TokenDeltas
     quadrants: dict
     histograms: list[dict]
     final_table: np.ndarray = field(repr=False)
@@ -232,7 +240,7 @@ def _inject_conflicts(
 ) -> np.ndarray:
     """Replace labels on a fraction of contexts; returns the conflict mask."""
     mask = np.zeros(model.num_contexts, dtype=bool)
-    count = int(spec.conflict_fraction * model.num_contexts)
+    count = spec.num_conflicts
     if count == 0:
         return mask
     probs = model.probs()
@@ -289,66 +297,24 @@ def build_task(spec: RegimeSpec, seed: int) -> SyntheticTask:
     )
 
 
-def _loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vectorized frozen-state token loss per context; mirrors objectives.loss."""
-    rows = np.arange(probs.shape[0])
-    p = np.clip(probs[rows, labels], 1e-12, 1.0)
-    if kind.name == "nll":
-        return -np.log(p)
-    if kind.name == "linear":
-        return 1.0 - p
-    if kind.name == "eaft":
-        clipped = np.clip(probs, 1e-300, None)
-        entropy = -(probs * np.log(clipped)).sum(axis=1)
-        return (entropy / math.log(probs.shape[1])) * -np.log(p)
-    focus = focus_per_row(kind, probs, labels)
-    return np.array([deformed_loss(float(pi), float(ai)) for pi, ai in zip(p, focus)])
-
-
-def _quadrant(delta_p: float, delta_loss: float) -> str:
-    if delta_p > 0.0 and delta_loss < 0.0:
-        return "Q4"
-    if delta_p < 0.0 and delta_loss > 0.0:
-        return "Q2"
-    if delta_p >= 0.0 and delta_loss >= 0.0:
-        return "Q1"
-    return "Q3"
-
-
 def _token_deltas(
     kind: ObjectiveKind,
     before: np.ndarray,
     after: np.ndarray,
     clean_labels: np.ndarray,
-) -> list[TokenDelta]:
+) -> TokenDeltas:
     probs_before = _row_softmax(before)
     probs_after = _row_softmax(after)
     rows = np.arange(before.shape[0])
-    p_before = probs_before[rows, clean_labels]
-    p_after = probs_after[rows, clean_labels]
-    loss_before = _loss_per_row(kind, probs_before, clean_labels)
-    loss_after = _loss_per_row(kind, probs_after, clean_labels)
-    deltas = []
-    for context in range(before.shape[0]):
-        pb = float(p_before[context])
-        pa = float(p_after[context])
-        lb = float(loss_before[context])
-        la = float(loss_after[context])
-        deltas.append(
-            TokenDelta(
-                context=context,
-                p_before=pb,
-                p_after=pa,
-                loss_before=lb,
-                loss_after=la,
-                quadrant=_quadrant(pa - pb, la - lb),
-                high_confidence=pb >= HIGH_CONFIDENCE_THRESHOLD,
-            )
-        )
-    return deltas
+    return TokenDeltas(
+        p_before=probs_before[rows, clean_labels],
+        p_after=probs_after[rows, clean_labels],
+        loss_before=loss_per_row(kind, probs_before, clean_labels),
+        loss_after=loss_per_row(kind, probs_after, clean_labels),
+    )
 
 
-def quadrant_stats(deltas: list[TokenDelta], min_change: float = MIN_COUNTED_CHANGE) -> dict:
+def quadrant_stats(deltas: TokenDeltas, min_change: float = MIN_COUNTED_CHANGE) -> dict:
     """Learning/forgetting proportions, split by prior confidence.
 
     A token counts as learning (forgetting) when it sits in Q4 (Q2) and its
@@ -358,23 +324,27 @@ def quadrant_stats(deltas: list[TokenDelta], min_change: float = MIN_COUNTED_CHA
     empty). Proportions sum to at most 1; the remainder sits in Q1/Q3 or
     below the change threshold.
     """
-    if not deltas:
-        raise DomainError("quadrant_stats requires a nonempty list of token deltas")
-    total = len(deltas)
-    learning = [d for d in deltas if d.quadrant == "Q4" and abs(d.p_after - d.p_before) >= min_change]
-    forgetting = [d for d in deltas if d.quadrant == "Q2" and abs(d.p_after - d.p_before) >= min_change]
-    learn_high = sum(1 for d in learning if d.high_confidence)
-    forget_high = sum(1 for d in forgetting if d.high_confidence)
+    total = deltas.p_before.size
+    if total == 0:
+        raise DomainError("quadrant_stats requires at least one token delta")
+    delta_p = deltas.p_after - deltas.p_before
+    delta_loss = deltas.loss_after - deltas.loss_before
+    moved = np.abs(delta_p) >= min_change
+    learning = (delta_p > 0.0) & (delta_loss < 0.0) & moved
+    forgetting = (delta_p < 0.0) & (delta_loss > 0.0) & moved
+    high = deltas.p_before >= HIGH_CONFIDENCE_THRESHOLD
+    learn, forget = int(learning.sum()), int(forgetting.sum())
+    learn_high, forget_high = int((learning & high).sum()), int((forgetting & high).sum())
     return {
         "count": total,
-        "learning": len(learning) / total,
-        "forgetting": len(forgetting) / total,
+        "learning": learn / total,
+        "forgetting": forget / total,
         "learning_high": learn_high / total,
-        "learning_low": (len(learning) - learn_high) / total,
+        "learning_low": (learn - learn_high) / total,
         "forgetting_high": forget_high / total,
-        "forgetting_low": (len(forgetting) - forget_high) / total,
-        "learning_high_share": learn_high / len(learning) if learning else 0.0,
-        "forgetting_high_share": forget_high / len(forgetting) if forgetting else 0.0,
+        "forgetting_low": (forget - forget_high) / total,
+        "learning_high_share": learn_high / learn if learn else 0.0,
+        "forgetting_high_share": forget_high / forget if forget else 0.0,
     }
 
 
@@ -444,7 +414,6 @@ def finetune(
     for step in range(cfg.steps):
         probs = _row_softmax(table)
         mean_target_p.append(float(probs[rows, labels].mean()))
-        mean_alpha.append(float(focus_per_row(cfg.objective, probs, labels).mean()))
         if on_step is not None:
             on_step(step, ToyModel(table.copy()))
 
@@ -459,16 +428,20 @@ def finetune(
             cursor += batch
             member_probs = probs[members]
 
-        gates = gate_per_row(cfg.objective, member_probs, labels[members])
+        member_labels = labels[members]
+        p, w, a = frozen_state(cfg.objective, member_probs, member_labels)
+        # a full batch already holds the focus of every context for the trace
+        focus = a if members is rows else focus_per_row(cfg.objective, probs, labels)
+        mean_alpha.append(float(focus.mean()))
+        gates = w * p**a
         grad = gates[:, None] * member_probs
-        grad[np.arange(members.size), labels[members]] -= gates
+        grad[np.arange(members.size), member_labels] -= gates
         table[members] -= cfg.learning_rate * grad
         if not np.all(np.isfinite(table)):
             raise TrainingError(f"non-finite logits after update at step {step}")
 
     final_model = ToyModel(table.copy())
     deltas = _token_deltas(cfg.objective, initial, table, clean_labels)
-    quadrants = quadrant_stats(deltas) if deltas else {}
     histograms = [
         _histogram_snapshot(0, ToyModel(initial.copy()), labels),
         _histogram_snapshot(cfg.steps, final_model, labels),
@@ -485,7 +458,7 @@ def finetune(
         mean_target_p=mean_target_p,
         mean_alpha=mean_alpha,
         deltas=deltas,
-        quadrants=quadrants,
+        quadrants=quadrant_stats(deltas),
         histograms=histograms,
         final_table=table,
     )

@@ -41,7 +41,7 @@ from .objectives import (
     ObjectiveKind,
     default_kinds,
     fixed_alpha,
-    focus_index,
+    frozen_state,
     gate,
     logit_gradient,
     softmax,
@@ -100,37 +100,21 @@ def softmax_jacobian(z) -> np.ndarray:
     return np.diag(P) - np.outer(P, P)
 
 
-def _frozen_loss_fn(kind: ObjectiveKind, P0: np.ndarray, target: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Token loss as a function of p alone, with state frozen at P0.
+def _frozen_state(kind: ObjectiveKind, P0: np.ndarray, target: int) -> tuple[float, float]:
+    """Weight w0 and focus exponent a0 of the token loss, frozen at state P0.
 
-    For static members this is the loss itself; for dynamic members the focus
-    exponent (or entropy weight) is pinned to its value at P0, matching the
-    surrogate whose gradient the update rule takes.
+    The frozen loss is w0 * (1 - p^a0) / a0 (-w0 log p below ALPHA_SWITCH),
+    the surrogate whose gradient the update rule takes; static members ignore
+    P0.
     """
-    if kind.name == "nll":
-        return lambda p: -np.log(p)
-    if kind.name == "linear":
-        return lambda p: 1.0 - p
-    if kind.name == "eaft":
-        w0 = shannon_entropy(P0) / math.log(P0.size)
-        return lambda p: w0 * -np.log(p)
-    a0 = focus_index(kind, P0, target)
-    if a0 < ALPHA_SWITCH:
-        return lambda p: -np.log(p)
-    return lambda p: -np.expm1(a0 * np.log(p)) / a0
+    _, w, a = frozen_state(kind, P0[None, :], np.array([target]))
+    return float(w[0]), float(a[0])
 
 
 def _frozen_loss_derivative(kind: ObjectiveKind, P0: np.ndarray, target: int) -> Callable[[float], float]:
-    """d/dp of the frozen-state token loss."""
-    if kind.name == "nll":
-        return lambda p: -1.0 / p
-    if kind.name == "linear":
-        return lambda p: -1.0
-    if kind.name == "eaft":
-        w0 = shannon_entropy(P0) / math.log(P0.size)
-        return lambda p: -w0 / p
-    a0 = focus_index(kind, P0, target)
-    return lambda p: -(p ** (a0 - 1.0))
+    """d/dp of the frozen-state token loss, -w0 p^(a0 - 1), written apart from the gate."""
+    w0, a0 = _frozen_state(kind, P0, target)
+    return lambda p: -w0 * p ** (a0 - 1.0)
 
 
 def fd_gradient(kind: ObjectiveKind, z, target: int, h: float = 1e-5) -> np.ndarray:
@@ -146,7 +130,7 @@ def fd_gradient(kind: ObjectiveKind, z, target: int, h: float = 1e-5) -> np.ndar
     target = int(target)
     if target < 0 or target >= z.size:
         raise DomainError(f"target index {target} out of range for vocabulary of {z.size}")
-    f = _frozen_loss_fn(kind, P0, target)
+    w0, a0 = _frozen_state(kind, P0, target)
 
     offsets = np.eye(z.size) * h
 
@@ -155,11 +139,18 @@ def fd_gradient(kind: ObjectiveKind, z, target: int, h: float = 1e-5) -> np.ndar
         expd = np.exp(shifted)
         return np.maximum(expd[:, target] / expd.sum(axis=1), PROB_FLOOR)
 
-    upper = f(target_probs(z[None, :] + offsets))
-    lower = f(target_probs(z[None, :] - offsets))
-    if not (np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))):
-        raise DomainError("non-finite loss evaluations in finite differences")
-    return (upper - lower) / (2.0 * h)
+    lower = target_probs(z[None, :] - offsets)
+    log_ratio = np.log(target_probs(z[None, :] + offsets) / lower)
+    # f(p+) - f(p-) with the loss's constant term cancelled exactly: differencing
+    # two values of 1 - p^a0 next to 1 leaves ~eps/2h of absolute noise, which
+    # swamps gradients of order p at small p.
+    if a0 < ALPHA_SWITCH:
+        difference = -w0 * log_ratio
+    else:
+        difference = -w0 * lower**a0 * np.expm1(a0 * log_ratio) / a0
+    if not np.all(np.isfinite(difference)):
+        raise DomainError("non-finite loss differences in finite differences")
+    return difference / (2.0 * h)
 
 
 def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER) -> float:
@@ -287,20 +278,6 @@ def peak_location(f: Callable[[np.ndarray], np.ndarray], num_points: int = 10_00
 _REGIMES = ("strong", "weak")
 
 
-def _static_loss_derivative(kind: ObjectiveKind) -> Callable[[float], float]:
-    if kind.name == "nll":
-        return lambda p: -1.0 / p
-    if kind.name == "linear":
-        return lambda p: -1.0
-    if kind.name == "alpha":
-        a = float(kind.alpha)  # type: ignore[arg-type]
-        return lambda p: -(p ** (a - 1.0))
-    raise DomainError(
-        f"objective {kind.encode()!r} has a state-dependent gate; "
-        "risk-flow ordering is defined for fixed losses only"
-    )
-
-
 def gradient_flow_ordering(
     regime: str,
     pair: tuple[ObjectiveKind, ObjectiveKind],
@@ -319,9 +296,15 @@ def gradient_flow_ordering(
     """
     if regime not in _REGIMES:
         raise DomainError(f"unknown regime {regime!r}, expected one of {_REGIMES}")
+    for kind in pair:
+        if kind.is_dynamic or kind.name == "eaft":
+            raise DomainError(
+                f"objective {kind.encode()!r} has a state-dependent gate; "
+                "risk-flow ordering is defined for fixed losses only"
+            )
     first, second = pair
-    d_first = _static_loss_derivative(first)
-    d_second = _static_loss_derivative(second)
+    # static members ignore the state their loss is frozen at
+    d_first, d_second = (_frozen_loss_derivative(kind, np.array([0.5, 0.5]), 0) for kind in pair)
 
     vocab = 10
     rng = np.random.default_rng(seed)
@@ -516,9 +499,10 @@ def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list
             worst_sum = max(worst_sum, abs(float(logit_gradient(kind, z, target).sum())))
     reports = [_report("gradient-sum-zero", worst_sum, 1e-12)]
 
-    # alpha <= 1 keeps the gradient above the difference quotient's noise
-    # floor (~|f| * eps / 2h); steeper gates are covered by the exact
-    # jacobian-chain check instead
+    # fd_gradient differences the frozen loss without its constant term, so its
+    # rounding error stays a relative ~eps / 2h even where p, and with it the
+    # gradient, is tiny; steeper gates are covered by the exact jacobian-chain
+    # check
     static = [NLL, LINEAR, fixed_alpha(0.5), fixed_alpha(1.0)]
     dynamic = [CAYLEY, DEFT, EAFT]
     for label, group in (("static", static), ("dynamic", dynamic)):

@@ -175,6 +175,15 @@ class TestTrain:
         assert code == 2
         assert "task_seed" in err
 
+    def test_impossible_conflict_spec_exits_two(self, tmp_path, capsys):
+        """Confident-only conflicts on a weak prior are a config error, caught before any work."""
+        config = self._config(tmp_path, conflict_fraction=0.5)
+        out_path = tmp_path / "o.json"
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path))
+        assert code == 2
+        assert "confident_only" in err and out == ""
+        assert not out_path.exists()
+
     def test_determinism_across_invocations(self, tmp_path, capsys):
         config = self._config(tmp_path)
         first = tmp_path / "a.json"

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trustgate import (
     CAYLEY,
@@ -22,6 +25,8 @@ from trustgate import (
     loss,
     softmax,
 )
+from trustgate.core_math import deformed_loss
+from trustgate.objectives import focus_per_row, frozen_state, gate_per_row, loss_per_row
 from trustgate.verification import fd_gradient
 
 
@@ -120,6 +125,11 @@ class TestGate:
         assert gate(EAFT, dist, 0).gate == pytest.approx(1.0, abs=1e-12)
         onehotish = np.array([1.0 - 3e-12, 1e-12, 1e-12, 1e-12])
         assert gate(EAFT, onehotish, 0).gate == pytest.approx(0.0, abs=1e-9)
+
+    def test_entropy_weight_never_exceeds_one(self):
+        """A uniform row's entropy can round one ulp above log V; the weight stays at 1."""
+        for vocab in range(2, 257):
+            assert gate(EAFT, softmax(np.zeros(vocab)), 0).gate <= 1.0
 
 
 class TestLoss:
@@ -230,3 +240,92 @@ class TestSoftmax:
     def test_shift_invariance(self):
         z = np.array([1.0, -2.0, 0.5])
         npt.assert_allclose(softmax(z), softmax(z + 100.0), atol=1e-12)
+
+
+# Every member; the fixed exponent is drawn log-uniformly from 1e-7 to 10, so
+# it crosses the loss's switch to the -log p limit at 1e-6.
+KINDS = st.one_of(
+    st.sampled_from([NLL, LINEAR, CAYLEY, DEFT, EAFT]),
+    st.floats(-7.0, 1.0).map(lambda exponent: fixed_alpha(10.0**exponent)),
+)
+
+
+@st.composite
+def logit_stacks(draw):
+    """(rows, vocab) logits in [-700, 700] with vocab in [2, 256], and one label per row."""
+    vocab = draw(st.integers(2, 256))
+    rows = draw(st.integers(1, 6))
+    logits = draw(hnp.arrays(np.float64, (rows, vocab), elements=st.floats(-700.0, 700.0)))
+    labels = draw(hnp.arrays(np.int64, rows, elements=st.integers(0, vocab - 1)))
+    return logits, labels
+
+
+def _row_probs(logits):
+    return np.stack([softmax(z) for z in logits])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestRuleTableProperties:
+    """The one rule table behind the scalar and row-wise objective functions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=KINDS, stack=logit_stacks())
+    def test_stack_equals_per_row_scalar_calls(self, kind, stack):
+        """Row-wise results equal one scalar call per row, bit for bit."""
+        logits, labels = stack
+        probs = _row_probs(logits)
+        rows = list(zip(probs, labels))
+        npt.assert_array_equal(
+            _bits(focus_per_row(kind, probs, labels)), _bits([focus_index(kind, P, t) for P, t in rows])
+        )
+        npt.assert_array_equal(
+            _bits(gate_per_row(kind, probs, labels)), _bits([gate(kind, P, t).gate for P, t in rows])
+        )
+        npt.assert_array_equal(
+            _bits(loss_per_row(kind, probs, labels)), _bits([loss(kind, P, t) for P, t in rows])
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=KINDS, stack=logit_stacks())
+    def test_gates_bounded_losses_nonnegative_gradients_balanced(self, kind, stack):
+        logits, labels = stack
+        probs = _row_probs(logits)
+        gates = gate_per_row(kind, probs, labels)
+        losses = loss_per_row(kind, probs, labels)
+        assert np.all((gates >= 0.0) & (gates <= 1.0))
+        assert np.all(np.isfinite(losses)) and np.all(losses >= 0.0)
+        for z, target in zip(logits, labels):
+            assert abs(float(logit_gradient(kind, z, target).sum())) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=KINDS, stack=logit_stacks())
+    def test_loss_matches_scalar_deformed_loss(self, kind, stack):
+        """w * (1 - p^a) / a per row against core_math's scalar loss, including its -log p switch.
+
+        numpy's and the math module's log/expm1 may differ in the last bit, hence 1e-13.
+        """
+        logits, labels = stack
+        probs = _row_probs(logits)
+        p, w, a = frozen_state(kind, probs, labels)
+        expected = [wi * deformed_loss(float(pi), float(ai)) for pi, wi, ai in zip(p, w, a)]
+        npt.assert_allclose(loss_per_row(kind, probs, labels), expected, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=KINDS, stack=logit_stacks(), shift=st.floats(-100.0, 100.0))
+    def test_constant_logit_shift_changes_nothing(self, kind, stack, shift):
+        """Softmax ignores a constant shift; what remains is the rounding of z + shift.
+
+        Logits up to 800 in magnitude round to ~1e-13, which moves log p by about
+        as much and p^a by a times as much (a <= 10 here); the tolerance is 1e-10
+        relative plus 1e-12 absolute.
+        """
+        logits, labels = stack
+        probs = _row_probs(logits)
+        shifted = _row_probs(logits + shift)
+        for row_fn in (gate_per_row, loss_per_row):
+            npt.assert_allclose(
+                row_fn(kind, shifted, labels), row_fn(kind, probs, labels), rtol=1e-10, atol=1e-12
+            )

@@ -13,7 +13,7 @@ from trustgate import (
     BuildError,
     DomainError,
     RegimeSpec,
-    TokenDelta,
+    TokenDeltas,
     ToyModel,
     TrainConfig,
     build_task,
@@ -66,8 +66,21 @@ class TestBuildTask:
         npt.assert_array_equal(task.labels[~task.conflict_mask], task.clean_labels[~task.conflict_mask])
 
     def test_confident_conflicts_impossible_on_weak_prior(self):
-        spec = RegimeSpec(regime="weak", conflict_fraction=0.1, conflict_policy="confident_only")
-        with pytest.raises(BuildError):
+        """A weak model has no confident contexts, so the spec itself is rejected."""
+        with pytest.raises(DomainError, match="confident_only"):
+            RegimeSpec(regime="weak", conflict_fraction=0.1, conflict_policy="confident_only")
+
+    def test_confident_policy_on_weak_prior_valid_without_conflicts(self):
+        """Specs whose conflict count rounds to zero place no conflicts and stay valid."""
+        for fraction in (0.0, 0.003):
+            spec = RegimeSpec(regime="weak", conflict_fraction=fraction, conflict_policy="confident_only")
+            assert spec.num_conflicts == 0
+            assert build_task(spec, 7).num_conflicts == 0
+
+    def test_confident_conflicts_scarce_on_intermediate_prior(self):
+        """Eligibility that depends on the pretrained model still fails at build time."""
+        spec = RegimeSpec(regime="intermediate", conflict_fraction=0.9, conflict_policy="confident_only")
+        with pytest.raises(BuildError, match="qualify"):
             build_task(spec, 7)
 
     def test_uniform_conflicts_on_weak_prior(self):
@@ -98,10 +111,14 @@ class TestFinetune:
         task = build_task(RegimeSpec(regime="weak"), 1)
         record = finetune(task.model, task.labels, TrainConfig(objective=NLL, steps=0, seed=0))
         assert record.mean_target_p == [] and record.mean_alpha == []
-        assert all(d.p_before == d.p_after for d in record.deltas)
+        npt.assert_array_equal(record.deltas.p_before, record.deltas.p_after)
         assert record.quadrants["learning"] == 0.0
         assert record.quadrants["forgetting"] == 0.0
         npt.assert_array_equal(record.final_table, task.model.logit_table)
+
+    def test_zero_context_table_rejected(self):
+        with pytest.raises(DomainError, match="contexts >= 1"):
+            ToyModel(np.zeros((0, 8)))
 
     def test_trace_lengths_match_steps(self):
         task = build_task(RegimeSpec(regime="weak"), 1)
@@ -203,38 +220,84 @@ class TestFinetune:
             finetune(task.model, task.labels, cfg, clean_labels=bad)
 
 
-class TestQuadrantStats:
-    def _delta(self, p_before, p_after, loss_before, loss_after):
-        dp = p_after - p_before
-        dl = loss_after - loss_before
-        if dp > 0 and dl < 0:
-            quadrant = "Q4"
-        elif dp < 0 and dl > 0:
-            quadrant = "Q2"
-        elif dp >= 0 and dl >= 0:
-            quadrant = "Q1"
-        else:
-            quadrant = "Q3"
-        return TokenDelta(0, p_before, p_after, loss_before, loss_after, quadrant, p_before >= 0.5)
+def _deltas(*tokens):
+    """TokenDeltas from (p_before, p_after, loss_before, loss_after) tuples, one per context."""
+    columns = np.array(tokens, dtype=np.float64).reshape(-1, 4).T
+    return TokenDeltas(*columns)
 
+
+def _quadrant_stats_per_token(deltas, min_change=0.05):
+    """Reference: the per-token classification into quadrants, one context at a time."""
+    learning, forgetting, learn_high, forget_high = 0, 0, 0, 0
+    for pb, pa, lb, la in zip(deltas.p_before, deltas.p_after, deltas.loss_before, deltas.loss_after):
+        moved = abs(pa - pb) >= min_change
+        high = pb >= 0.5
+        if pa - pb > 0.0 and la - lb < 0.0 and moved:
+            learning += 1
+            learn_high += high
+        elif pa - pb < 0.0 and la - lb > 0.0 and moved:
+            forgetting += 1
+            forget_high += high
+    total = deltas.p_before.size
+    return {
+        "count": total,
+        "learning": learning / total,
+        "forgetting": forgetting / total,
+        "learning_high": learn_high / total,
+        "learning_low": (learning - learn_high) / total,
+        "forgetting_high": forget_high / total,
+        "forgetting_low": (forgetting - forget_high) / total,
+        "learning_high_share": learn_high / learning if learning else 0.0,
+        "forgetting_high_share": forget_high / forgetting if forgetting else 0.0,
+    }
+
+
+class TestQuadrantStats:
     def test_no_motion_means_no_learning_or_forgetting(self):
-        deltas = [self._delta(0.4, 0.4, 1.0, 1.0) for _ in range(10)]
-        stats = quadrant_stats(deltas)
+        stats = quadrant_stats(_deltas(*[(0.4, 0.4, 1.0, 1.0)] * 10))
         assert stats["learning"] == 0.0 and stats["forgetting"] == 0.0
 
     def test_single_confident_drop_is_pure_forgetting(self):
-        stats = quadrant_stats([self._delta(0.8, 0.4, 0.22, 0.92)])
+        stats = quadrant_stats(_deltas((0.8, 0.4, 0.22, 0.92)))
         assert stats["forgetting"] == 1.0
         assert stats["forgetting_high_share"] == 1.0
         assert stats["learning"] == 0.0
 
     def test_small_motion_below_threshold_not_counted(self):
-        stats = quadrant_stats([self._delta(0.8, 0.79, 0.22, 0.23)])
+        stats = quadrant_stats(_deltas((0.8, 0.79, 0.22, 0.23)))
         assert stats["forgetting"] == 0.0
 
     def test_empty_list_rejected(self):
         with pytest.raises(DomainError):
-            quadrant_stats([])
+            quadrant_stats(_deltas())
+
+    def test_matches_per_token_classification(self):
+        """Every sign pattern, ties and the change threshold, against a per-token loop."""
+        rng = np.random.default_rng(3)
+        grid = np.array([0.1, 0.45, 0.5, 0.52, 0.9])
+        p_before = rng.choice(grid, 400)
+        p_after = np.clip(p_before + rng.choice([-0.3, -0.05, -0.01, 0.0, 0.01, 0.05, 0.3], 400), 0.0, 1.0)
+        loss_before = rng.choice([0.5, 1.0], 400)
+        loss_after = loss_before + rng.choice([-0.2, 0.0, 0.2], 400)
+        deltas = TokenDeltas(p_before, p_after, loss_before, loss_after)
+        assert quadrant_stats(deltas) == _quadrant_stats_per_token(deltas)
+
+    def test_finetune_deltas_follow_the_run(self):
+        """The record holds one entry per context: the original-label p and loss before and after."""
+        from trustgate import loss
+
+        task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.1), 6)
+        record = finetune(task.model, task.labels, TrainConfig(objective=DEFT, steps=5, seed=6),
+                          clean_labels=task.clean_labels)
+        final = final_probs(record)
+        start = task.model.probs()
+        for context in (0, 17, 255):
+            label = int(task.clean_labels[context])
+            assert record.deltas.p_before[context] == start[context, label]
+            assert record.deltas.p_after[context] == final[context, label]
+            assert record.deltas.loss_before[context] == pytest.approx(loss(DEFT, start[context], label), abs=1e-12)
+            assert record.deltas.loss_after[context] == pytest.approx(loss(DEFT, final[context], label), abs=1e-12)
+        assert record.quadrants == _quadrant_stats_per_token(record.deltas)
 
     def test_proportions_bounded_by_one(self):
         task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.1), 6)
