@@ -40,6 +40,7 @@ from .verification import (
     fd_gradient,
     gradient_flow_ordering,
     minimize_risk,
+    minimize_risk_rows,
     peak_location,
     run_property_suite,
     softmax_jacobian,

@@ -34,6 +34,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_landscape(args: argparse.Namespace) -> int:
     if args.p_steps < 1 or args.h_steps < 1:
         raise ConfigError("p-steps and h-steps must be >= 1")
+    if args.vocab < 3:
+        raise ConfigError(f"vocab must be >= 3, got {args.vocab}")
     kind = ObjectiveKind.parse(args.objective)
     p_grid = (np.arange(args.p_steps) + 1.0) / (args.p_steps + 1.0)
     max_h = math.log(args.vocab)

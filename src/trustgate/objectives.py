@@ -257,7 +257,8 @@ def logit_gradient(kind: ObjectiveKind, z, target: int) -> np.ndarray:
     """
     P = softmax(z)
     target = _check_target(P, target)
-    g = gate(kind, P, target).gate
+    # P is a distribution by construction: gate it without validating it again
+    g = float(gate_per_row(kind, P[None, :], np.array([target]))[0])
     grad = g * P
     grad[target] -= g
     return grad

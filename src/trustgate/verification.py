@@ -10,8 +10,10 @@ so a single suite run can serve as a CI gate.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -31,6 +33,7 @@ from .core_math import (
     shannon_entropy,
     tsallis_entropy,
     validate_dist,
+    validate_rows,
 )
 from .objectives import (
     CAYLEY,
@@ -61,6 +64,11 @@ _MAX_VOCAB = 6
 _NUM_RESTARTS = 16
 _PGD_TOL = 1e-8
 _PGD_MAX_ITERS = 4000
+# Score orders the minimizer accepts. The descent scores probabilities down to
+# PROB_FLOOR; above _MAX_ORDER, p^(1+a) underflows there, and below the
+# smallest normal float, (1+a)/a overflows, so the risk surface goes flat.
+_MIN_ORDER = sys.float_info.min
+_MAX_ORDER = math.log(sys.float_info.min) / math.log(PROB_FLOOR) - 1.0
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,12 @@ def _check_rule(rule: str) -> str:
     if rule not in _RULES:
         raise DomainError(f"unknown scoring rule {rule!r}, expected one of {_RULES}")
     return rule
+
+
+def _check_order(alpha: float) -> float:
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise DomainError(f"score order must be > 0, got {alpha!r}")
+    return alpha
 
 
 def softmax_jacobian(z) -> np.ndarray:
@@ -160,8 +174,7 @@ def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER) -> float:
     q = validate_dist(phat)
     if r.size != q.size:
         raise DomainError(f"length mismatch: r has {r.size} entries, phat has {q.size}")
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"score order must be > 0, got {alpha!r}")
+    alpha = _check_order(alpha)
     qa = np.power(q, alpha)
     if rule == RULE_MAIN:
         return float((r * (1.0 - qa)).sum() / alpha)
@@ -169,8 +182,9 @@ def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER) -> float:
 
 
 def _project_simplex(rows: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    """Euclidean projection of each row (last axis) onto the probability simplex."""
+    shape = rows.shape
+    rows = rows.reshape(-1, shape[-1])
     n = rows.shape[1]
     sorted_desc = np.sort(rows, axis=1)[:, ::-1]
     cumsums = np.cumsum(sorted_desc, axis=1)
@@ -179,84 +193,152 @@ def _project_simplex(rows: np.ndarray) -> np.ndarray:
     # index of the last True entry per row
     rho = n - 1 - np.argmax(positive[:, ::-1], axis=1)
     theta = (cumsums[np.arange(rows.shape[0]), rho] - 1.0) / (rho + 1.0)
-    return np.maximum(rows - theta[:, None], 0.0)
+    return np.maximum(rows - theta[:, None], 0.0).reshape(shape)
 
 
 def _risk_rows(rows: np.ndarray, r: np.ndarray, alpha: float, rule: str) -> np.ndarray:
+    """Expected score of each row (last axis) of ``rows`` under ``r``, broadcast against them."""
     q = np.maximum(rows, 0.0)
     qa = np.power(q, alpha)
     if rule == RULE_MAIN:
-        return ((r[None, :] * (1.0 - qa)).sum(axis=1)) / alpha
-    return 1.0 / alpha - ((1.0 + alpha) / alpha) * (r[None, :] * qa).sum(axis=1) + np.power(
+        return ((r * (1.0 - qa)).sum(axis=-1)) / alpha
+    return 1.0 / alpha - ((1.0 + alpha) / alpha) * (r * qa).sum(axis=-1) + np.power(
         q, 1.0 + alpha
-    ).sum(axis=1)
+    ).sum(axis=-1)
 
 
 def _risk_grad_rows(rows: np.ndarray, r: np.ndarray, alpha: float, rule: str) -> np.ndarray:
     q = np.maximum(rows, PROB_FLOOR)
     if rule == RULE_MAIN:
-        return -r[None, :] * np.power(q, alpha - 1.0)
-    return (1.0 + alpha) * (np.power(q, alpha) - r[None, :] * np.power(q, alpha - 1.0))
+        return -r * np.power(q, alpha - 1.0)
+    return (1.0 + alpha) * (np.power(q, alpha) - r * np.power(q, alpha - 1.0))
 
 
+@functools.lru_cache(maxsize=2)
 def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
-    """All points of the simplex with coordinates at multiples of 1/resolution."""
+    """All points of the simplex with coordinates at multiples of 1/resolution (read-only, cached)."""
     if dim == 2:
         t = np.arange(resolution + 1, dtype=np.float64) / resolution
-        return np.stack([t, 1.0 - t], axis=1)
-    if dim == 3:
+        grid = np.stack([t, 1.0 - t], axis=1)
+    elif dim == 3:
         i, j = np.meshgrid(np.arange(resolution + 1), np.arange(resolution + 1), indexing="ij")
         keep = (i + j) <= resolution
         i = i[keep].astype(np.float64)
         j = j[keep].astype(np.float64)
-        return np.stack([i, j, resolution - i - j], axis=1) / resolution
-    raise DomainError(f"dense simplex grid only built for dimension <= 3, got {dim}")
+        grid = np.stack([i, j, resolution - i - j], axis=1) / resolution
+    else:
+        raise DomainError(f"dense simplex grid only built for dimension <= 3, got {dim}")
+    grid.flags.writeable = False
+    return grid
 
 
-def minimize_risk(r, alpha: float, rule: str = RULE_PROPER) -> tuple[np.ndarray, float]:
-    """Search oracle for the expected-score minimizer over the simplex.
+def _grid_minimizers(rs: np.ndarray, alpha: float, rule: str) -> np.ndarray:
+    """Dense-grid minimizer of the risk of each row of rs (dimension <= 3).
+
+    The grid's powers are taken once per call. Each problem's grid risk is then
+    one weighted sum of grid columns, added in the order ``_risk_rows`` sums,
+    so it equals ``_risk_rows(grid, r, ...)`` bit for bit. Problems are scanned
+    one at a time, so memory stays flat in their number.
+    """
+    grid = _simplex_grid(rs.shape[1], _GRID_RESOLUTION)
+    qa = np.power(grid, alpha)
+    columns = (1.0 - qa if rule == RULE_MAIN else qa).T.copy()
+    if rule == RULE_PROPER:
+        power_sums = np.power(grid, 1.0 + alpha).sum(axis=1)
+    best = np.empty(rs.shape[0], dtype=np.intp)
+    for index, r in enumerate(rs):
+        weighted = r[0] * columns[0]
+        for weight, column in zip(r[1:], columns[1:]):
+            weighted += weight * column
+        if rule == RULE_MAIN:
+            risk = weighted / alpha
+        else:
+            risk = 1.0 / alpha - ((1.0 + alpha) / alpha) * weighted + power_sums
+        best[index] = np.argmin(risk)
+    return grid[best]
+
+
+def _descend(points: np.ndarray, rs: np.ndarray, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient descent from a (problems, starts, dim) stack of starts.
+
+    Every start keeps its own adaptive step. Every problem keeps its own stall
+    counter and leaves the active set on the first iteration where the counter
+    reaches 12 or its largest step falls below 1e-12. Returns the final points
+    and their risks.
+    """
+    final_points = np.empty_like(points)
+    final_risk = np.empty(points.shape[:2])
+    active = np.arange(points.shape[0])
+    r = rs[:, None, :]
+    risk = _risk_rows(points, r, alpha, rule)
+    step = np.full(risk.shape, 0.25)
+    stall = np.zeros(active.size, dtype=np.intp)
+    for _ in range(_PGD_MAX_ITERS):
+        if active.size == 0:
+            break
+        grad = _risk_grad_rows(points, r, alpha, rule)
+        candidate = _project_simplex(points - step[..., None] * grad)
+        cand_risk = _risk_rows(candidate, r, alpha, rule)
+        improved = cand_risk <= risk
+        gain = np.where(improved, risk - cand_risk, 0.0).max(axis=1)
+        points = np.where(improved[..., None], candidate, points)
+        risk = np.where(improved, cand_risk, risk)
+        step = step * np.where(improved, 1.2, 0.5)
+        stall = np.where(gain < _PGD_TOL * 1e-2, stall + 1, 0)
+        stop = (stall >= 12) | (step.max(axis=1) < 1e-12)
+        if stop.any():
+            final_points[active[stop]] = points[stop]
+            final_risk[active[stop]] = risk[stop]
+            going = ~stop
+            active, points, risk, step, stall, r = (
+                active[going], points[going], risk[going], step[going], stall[going], r[going]
+            )
+    final_points[active] = points
+    final_risk[active] = risk
+    return final_points, final_risk
+
+
+def minimize_risk_rows(rs, alpha: float, rule: str = RULE_PROPER) -> tuple[np.ndarray, np.ndarray]:
+    """Search oracle for the expected-score minimizer of each row of a (problems, dim) stack.
 
     Dense grid (resolution 1/400, vocabularies of size <= 3) gives a global
     candidate; projected gradient descent with per-start adaptive steps
     refines it together with 16 random restarts and the uniform start. The
     search never starts from ``r`` itself, so recovering ``r`` is a finding,
-    not an input.
+    not an input. All problems descend together, but each keeps its own
+    steps and stop test, so a row's result does not depend on the others.
+    Returns the (problems, dim) minimizers and their risks. Orders whose score
+    arithmetic under- or overflows (outside [2.2e-308, 24.6]) are rejected.
     """
     rule = _check_rule(rule)
-    r = validate_dist(r)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"score order must be > 0, got {alpha!r}")
-    dim = r.size
+    rs = validate_rows(rs)
+    alpha = _check_order(alpha)
+    if not _MIN_ORDER <= alpha <= _MAX_ORDER:
+        raise DomainError(
+            f"score order {alpha!r} under- or overflows the score arithmetic; "
+            f"expected {_MIN_ORDER:g} <= alpha <= {_MAX_ORDER:.4g}"
+        )
+    problems, dim = rs.shape
     if dim > _MAX_VOCAB:
         raise DomainError(f"unsupported size: vocabulary {dim} exceeds {_MAX_VOCAB}")
 
-    rng = np.random.default_rng(0)
-    starts = [np.full(dim, 1.0 / dim)]
+    restarts = np.random.default_rng(0).dirichlet(np.ones(dim), size=_NUM_RESTARTS)
+    starts = [np.full((problems, 1, dim), 1.0 / dim)]
     if dim <= 3:
-        grid = _simplex_grid(dim, _GRID_RESOLUTION)
-        grid_risk = _risk_rows(grid, r, alpha, rule)
-        starts.append(grid[int(np.argmin(grid_risk))])
-    starts.extend(rng.dirichlet(np.ones(dim), size=_NUM_RESTARTS))
-    points = np.vstack(starts)
+        starts.append(_grid_minimizers(rs, alpha, rule)[:, None, :])
+    starts.append(np.broadcast_to(restarts, (problems, _NUM_RESTARTS, dim)))
+    points, risk = _descend(np.concatenate(starts, axis=1), rs, alpha, rule)
+    index, best = np.arange(problems), np.argmin(risk, axis=1)
+    return points[index, best], risk[index, best]
 
-    risk = _risk_rows(points, r, alpha, rule)
-    step = np.full(points.shape[0], 0.25)
-    stall = 0
-    for _ in range(_PGD_MAX_ITERS):
-        grad = _risk_grad_rows(points, r, alpha, rule)
-        candidate = _project_simplex(points - step[:, None] * grad)
-        cand_risk = _risk_rows(candidate, r, alpha, rule)
-        improved = cand_risk <= risk
-        gain = float(np.max(np.where(improved, risk - cand_risk, 0.0)))
-        points[improved] = candidate[improved]
-        risk[improved] = cand_risk[improved]
-        step[improved] *= 1.2
-        step[~improved] *= 0.5
-        stall = stall + 1 if gain < _PGD_TOL * 1e-2 else 0
-        if stall >= 12 or step.max() < 1e-12:
-            break
-    best = int(np.argmin(risk))
-    return points[best].copy(), float(risk[best])
+
+def minimize_risk(r, alpha: float, rule: str = RULE_PROPER) -> tuple[np.ndarray, float]:
+    """Search oracle for the expected-score minimizer of one distribution ``r``.
+
+    The one-row call of ``minimize_risk_rows``; returns the minimizer and its risk.
+    """
+    minimizers, risks = minimize_risk_rows(validate_dist(r)[None, :], alpha, rule)
+    return minimizers[0], float(risks[0])
 
 
 def peak_location(f: Callable[[np.ndarray], np.ndarray], num_points: int = 10_000) -> float:
@@ -589,22 +671,25 @@ def _suite_jacobian_report(rng: np.random.Generator) -> PropertyReport:
 
 
 def _suite_duality_reports(rng: np.random.Generator) -> list[PropertyReport]:
+    # the truths alternate between sizes 2 and 3; each (size, order) pair is
+    # one batched search
+    truths = [_random_dist(rng, 2 + index % 2) for index in range(50)]
     worst_risk = 0.0
     worst_min = 0.0
-    for index in range(50):
-        size = 2 + index % 2
-        r = _random_dist(rng, size)
+    for size in (2, 3):
+        rs = np.array(truths[size - 2 :: 2])
         for alpha in (0.25, 0.5, 1.0):
-            minimizer, risk = minimize_risk(r, alpha, RULE_PROPER)
-            worst_risk = max(worst_risk, abs(risk - tsallis_entropy(r, 1.0 + alpha)))
-            worst_min = max(worst_min, float(np.abs(minimizer - r).max()))
+            minimizers, risks = minimize_risk_rows(rs, alpha, RULE_PROPER)
+            for r, minimizer, risk in zip(rs, minimizers, risks):
+                worst_risk = max(worst_risk, abs(float(risk) - tsallis_entropy(r, 1.0 + alpha)))
+                worst_min = max(worst_min, float(np.abs(minimizer - r).max()))
     reports = [
         _report("duality-proper-risk", worst_risk, 1e-3),
         _report("duality-proper-minimizer", worst_min, 1e-2),
     ]
 
     r = np.array([0.8, 0.2])
-    minimizer, _ = minimize_risk(r, 0.5, RULE_MAIN)
+    minimizer = minimize_risk_rows(r[None, :], 0.5, RULE_MAIN)[0][0]
     distance = float(np.abs(minimizer - r).max())
     # the realized-token-only rule must NOT recover r: its minimizer tilts
     # toward the escort distribution

@@ -1,8 +1,10 @@
 """Command-line contract: subcommands, exit codes, artifacts."""
 
 import json
+import random
 
 import numpy as np
+import pytest
 from trustgate.cli import parse_and_run
 
 
@@ -73,6 +75,22 @@ class TestLandscape:
         )
         assert code == 2
         assert "alpha:1e+308" in err and "normalized" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("vocab", ["-5", "0", "2"])
+    def test_small_vocabulary_is_usage_error(self, vocab, tmp_path, capsys):
+        out_path = tmp_path / "g.csv"
+        code, _, err = run_cli(
+            capsys,
+            "landscape",
+            "--objective", "nll",
+            "--p-steps", "2",
+            "--h-steps", "2",
+            "--vocab", vocab,
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert f"vocab must be >= 3, got {vocab}" in err
         assert not out_path.exists()
 
     def test_unknown_objective_is_usage_error(self, tmp_path, capsys):
@@ -226,6 +244,16 @@ class TestDuality:
         code, _, _ = run_cli(capsys, "duality", "--r", "0.8,0.1", "--alpha", "0.5")
         assert code == 2
 
+    def test_underflowing_order_exits_two(self, tmp_path, capsys):
+        """At order 1e300 every p^a underflows and the risk surface is flat: a usage error."""
+        out_path = tmp_path / "d.json"
+        code, out, err = run_cli(
+            capsys, "duality", "--r", "0.8,0.2", "--alpha", "1e300", "--out", str(out_path)
+        )
+        assert code == 2
+        assert "score order 1e+300" in err and out == ""
+        assert not out_path.exists()
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -236,3 +264,97 @@ class TestUsageErrors:
 
     def test_no_subcommand(self, capsys):
         assert run_cli(capsys)[0] == 2
+
+
+# Values for the seeded argv fuzz, as (valid, bad) pools; each value is drawn
+# from its bad pool with probability _BAD. Sizes stay small (vocabularies <= 9,
+# 64 contexts, <= 3 steps, grids <= 3x3), so no case allocates much or runs
+# long. A verify run that starts the suite takes seconds, so verify seeds come
+# from the bad pool only; a valid run is covered by TestVerify.
+_BAD = 0.1
+_OBJECTIVES = (
+    ["nll", "linear", "deft", "cayley", "eaft", "alpha:0.5", "alpha:2"],
+    ["alpha:1e308", "alpha:1e-320", "alpha:-1", "alpha:nan", "alpha:inf", "alpha:x", "focal", ""],
+)
+_CONFIG_FIELDS = {
+    "regime": (["strong", "weak", "intermediate"], ["bogus", 3]),
+    "vocab_size": ([8, 9], [4, -1, "8", 8.0, True]),
+    "num_contexts": ([64, 65], [10, 0, None]),
+    "conflict_fraction": ([0, 0.25], [1.0, -0.1, float("nan"), "x"]),
+    "conflict_policy": (["confident_only", "uniform"], ["nope"]),
+    "objective": _OBJECTIVES,
+    "learning_rate": ([0.5, 10], [0, -1.0, 1e308, float("nan"), float("inf")]),
+    "steps": ([0, 2, 3], [-1, 2.5]),
+    "batch_size": ([None, 1, 16, 1000], [0, -4]),
+    "seed": ([0, 5, 2**40], [-1]),
+    "task_seed": ([0, 9], [-2]),
+    "warmup": ([], [1]),
+}
+_FLAG_VALUES = {
+    "verify": {"--seed": ([], ["-1", "x", "", "1.5", "1e3", "--seed"])},
+    "landscape": {
+        "--objective": _OBJECTIVES,
+        "--p-steps": (["1", "3"], ["-1", "0", "x", "2.5"]),
+        "--h-steps": (["1", "3"], ["-1", "0", "x"]),
+        "--vocab": (["3", "9"], ["-5", "0", "1", "2", "x"]),
+        "--format": (["csv", "json"], ["xml"]),
+        "--out": (["{tmp}/g.out"], ["{tmp}", "{tmp}/missing/g.csv"]),
+    },
+    "train": {
+        "--config": (["{config}"], ["{tmp}/absent.json", "{tmp}"]),
+        "--out": (["{tmp}/run.json"], ["{tmp}", "{tmp}/missing/run.json"]),
+        "--objective": _OBJECTIVES,
+        "--steps": (["1", "3"], ["-1", "x"]),
+        "--seed": (["3"], ["-1", "x"]),
+        "--learning-rate": (["0.5", "4"], ["nan", "-1", "inf", "1e308", "x"]),
+    },
+    "duality": {
+        "--r": (
+            ["0.8,0.2", "0.5,0.5", "1,0", "0.2,0.3,0.5", "0.1,0.2,0.3,0.4", "0.1,0.1,0.1,0.1,0.1,0.5"],
+            ["0.1,0.1,0.1,0.1,0.1,0.1,0.4", "0.5", "", "nan,0.5", "inf,0", "-0.5,1.5", "a,b",
+             "0.8;0.2", "1e-320,1"],
+        ),
+        "--alpha": (["0.5", "1", "2", "24.6"], ["25", "1e300", "1e-309", "0", "-1", "nan", "inf", "x"]),
+        "--rule": (["proper", "main"], ["brier"]),
+        "--out": (["{tmp}/d.json"], ["{tmp}", "{tmp}/missing/d.json"]),
+    },
+}
+
+_REQUIRED = {
+    "landscape": ("--objective", "--p-steps", "--h-steps", "--vocab", "--out"),
+    "train": ("--config", "--out"),
+    "duality": ("--r", "--alpha"),
+}
+
+
+def _draw(rng: random.Random, pools: tuple[list, list]):
+    valid, bad = pools
+    return rng.choice(bad if not valid or rng.random() < _BAD else valid)
+
+
+def _fuzz_argv(rng: random.Random, tmp_path) -> list[str]:
+    command = rng.choice(sorted(_FLAG_VALUES))
+    config = tmp_path / "config.json"
+    if command == "train":
+        body = {key: _draw(rng, pools) for key, pools in _CONFIG_FIELDS.items() if rng.random() < 0.5}
+        body = {key: value for key, value in body.items() if key != "warmup" or rng.random() < _BAD}
+        config.write_text(json.dumps(body) if rng.random() >= _BAD else rng.choice([json.dumps([body]), "{x"]))
+    argv = [command]
+    for flag, pools in _FLAG_VALUES[command].items():
+        # a required flag is sometimes left out, an optional one often
+        if command == "verify" or rng.random() < (0.97 if flag in _REQUIRED[command] else 0.5):
+            argv += [flag, _draw(rng, pools).format(tmp=tmp_path, config=config)]
+    if rng.random() < 0.1:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--bogus", "7", "-x"]))
+    return argv
+
+
+@pytest.mark.parametrize("case", range(150))
+def test_argv_fuzz_keeps_exit_code_contract(case, tmp_path, capsys):
+    """Any argv exits 0, 1 or 2 and reports failures in one line, never a traceback."""
+    argv = _fuzz_argv(random.Random(case), tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code:
+        assert err.startswith("error: ") or "usage:" in err, argv

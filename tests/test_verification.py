@@ -1,11 +1,16 @@
 """Oracle checks: jacobian, finite differences, risk minimization, orderings."""
 
+import functools
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustgate import (
     CAYLEY,
@@ -22,12 +27,14 @@ from trustgate import (
     gradient_flow_ordering,
     logit_gradient,
     minimize_risk,
+    minimize_risk_rows,
     peak_location,
     run_property_suite,
     softmax,
     softmax_jacobian,
     tsallis_entropy,
 )
+from trustgate import verification
 from trustgate.verification import reports_to_json
 
 
@@ -178,6 +185,150 @@ class TestMinimizeRisk:
             minimize_risk([0.5, 0.5], 0.5, "brier")
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_grid(dim):
+    if dim == 2:
+        t = np.arange(401, dtype=np.float64) / 400
+        return np.stack([t, 1.0 - t], axis=1)
+    i, j = np.meshgrid(np.arange(401), np.arange(401), indexing="ij")
+    keep = (i + j) <= 400
+    i, j = i[keep].astype(np.float64), j[keep].astype(np.float64)
+    return np.stack([i, j, 400 - i - j], axis=1) / 400
+
+
+def _reference_minimize_risk(r, alpha, rule, max_iters=4000):
+    """The search as one scalar loop per problem: the minimizer before it was batched."""
+
+    def risk_rows(rows):
+        q = np.maximum(rows, 0.0)
+        qa = np.power(q, alpha)
+        if rule == RULE_MAIN:
+            return ((r[None, :] * (1.0 - qa)).sum(axis=1)) / alpha
+        return (
+            1.0 / alpha
+            - ((1.0 + alpha) / alpha) * (r[None, :] * qa).sum(axis=1)
+            + np.power(q, 1.0 + alpha).sum(axis=1)
+        )
+
+    def grad_rows(rows):
+        q = np.maximum(rows, 1e-12)
+        if rule == RULE_MAIN:
+            return -r[None, :] * np.power(q, alpha - 1.0)
+        return (1.0 + alpha) * (np.power(q, alpha) - r[None, :] * np.power(q, alpha - 1.0))
+
+    def project(rows):
+        n = rows.shape[1]
+        sorted_desc = np.sort(rows, axis=1)[:, ::-1]
+        cumsums = np.cumsum(sorted_desc, axis=1)
+        positive = sorted_desc + (1.0 - cumsums) / np.arange(1, n + 1, dtype=np.float64) > 0.0
+        rho = n - 1 - np.argmax(positive[:, ::-1], axis=1)
+        theta = (cumsums[np.arange(rows.shape[0]), rho] - 1.0) / (rho + 1.0)
+        return np.maximum(rows - theta[:, None], 0.0)
+
+    dim = r.size
+    rng = np.random.default_rng(0)
+    starts = [np.full(dim, 1.0 / dim)]
+    if dim <= 3:
+        grid = _reference_grid(dim)
+        starts.append(grid[int(np.argmin(risk_rows(grid)))])
+    starts.extend(rng.dirichlet(np.ones(dim), size=16))
+    points = np.vstack(starts)
+    risk = risk_rows(points)
+    step = np.full(points.shape[0], 0.25)
+    stall = 0
+    for _ in range(max_iters):
+        candidate = project(points - step[:, None] * grad_rows(points))
+        cand_risk = risk_rows(candidate)
+        improved = cand_risk <= risk
+        gain = float(np.max(np.where(improved, risk - cand_risk, 0.0)))
+        points[improved] = candidate[improved]
+        risk[improved] = cand_risk[improved]
+        step[improved] *= 1.2
+        step[~improved] *= 0.5
+        stall = stall + 1 if gain < 1e-10 else 0
+        if stall >= 12 or step.max() < 1e-12:
+            break
+    best = int(np.argmin(risk))
+    return points[best], float(risk[best])
+
+
+def _truths(rng, count, dim):
+    """Random distributions plus a uniform and a one-hot row (boundary minimizers)."""
+    one_hot = np.zeros(dim)
+    one_hot[-1] = 1.0
+    return np.vstack([rng.dirichlet(np.ones(dim), size=count), np.full(dim, 1.0 / dim), one_hot])
+
+
+class TestMinimizeRiskRows:
+    """The batched search equals the scalar loop and the one-row call, row by row, bit for bit."""
+
+    @pytest.mark.parametrize("rule", [RULE_PROPER, RULE_MAIN])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_rows_match_scalar_search(self, dim, rule):
+        rs = _truths(np.random.default_rng(dim), 3, dim)
+        for alpha in (0.1, 0.25, 0.5, 1.0, 2.0):
+            minimizers, risks = minimize_risk_rows(rs, alpha, rule)
+            assert minimizers.shape == rs.shape and risks.shape == (rs.shape[0],)
+            for r, minimizer, risk in zip(rs, minimizers, risks):
+                expected, expected_risk = _reference_minimize_risk(r, alpha, rule)
+                assert np.array_equal(minimizer, expected) and risk == expected_risk
+                one, one_risk = minimize_risk(r, alpha, rule)
+                assert np.array_equal(one, minimizer) and one_risk == risk
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.integers(2, 6),
+        problems=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.05, 4.0),
+        rule=st.sampled_from([RULE_PROPER, RULE_MAIN]),
+    )
+    def test_problem_inside_batch_matches_scalar_search(self, dim, problems, seed, alpha, rule):
+        rs = np.random.default_rng(seed).dirichlet(np.ones(dim), size=problems)
+        minimizers, risks = minimize_risk_rows(rs, alpha, rule)
+        for r, minimizer, risk in zip(rs, minimizers, risks):
+            expected, expected_risk = _reference_minimize_risk(r, alpha, rule)
+            assert np.array_equal(minimizer, expected) and risk == expected_risk
+
+    def test_iteration_cap_matches_scalar_search(self, monkeypatch):
+        """Problems still descending when the iterations run out keep their last state."""
+        monkeypatch.setattr(verification, "_PGD_MAX_ITERS", 9)
+        rs = _truths(np.random.default_rng(11), 4, 3)
+        minimizers, risks = minimize_risk_rows(rs, 0.5, RULE_PROPER)
+        for r, minimizer, risk in zip(rs, minimizers, risks):
+            expected, expected_risk = _reference_minimize_risk(r, 0.5, RULE_PROPER, max_iters=9)
+            assert np.array_equal(minimizer, expected) and risk == expected_risk
+
+    def test_cached_grid_is_read_only(self):
+        grid = verification._simplex_grid(3, 400)
+        assert grid is verification._simplex_grid(3, 400)
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.5
+        npt.assert_array_equal(grid, _reference_grid(3))
+
+    def test_empty_stack(self):
+        minimizers, risks = minimize_risk_rows(np.empty((0, 3)), 0.5, RULE_PROPER)
+        assert minimizers.shape == (0, 3) and risks.shape == (0,)
+
+    def test_rejects_one_dimensional_stack(self):
+        with pytest.raises(DomainError):
+            minimize_risk_rows([0.5, 0.5], 0.5, RULE_PROPER)
+
+    def test_rejects_invalid_row(self):
+        with pytest.raises(DomainError, match="sums to"):
+            minimize_risk_rows([[0.5, 0.5], [0.5, 0.6]], 0.5, RULE_PROPER)
+
+    @pytest.mark.parametrize("alpha", [1e300, 30.0, 1e-309])
+    def test_orders_outside_score_range_rejected(self, alpha):
+        with pytest.raises(DomainError, match=re.escape(f"score order {alpha!r} under- or overflows")):
+            minimize_risk([0.8, 0.2], alpha, RULE_PROPER)
+
+    def test_largest_accepted_order_still_recovers_truth(self):
+        minimizer, risk = minimize_risk([0.8, 0.2], 24.0, RULE_PROPER)
+        assert float(np.abs(minimizer - [0.8, 0.2]).max()) <= 1e-6
+        assert risk == pytest.approx(tsallis_entropy([0.8, 0.2], 25.0), abs=1e-12)
+
+
 class TestPeakLocation:
     def test_log_loss_peaks_at_smallest_probability(self):
         assert peak_location(lambda p: -np.log(p)) <= 1e-3
@@ -225,11 +376,24 @@ class TestRiskFlowOrdering:
             assert gradient_flow_ordering("weak", (LINEAR, NLL), seed=seed).passed
 
 
+# sha256 of reports_to_json(run_property_suite(7)) as the scalar risk
+# minimizer produced it, one minimize_risk call per duality problem.
+GOLDEN_SUITE_SHA256 = "1c6cf4c8ff4b2230370729042a1ea48b8c659c53c3bf36e5ad0bc73c1ea86cc8"
+
+
+@pytest.fixture(scope="module")
+def suite_seven():
+    return run_property_suite(7)
+
+
 class TestPropertySuite:
-    def test_all_reports_pass(self):
-        reports = run_property_suite(7)
-        failed = [r.name for r in reports if not r.passed]
+    def test_all_reports_pass(self, suite_seven):
+        failed = [r.name for r in suite_seven if not r.passed]
         assert failed == []
+
+    def test_golden_report_hash(self, suite_seven):
+        digest = hashlib.sha256(reports_to_json(suite_seven).encode()).hexdigest()
+        assert digest == GOLDEN_SUITE_SHA256
 
     def test_deterministic_given_seed(self):
         first = run_property_suite(3)
@@ -238,8 +402,8 @@ class TestPropertySuite:
             (r.name, r.passed, r.max_error) for r in second
         ]
 
-    def test_sorted_by_name(self):
-        names = [r.name for r in run_property_suite(7)]
+    def test_sorted_by_name(self, suite_seven):
+        names = [r.name for r in suite_seven]
         assert names == sorted(names)
 
     def test_substituted_map_member_breaks_linearization(self):
@@ -250,9 +414,8 @@ class TestPropertySuite:
         reports = run_property_suite(7, fd_rel_tol=0.0)
         assert [r.name for r in reports if not r.passed] == ["fd-gradient-dynamic", "fd-gradient-static"]
 
-    def test_json_serialization_schema(self):
-        reports = run_property_suite(7)
-        decoded = json.loads(reports_to_json(reports))
+    def test_json_serialization_schema(self, suite_seven):
+        decoded = json.loads(reports_to_json(suite_seven))
         assert isinstance(decoded, list)
         for item in decoded:
             assert set(item) == {"name", "passed", "max_error", "detail"}
