@@ -69,15 +69,15 @@ def validate_rows(probs) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise DomainError(f"distributions must be a (rows, >= 2) array, got shape {arr.shape}")
-    totals = arr.sum(axis=1)
-    # One pass decides validity (NaN fails >= 0, +inf makes its row sum inf);
-    # the checks below only name the violation.
-    if (arr >= 0.0).all() and (np.abs(totals - 1.0) <= DIST_SUM_TOL).all():
+    # Only non-negative stacks are summed, so +inf + -inf never warns; NaN fails
+    # >= 0, +inf makes its row sum inf, and the checks below name the violation.
+    if (arr >= 0.0).all() and (np.abs(arr.sum(axis=1) - 1.0) <= DIST_SUM_TOL).all():
         return arr
     if not np.isfinite(arr).all():
         raise DomainError("distribution contains non-finite entries")
     if (arr < 0.0).any():
         raise DomainError(f"distribution has negative entries (min {arr.min()!r})")
+    totals = arr.sum(axis=1)
     total = float(totals[np.abs(totals - 1.0) > DIST_SUM_TOL][0])
     raise DomainError(f"distribution sums to {total!r}, expected 1 within {DIST_SUM_TOL}")
 

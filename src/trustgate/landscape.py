@@ -11,6 +11,7 @@ metadata), and ``emit`` writes byte-deterministic CSV/JSON artifacts.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 from dataclasses import dataclass
@@ -216,8 +217,11 @@ def write_atomic(path, text: str) -> None:
 
     The text goes to a new temporary file in the target's directory, which
     then replaces the target with ``os.replace``. If anything fails, the
-    target keeps its old contents and the temporary file is removed.
+    target keeps its old contents and the temporary file is removed. A
+    directory target is refused, by name, before any file is made.
     """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     directory, name = os.path.split(os.fspath(path))
     temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     handle = open(temp, "x", encoding="utf-8", newline="\n")

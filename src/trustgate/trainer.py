@@ -210,11 +210,11 @@ def _row_softmax(table: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _nll_pretrain(table: np.ndarray, labels: np.ndarray, stop_at: float, ceiling: float | None) -> None:
+def _nll_pretrain(table: np.ndarray, labels: np.ndarray, stop_at: float, ceiling: float | None) -> float:
     """Full-batch NLL ascent of the label probabilities, in place.
 
-    Stops as soon as the mean label probability reaches ``stop_at``; raises
-    BuildError if the budget runs out or ``ceiling`` is overshot.
+    Returns the mean label probability as soon as it reaches ``stop_at``;
+    raises BuildError if the budget runs out or ``ceiling`` is overshot.
     """
     rows = np.arange(table.shape[0])
     for _ in range(_PRETRAIN_MAX_STEPS):
@@ -225,7 +225,7 @@ def _nll_pretrain(table: np.ndarray, labels: np.ndarray, stop_at: float, ceiling
                 raise BuildError(
                     f"pretraining overshot: mean target probability {mean_p:.3f} > {ceiling}"
                 )
-            return
+            return mean_p
         grad = probs.copy()
         grad[rows, labels] -= 1.0
         table -= _PRETRAIN_LEARNING_RATE * grad
@@ -284,8 +284,7 @@ def build_task(spec: RegimeSpec, seed: int) -> SyntheticTask:
         _nll_pretrain(table, labels, STRONG_PRETRAIN_TARGET, ceiling=None)
     else:
         low, high = INTERMEDIATE_PRETRAIN_BAND
-        _nll_pretrain(table, labels, _INTERMEDIATE_STOP, ceiling=high)
-        mean_p = float(_row_softmax(table)[np.arange(spec.num_contexts), labels].mean())
+        mean_p = _nll_pretrain(table, labels, _INTERMEDIATE_STOP, ceiling=high)
         if not low <= mean_p <= high:
             raise BuildError(f"intermediate pretraining landed at {mean_p:.3f}, outside [{low}, {high}]")
 
@@ -294,23 +293,6 @@ def build_task(spec: RegimeSpec, seed: int) -> SyntheticTask:
     mask = _inject_conflicts(model, labels, spec, rng)
     return SyntheticTask(
         model=model, labels=labels, clean_labels=clean_labels, conflict_mask=mask, spec=spec
-    )
-
-
-def _token_deltas(
-    kind: ObjectiveKind,
-    before: np.ndarray,
-    after: np.ndarray,
-    clean_labels: np.ndarray,
-) -> TokenDeltas:
-    probs_before = _row_softmax(before)
-    probs_after = _row_softmax(after)
-    rows = np.arange(before.shape[0])
-    return TokenDeltas(
-        p_before=probs_before[rows, clean_labels],
-        p_after=probs_after[rows, clean_labels],
-        loss_before=loss_per_row(kind, probs_before, clean_labels),
-        loss_after=loss_per_row(kind, probs_after, clean_labels),
     )
 
 
@@ -359,8 +341,8 @@ def probability_histogram(model: ToyModel, labels: np.ndarray, bins) -> np.ndarr
     return counts
 
 
-def _histogram_snapshot(step: int, model: ToyModel, labels: np.ndarray) -> dict:
-    counts = probability_histogram(model, labels, DEFAULT_HISTOGRAM_EDGES)
+def _histogram_snapshot(step: int, target_p: np.ndarray) -> dict:
+    counts, _ = np.histogram(target_p, bins=DEFAULT_HISTOGRAM_EDGES)
     return {
         "step": step,
         "edges": [float(e) for e in DEFAULT_HISTOGRAM_EDGES],
@@ -379,6 +361,15 @@ def _check_labels(name: str, labels, model: ToyModel) -> np.ndarray:
     return labels
 
 
+def _label_state(
+    kind: ObjectiveKind, table: np.ndarray, labels: np.ndarray, clean_labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clean-label p, clean-label frozen loss and supervised-label p, from one softmax."""
+    probs = _row_softmax(table)
+    rows = np.arange(table.shape[0])
+    return probs[rows, clean_labels], loss_per_row(kind, probs, clean_labels), probs[rows, labels]
+
+
 def finetune(
     model: ToyModel,
     labels: np.ndarray,
@@ -390,10 +381,12 @@ def finetune(
 
     The caller's model is not mutated. Each step applies the exact
     frozen-exponent logit gradient to every context in the batch (full batch
-    by default). Traces record the state at the start of each step; deltas
-    and quadrant statistics compare the initial and final states on
-    ``clean_labels`` (defaults to the supervision labels). ``on_step``, when
-    given, sees the current model before each update, for instrumentation.
+    by default, updated in place). Traces record the state at the start of
+    each step; deltas and quadrant statistics compare the start and end states
+    on ``clean_labels`` (defaults to the supervision labels). Each of the two
+    states is read from one softmax, and no copy of the start table is kept.
+    ``on_step``, when given, sees the current model before each update, for
+    instrumentation.
     """
     labels = _check_labels("labels", labels, model)
     if clean_labels is None:
@@ -401,11 +394,12 @@ def finetune(
     clean_labels = _check_labels("clean_labels", clean_labels, model)
 
     table = model.logit_table.copy()
-    initial = table.copy()
+    p_before, loss_before, target_p_before = _label_state(cfg.objective, table, labels, clean_labels)
     rows = np.arange(table.shape[0])
     rng = np.random.default_rng(cfg.seed)
     batch = cfg.batch_size if cfg.batch_size is not None else table.shape[0]
     batch = min(batch, table.shape[0])
+    full_batch = batch == table.shape[0]
     order = np.arange(table.shape[0])
     cursor = 0
 
@@ -417,34 +411,34 @@ def finetune(
         if on_step is not None:
             on_step(step, ToyModel(table.copy()))
 
-        if batch == table.shape[0]:
-            members = rows
-            member_probs = probs
+        if full_batch:
+            # a basic slice: the members' probs are a view, the update in place
+            members = slice(None)
         else:
             if cursor + batch > order.size:
                 rng.shuffle(order)
                 cursor = 0
             members = order[cursor : cursor + batch]
             cursor += batch
-            member_probs = probs[members]
 
+        member_probs = probs[members]
         member_labels = labels[members]
         p, w, a = frozen_state(cfg.objective, member_probs, member_labels)
         # a full batch already holds the focus of every context for the trace
-        focus = a if members is rows else focus_per_row(cfg.objective, probs, labels)
+        focus = a if full_batch else focus_per_row(cfg.objective, probs, labels)
         mean_alpha.append(float(focus.mean()))
         gates = w * p**a
         grad = gates[:, None] * member_probs
-        grad[np.arange(members.size), member_labels] -= gates
+        grad[np.arange(batch), member_labels] -= gates
         table[members] -= cfg.learning_rate * grad
         if not np.all(np.isfinite(table)):
             raise TrainingError(f"non-finite logits after update at step {step}")
 
-    final_model = ToyModel(table.copy())
-    deltas = _token_deltas(cfg.objective, initial, table, clean_labels)
+    p_after, loss_after, target_p_after = _label_state(cfg.objective, table, labels, clean_labels)
+    deltas = TokenDeltas(p_before, p_after, loss_before, loss_after)
     histograms = [
-        _histogram_snapshot(0, ToyModel(initial.copy()), labels),
-        _histogram_snapshot(cfg.steps, final_model, labels),
+        _histogram_snapshot(0, target_p_before),
+        _histogram_snapshot(cfg.steps, target_p_after),
     ]
     config = {
         "objective": cfg.objective.encode(),

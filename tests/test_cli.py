@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, exit codes, artifacts."""
 
 import json
+import os
 import random
 
 import numpy as np
@@ -265,6 +266,24 @@ class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         assert run_cli(capsys)[0] == 2
 
+    @pytest.mark.parametrize("command", ["landscape", "train", "duality"])
+    def test_directory_out_names_the_given_path(self, command, tmp_path, capsys):
+        """An --out that is a directory exits 1 naming that path, and leaves no temp file."""
+        target = tmp_path / "out"
+        target.mkdir()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"regime": "weak", "num_contexts": 64, "steps": 2}))
+        argv = {
+            "landscape": ["--objective", "nll", "--p-steps", "3", "--h-steps", "3", "--vocab", "8"],
+            "train": ["--config", str(config)],
+            "duality": ["--r", "0.8,0.2", "--alpha", "0.5"],
+        }[command]
+        code, _, err = run_cli(capsys, command, *argv, "--out", str(target))
+        assert code == 1
+        assert err.startswith("error: ") and err.rstrip().endswith(repr(str(target)))
+        assert ".tmp" not in err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
+        assert os.listdir(target) == []
 
 # Values for the seeded argv fuzz, as (valid, bad) pools; each value is drawn
 # from its bad pool with probability _BAD. Sizes stay small (vocabularies <= 9,

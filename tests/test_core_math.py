@@ -292,7 +292,13 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "bad",
-        [[0.5, 0.4, 0.0], [1.1, -0.1, 0.0], [float("nan"), 0.5, 0.5], [float("inf"), 0.5, 0.0]],
+        [
+            [0.5, 0.4, 0.0],
+            [1.1, -0.1, 0.0],
+            [float("nan"), 0.5, 0.5],
+            [float("inf"), 0.5, 0.0],
+            [float("inf"), -float("inf"), 0.0],
+        ],
     )
     def test_rows_fail_as_their_bad_row_does(self, bad):
         good = [0.2, 0.3, 0.5]

@@ -1,5 +1,9 @@
 """Synthetic task construction and fine-tuning dynamics."""
 
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -23,6 +27,7 @@ from trustgate import (
     probability_histogram,
     quadrant_stats,
 )
+from trustgate.cli import parse_and_run
 from trustgate.trainer import DEFAULT_HISTOGRAM_EDGES
 
 
@@ -379,3 +384,61 @@ class TestRegimeContrasts:
             finals[kind.name] = clean_retention(record, task)
         assert finals["linear"] < finals["nll"]
         assert finals["deft"] >= 0.9 * finals["nll"]
+
+
+# sha256 of `train` artifacts at 120 steps, seed 5, 256 contexts x 32 tokens and
+# 0.25 conflicts (confident_only on the strong prior, uniform elsewhere),
+# keyed by (regime, objective, batch_size); pinned before the trainer's
+# start and end states were read from one softmax each.
+GOLDEN_TRAIN_SHA256 = {
+    ("strong", "nll", None): "d1f06604c9927547421eaa7d4b31c090fa90bd4509fd8e2494f467c118fcca60",
+    ("strong", "nll", 64): "2de3548623c57f11fdf4df51add6a93dd92ca5b66837d500ca360cfde66e0a5b",
+    ("strong", "linear", None): "e2fd393109f2ffb8c95e76ec6d244438838e60e04e3b130669f9d248fdc0977e",
+    ("strong", "linear", 64): "68f282a41b009b27a048a255be782b05871deedd8725c6c6c5929626bb8a0dc0",
+    ("strong", "alpha:0.5", None): "b478aed4635963044138a926a4cc7f836007ab01687c5298ad3e0b9981de41be",
+    ("strong", "alpha:0.5", 64): "611b95cffc19880b9c3dd9181de38e9469532ce988c47a82d5c6a3f8ac9cd3c8",
+    ("strong", "cayley", None): "88141142641ad58b686b0df0bb58ab6f0c048eb3d7d2e976f3e6acf139f34600",
+    ("strong", "cayley", 64): "5a5dff7db5125e30dd3908d57ec87ebfa201037101589c3f0c7167c7629ff648",
+    ("strong", "deft", None): "88ba3ab59663f718c4e11eb145eaa1db9cb4dd4bbdbc88ab24b46a409c098478",
+    ("strong", "deft", 64): "6cb03509151da51e0f5f72c68fb18634726e2598a56a0d147a08b41b1f101220",
+    ("strong", "eaft", None): "bf41ba5ca71ab0964f8a525167d6681e1702fc8e0572f73531f0a888c043370a",
+    ("strong", "eaft", 64): "6abe94941fad2dcf06270676a1d2e86cb748548ca5344e5b78716cf756ded94a",
+    ("intermediate", "deft", 64): "bce3bd7495cd354b688838305d0fc86b68c349f0ccc89c8c3cfbe4aa427589b4",
+    ("weak", "cayley", None): "d655fbb47e8d658d05c117cf91360546bbad64d19e8d423ee30d5a1a271370f6",
+}
+
+
+@pytest.mark.parametrize("regime, objective, batch_size", list(GOLDEN_TRAIN_SHA256))
+def test_golden_train_artifact(regime, objective, batch_size, tmp_path, capsys):
+    body = {
+        "regime": regime,
+        "conflict_fraction": 0.25,
+        "conflict_policy": "confident_only" if regime == "strong" else "uniform",
+        "objective": objective,
+        "steps": 120,
+        "batch_size": batch_size,
+        "seed": 5,
+    }
+    config, out = tmp_path / "config.json", tmp_path / "run.json"
+    config.write_text(json.dumps(body))
+    assert parse_and_run(["train", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_TRAIN_SHA256[(regime, objective, batch_size)]
+
+
+@pytest.mark.parametrize("batch_size", [None, 256])
+@pytest.mark.parametrize("kind", [NLL, LINEAR, fixed_alpha(0.5), CAYLEY, DEFT, EAFT], ids=lambda kind: kind.encode())
+def test_finetune_peak_memory_in_tables(kind, batch_size):
+    """A run holds its working table plus a few table-sized temporaries, never a start-state copy."""
+    rng = np.random.default_rng(0)
+    model = ToyModel(rng.normal(0.0, 2.0, size=(1024, 256)))
+    labels = rng.integers(0, 256, size=1024)
+    cfg = TrainConfig(objective=kind, steps=2, batch_size=batch_size, seed=0)
+    tracemalloc.start()
+    try:
+        finetune(model, labels, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / model.logit_table.nbytes <= 6.5

@@ -318,6 +318,11 @@ class TestMinimizeRiskRows:
         with pytest.raises(DomainError, match="sums to"):
             minimize_risk_rows([[0.5, 0.5], [0.5, 0.6]], 0.5, RULE_PROPER)
 
+    def test_rejects_row_of_opposite_infinities(self):
+        """A row holding +inf and -inf is named as non-finite, without a RuntimeWarning."""
+        with pytest.raises(DomainError, match="non-finite"):
+            minimize_risk_rows(np.array([[np.inf, -np.inf]]), 0.5)
+
     @pytest.mark.parametrize("alpha", [1e300, 30.0, 1e-309])
     def test_orders_outside_score_range_rejected(self, alpha):
         with pytest.raises(DomainError, match=re.escape(f"score order {alpha!r} under- or overflows")):
