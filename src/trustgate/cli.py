@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .core_math import DomainError, tsallis_entropy
-from .landscape import emit, gradient_landscape, write_atomic
+from .landscape import check_target, emit, gradient_landscape, write_atomic
 from .objectives import ObjectiveKind
 from .trainer import BuildError, RegimeSpec, TrainConfig, build_task, finetune
 from .verification import RULE_MAIN, RULE_PROPER, minimize_risk, reports_to_json, run_property_suite
@@ -109,6 +109,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    check_target(args.out)  # before the run, not after it
     task = build_task(spec, cfg.get("task_seed", seed))
     record = finetune(task.model, task.labels, train_cfg, clean_labels=task.clean_labels)
     record.config["regime"] = spec.regime
@@ -140,9 +141,9 @@ def _cmd_duality(args: argparse.Namespace) -> int:
         "tsallis_entropy": tsallis_entropy(r, 1.0 + args.alpha),
     }
     payload = json.dumps(body, indent=2)
-    print(payload)
     if args.out:
         write_atomic(args.out, payload + "\n")
+    print(payload)
     return 0
 
 
@@ -211,8 +212,8 @@ def parse_and_run(argv: list[str]) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BuildError, OSError, RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BuildError, MemoryError, OSError, RuntimeError, ValueError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -212,16 +212,33 @@ def _grid_to_dict(grid: LandscapeGrid) -> dict:
     }
 
 
+def check_target(path) -> None:
+    """Refuse an output path that cannot be written, naming the path as given.
+
+    A directory target raises IsADirectoryError; a target whose parent is
+    missing raises FileNotFoundError, or NotADirectoryError when the parent
+    is a file.
+    """
+    path = os.fspath(path)
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def write_atomic(path, text: str) -> None:
     """Write UTF-8 text with LF endings to ``path`` all at once or not at all.
 
     The text goes to a new temporary file in the target's directory, which
     then replaces the target with ``os.replace``. If anything fails, the
     target keeps its old contents and the temporary file is removed. A
-    directory target is refused, by name, before any file is made.
+    target that ``check_target`` refuses is refused before any file is made.
     """
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    check_target(path)
     directory, name = os.path.split(os.fspath(path))
     temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     handle = open(temp, "x", encoding="utf-8", newline="\n")

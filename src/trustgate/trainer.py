@@ -39,6 +39,11 @@ _PRETRAIN_LEARNING_RATE = 0.5
 _PRETRAIN_MAX_STEPS = 20_000
 _WEAK_LOGIT_SCALE = 0.01
 
+# Largest logit table a task may have, in entries (512 MiB of float64). It
+# admits 4096 contexts x 1024 tokens sixteen times over and is checked before
+# anything is allocated.
+MAX_TABLE_ENTRIES = 2**26
+
 # Confidence threshold for the high/low split of token deltas, and the
 # minimum |delta p| for a token to count as learned/forgotten in the
 # quadrant proportions.
@@ -73,6 +78,11 @@ class RegimeSpec:
             raise DomainError(f"vocab_size must be >= 8, got {self.vocab_size}")
         if self.num_contexts < 64:
             raise DomainError(f"num_contexts must be >= 64, got {self.num_contexts}")
+        if self.vocab_size * self.num_contexts > MAX_TABLE_ENTRIES:
+            raise DomainError(
+                f"a {self.num_contexts} x {self.vocab_size} logit table exceeds "
+                f"{MAX_TABLE_ENTRIES} entries"
+            )
         if not 0.0 <= self.conflict_fraction < 1.0:
             raise DomainError(f"conflict_fraction must lie in [0, 1), got {self.conflict_fraction}")
         if self.conflict_policy not in CONFLICT_POLICIES:
@@ -115,7 +125,7 @@ class ToyModel:
 
     def probs(self) -> np.ndarray:
         """Row-wise softmax of the logit table."""
-        return _row_softmax(self.logit_table)
+        return _softmax_rows(self.logit_table, np.empty_like(self.logit_table))
 
     def target_probs(self, labels: np.ndarray) -> np.ndarray:
         """Probability each context assigns to its label."""
@@ -163,13 +173,20 @@ class TokenDeltas:
 
 @dataclass
 class SyntheticTask:
-    """A pretrained model plus its (possibly conflict-injected) supervision."""
+    """A pretrained model plus its (possibly conflict-injected) supervision.
+
+    ``pretrain_steps`` is the number of pretraining updates taken (0 for the
+    weak regime) and ``pretrain_mean_p`` the mean probability of the clean
+    labels where pretraining stopped. Neither is part of any artifact.
+    """
 
     model: ToyModel
     labels: np.ndarray
     clean_labels: np.ndarray
     conflict_mask: np.ndarray
     spec: RegimeSpec
+    pretrain_steps: int
+    pretrain_mean_p: float
 
     @property
     def num_conflicts(self) -> int:
@@ -204,31 +221,45 @@ class RunRecord:
         }
 
 
-def _row_softmax(table: np.ndarray) -> np.ndarray:
-    shifted = table - table.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+def _softmax_rows(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of ``logits`` written into ``out``, which may be ``logits`` itself.
+
+    The trainer's one softmax kernel. Each row is shifted by its max,
+    exponentiated and divided by its sum, all in ``out``; the result of a row
+    depends on that row alone, so a subset of rows gives the same bits as the
+    whole table.
+    """
+    np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
-def _nll_pretrain(table: np.ndarray, labels: np.ndarray, stop_at: float, ceiling: float | None) -> float:
+def _nll_pretrain(
+    table: np.ndarray, labels: np.ndarray, stop_at: float, ceiling: float | None
+) -> tuple[np.ndarray, int, float]:
     """Full-batch NLL ascent of the label probabilities, in place.
 
-    Returns the mean label probability as soon as it reaches ``stop_at``;
-    raises BuildError if the budget runs out or ``ceiling`` is overshot.
+    As soon as the mean label probability reaches ``stop_at``, returns the
+    softmax of the final table, the number of steps taken and that mean;
+    raises BuildError if the budget runs out or ``ceiling`` is overshot. One
+    table-sized buffer holds each step's probabilities and then its update.
     """
     rows = np.arange(table.shape[0])
-    for _ in range(_PRETRAIN_MAX_STEPS):
-        probs = _row_softmax(table)
+    buffer = np.empty_like(table)
+    for step in range(_PRETRAIN_MAX_STEPS):
+        probs = _softmax_rows(table, buffer)
         mean_p = float(probs[rows, labels].mean())
         if mean_p >= stop_at:
             if ceiling is not None and mean_p > ceiling:
                 raise BuildError(
                     f"pretraining overshot: mean target probability {mean_p:.3f} > {ceiling}"
                 )
-            return mean_p
-        grad = probs.copy()
-        grad[rows, labels] -= 1.0
-        table -= _PRETRAIN_LEARNING_RATE * grad
+            return probs, step, mean_p
+        # the update lr * (P - onehot), formed over the probabilities
+        probs[rows, labels] -= 1.0
+        probs *= _PRETRAIN_LEARNING_RATE
+        table -= probs
     raise BuildError(
         f"pretraining did not reach mean target probability {stop_at} "
         f"within {_PRETRAIN_MAX_STEPS} steps"
@@ -236,14 +267,14 @@ def _nll_pretrain(table: np.ndarray, labels: np.ndarray, stop_at: float, ceiling
 
 
 def _inject_conflicts(
-    model: ToyModel, labels: np.ndarray, spec: RegimeSpec, rng: np.random.Generator
+    probs: np.ndarray, labels: np.ndarray, spec: RegimeSpec, rng: np.random.Generator
 ) -> np.ndarray:
-    """Replace labels on a fraction of contexts; returns the conflict mask."""
-    mask = np.zeros(model.num_contexts, dtype=bool)
+    """Replace labels on a fraction of contexts, given the model's probs; returns the conflict mask."""
+    num_contexts, vocab_size = probs.shape
+    mask = np.zeros(num_contexts, dtype=bool)
     count = spec.num_conflicts
     if count == 0:
         return mask
-    probs = model.probs()
     argmax = probs.argmax(axis=1)
     if spec.conflict_policy == "confident_only":
         eligible = np.flatnonzero(probs.max(axis=1) >= 0.5)
@@ -253,11 +284,11 @@ def _inject_conflicts(
                 f">= 0.5 but only {eligible.size} qualify"
             )
     else:
-        eligible = np.arange(model.num_contexts)
+        eligible = np.arange(num_contexts)
     chosen = rng.choice(eligible, size=count, replace=False)
     for context in chosen:
         # wrong label, drawn uniformly from the non-argmax tokens
-        offset = int(rng.integers(model.vocab_size - 1))
+        offset = int(rng.integers(vocab_size - 1))
         token = offset + (offset >= argmax[context])
         labels[context] = token
     mask[chosen] = True
@@ -271,28 +302,31 @@ def build_task(spec: RegimeSpec, seed: int) -> SyntheticTask:
     probability reaches STRONG_PRETRAIN_TARGET, then inject conflicts.
     ``intermediate``: pretrain into INTERMEDIATE_PRETRAIN_BAND.
     ``weak``: near-zero random logits and a fresh random label mapping, so
-    the mean label probability starts near 1/vocab.
+    the mean label probability starts near 1/vocab (pretraining stops at
+    once, after 0 steps).
     """
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, spec.vocab_size, size=spec.num_contexts).astype(np.int64)
     table = rng.normal(0.0, _WEAK_LOGIT_SCALE, size=(spec.num_contexts, spec.vocab_size))
 
+    low, high = INTERMEDIATE_PRETRAIN_BAND
     if spec.regime == "weak":
         # fresh mapping, independent of the (unused) pretraining draw
         labels = rng.integers(0, spec.vocab_size, size=spec.num_contexts).astype(np.int64)
+        stop_at, ceiling = 0.0, None
     elif spec.regime == "strong":
-        _nll_pretrain(table, labels, STRONG_PRETRAIN_TARGET, ceiling=None)
+        stop_at, ceiling = STRONG_PRETRAIN_TARGET, None
     else:
-        low, high = INTERMEDIATE_PRETRAIN_BAND
-        mean_p = _nll_pretrain(table, labels, _INTERMEDIATE_STOP, ceiling=high)
-        if not low <= mean_p <= high:
-            raise BuildError(f"intermediate pretraining landed at {mean_p:.3f}, outside [{low}, {high}]")
+        stop_at, ceiling = _INTERMEDIATE_STOP, high
+    probs, steps, mean_p = _nll_pretrain(table, labels, stop_at, ceiling)
+    if spec.regime == "intermediate" and not low <= mean_p <= high:
+        raise BuildError(f"intermediate pretraining landed at {mean_p:.3f}, outside [{low}, {high}]")
 
-    model = ToyModel(table)
     clean_labels = labels.copy()
-    mask = _inject_conflicts(model, labels, spec, rng)
+    mask = _inject_conflicts(probs, labels, spec, rng)
     return SyntheticTask(
-        model=model, labels=labels, clean_labels=clean_labels, conflict_mask=mask, spec=spec
+        model=ToyModel(table), labels=labels, clean_labels=clean_labels, conflict_mask=mask,
+        spec=spec, pretrain_steps=steps, pretrain_mean_p=mean_p
     )
 
 
@@ -362,11 +396,10 @@ def _check_labels(name: str, labels, model: ToyModel) -> np.ndarray:
 
 
 def _label_state(
-    kind: ObjectiveKind, table: np.ndarray, labels: np.ndarray, clean_labels: np.ndarray
+    kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, clean_labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clean-label p, clean-label frozen loss and supervised-label p, from one softmax."""
-    probs = _row_softmax(table)
-    rows = np.arange(table.shape[0])
+    """Clean-label p, clean-label frozen loss and supervised-label p of one state's probs."""
+    rows = np.arange(probs.shape[0])
     return probs[rows, clean_labels], loss_per_row(kind, probs, clean_labels), probs[rows, labels]
 
 
@@ -383,8 +416,14 @@ def finetune(
     frozen-exponent logit gradient to every context in the batch (full batch
     by default, updated in place). Traces record the state at the start of
     each step; deltas and quadrant statistics compare the start and end states
-    on ``clean_labels`` (defaults to the supervision labels). Each of the two
-    states is read from one softmax, and no copy of the start table is kept.
+    on ``clean_labels`` (defaults to the supervision labels). No copy of the
+    start table is kept.
+
+    One table-sized buffer holds the softmax of the current table, and both
+    states are read from it. A step forms its update in the members' probs,
+    then refills them with the softmax of the updated rows; a minibatch run
+    also refreshes those rows in its cached focus vector. Every operation is
+    row-wise, so the buffer equals a fresh softmax of the table bit for bit.
     ``on_step``, when given, sees the current model before each update, for
     instrumentation.
     """
@@ -394,25 +433,27 @@ def finetune(
     clean_labels = _check_labels("clean_labels", clean_labels, model)
 
     table = model.logit_table.copy()
-    p_before, loss_before, target_p_before = _label_state(cfg.objective, table, labels, clean_labels)
+    probs = _softmax_rows(table, np.empty_like(table))
+    p_before, loss_before, target_p_before = _label_state(cfg.objective, probs, labels, clean_labels)
     rows = np.arange(table.shape[0])
     rng = np.random.default_rng(cfg.seed)
     batch = cfg.batch_size if cfg.batch_size is not None else table.shape[0]
     batch = min(batch, table.shape[0])
     full_batch = batch == table.shape[0]
+    # a minibatch run keeps every row's focus, refreshed with its probs
+    focus = None if full_batch else focus_per_row(cfg.objective, probs, labels)
     order = np.arange(table.shape[0])
     cursor = 0
 
     mean_target_p: list[float] = []
     mean_alpha: list[float] = []
     for step in range(cfg.steps):
-        probs = _row_softmax(table)
         mean_target_p.append(float(probs[rows, labels].mean()))
         if on_step is not None:
             on_step(step, ToyModel(table.copy()))
 
         if full_batch:
-            # a basic slice: the members' probs are a view, the update in place
+            # a basic slice: the members' probs and table rows are views
             members = slice(None)
         else:
             if cursor + batch > order.size:
@@ -424,17 +465,24 @@ def finetune(
         member_probs = probs[members]
         member_labels = labels[members]
         p, w, a = frozen_state(cfg.objective, member_probs, member_labels)
-        # a full batch already holds the focus of every context for the trace
-        focus = a if full_batch else focus_per_row(cfg.objective, probs, labels)
-        mean_alpha.append(float(focus.mean()))
+        # a full batch holds the focus of every context for the trace
+        mean_alpha.append(float((a if full_batch else focus).mean()))
+        # the update lr * gate * (P - onehot), formed over the members' probs
         gates = w * p**a
-        grad = gates[:, None] * member_probs
-        grad[np.arange(batch), member_labels] -= gates
-        table[members] -= cfg.learning_rate * grad
-        if not np.all(np.isfinite(table)):
+        member_probs *= gates[:, None]
+        member_probs[np.arange(batch), member_labels] -= gates
+        member_probs *= cfg.learning_rate
+        table[members] -= member_probs
+        updated = table[members]
+        if not np.all(np.isfinite(updated)):
             raise TrainingError(f"non-finite logits after update at step {step}")
+        # the members' probs (a view of the buffer on a full batch) take the new rows' softmax
+        _softmax_rows(updated, member_probs)
+        if not full_batch:
+            probs[members] = member_probs
+            focus[members] = focus_per_row(cfg.objective, member_probs, member_labels)
 
-    p_after, loss_after, target_p_after = _label_state(cfg.objective, table, labels, clean_labels)
+    p_after, loss_after, target_p_after = _label_state(cfg.objective, probs, labels, clean_labels)
     deltas = TokenDeltas(p_before, p_after, loss_before, loss_after)
     histograms = [
         _histogram_snapshot(0, target_p_before),

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from trustgate import cli
 from trustgate.cli import parse_and_run
 
 
@@ -203,6 +204,48 @@ class TestTrain:
         assert "confident_only" in err and out == ""
         assert not out_path.exists()
 
+    def _no_build(self, monkeypatch):
+        def refuse(spec, seed):
+            raise AssertionError("build_task must not run")
+
+        monkeypatch.setattr(cli, "build_task", refuse)
+
+    def test_missing_out_directory_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        """An --out whose directory is missing exits 1 naming the given path, before any work."""
+        config = self._config(tmp_path)
+        self._no_build(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", "nodir/x.json")
+        assert code == 1 and out == ""
+        assert err == "error: [Errno 2] No such file or directory: 'nodir/x.json'\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+    def test_directory_out_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        config = self._config(tmp_path)
+        self._no_build(monkeypatch)
+        code, _, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path))
+        assert code == 1
+        assert err.rstrip().endswith(repr(str(tmp_path)))
+
+    def test_oversized_table_exits_two_before_allocation(self, tmp_path, monkeypatch, capsys):
+        config = self._config(tmp_path, vocab_size=2**20, num_contexts=2**20)
+        self._no_build(monkeypatch)
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o.json"))
+        assert code == 2 and out == ""
+        assert "1048576 x 1048576 logit table exceeds" in err
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 32.0 GiB"), MemoryError()])
+    def test_memory_error_exits_one(self, error, tmp_path, monkeypatch, capsys):
+        """Running out of memory is a runtime failure reported in one line, not a traceback."""
+        def exhaust(spec, seed):
+            raise error
+
+        monkeypatch.setattr(cli, "build_task", exhaust)
+        config = self._config(tmp_path)
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o.json"))
+        assert code == 1 and out == ""
+        assert err == f"error: {str(error) or 'MemoryError'}\n"
+
     def test_determinism_across_invocations(self, tmp_path, capsys):
         config = self._config(tmp_path)
         first = tmp_path / "a.json"
@@ -244,6 +287,13 @@ class TestDuality:
     def test_invalid_distribution_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "duality", "--r", "0.8,0.1", "--alpha", "0.5")
         assert code == 2
+
+    def test_missing_out_directory_names_the_given_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "duality", "--r", "0.8,0.2", "--alpha", "0.5", "--out", "nodir/x.json")
+        assert code == 1 and out == ""
+        assert err == "error: [Errno 2] No such file or directory: 'nodir/x.json'\n"
+        assert os.listdir(tmp_path) == []
 
     def test_underflowing_order_exits_two(self, tmp_path, capsys):
         """At order 1e300 every p^a underflows and the risk surface is flat: a usage error."""

@@ -266,6 +266,18 @@ class TestWriteAtomic:
         assert path.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    @pytest.mark.parametrize(
+        "parent, error", [("missing", FileNotFoundError), ("file.txt", NotADirectoryError)]
+    )
+    def test_unwritable_parent_refused_by_name(self, parent, error, tmp_path):
+        (tmp_path / "file.txt").write_text("kept\n")
+        path = tmp_path / parent / "out.txt"
+        with pytest.raises(error) as caught:
+            write_atomic(path, "new\n")
+        assert caught.value.filename == str(path)
+        assert sorted(os.listdir(tmp_path)) == ["file.txt"]
+        assert (tmp_path / "file.txt").read_text() == "kept\n"
+
     def test_failed_replace_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
         path = tmp_path / "out.txt"
         path.write_text("old\n")

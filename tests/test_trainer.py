@@ -7,6 +7,9 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trustgate import (
     CAYLEY,
@@ -28,7 +31,8 @@ from trustgate import (
     quadrant_stats,
 )
 from trustgate.cli import parse_and_run
-from trustgate.trainer import DEFAULT_HISTOGRAM_EDGES
+from trustgate.objectives import focus_per_row
+from trustgate.trainer import DEFAULT_HISTOGRAM_EDGES, MAX_TABLE_ENTRIES, _softmax_rows
 
 
 def final_probs(record):
@@ -99,6 +103,29 @@ class TestBuildTask:
         b = build_task(spec, 3)
         npt.assert_array_equal(a.model.logit_table, b.model.logit_table)
         npt.assert_array_equal(a.labels, b.labels)
+
+    def test_pretraining_metadata(self):
+        """Steps taken and the mean clean-label probability where pretraining stopped."""
+        strong = build_task(RegimeSpec(regime="strong"), 7)
+        assert strong.pretrain_steps > 0 and strong.pretrain_mean_p >= 0.95
+        intermediate = build_task(RegimeSpec(regime="intermediate"), 7)
+        assert intermediate.pretrain_steps > 0
+        assert 0.25 <= intermediate.pretrain_mean_p <= 0.45
+        assert intermediate.pretrain_mean_p == float(
+            intermediate.model.target_probs(intermediate.clean_labels).mean()
+        )
+        weak = build_task(RegimeSpec(regime="weak"), 7)
+        assert weak.pretrain_steps == 0
+        assert weak.pretrain_mean_p == float(weak.model.target_probs(weak.clean_labels).mean())
+
+    def test_table_size_bounded_before_allocation(self):
+        """A spec is checked on its sizes alone: building one allocates no table."""
+        RegimeSpec(vocab_size=MAX_TABLE_ENTRIES // 4096, num_contexts=4096)
+        with pytest.raises(DomainError, match="exceeds"):
+            RegimeSpec(vocab_size=MAX_TABLE_ENTRIES // 4096 + 1, num_contexts=4096)
+        with pytest.raises(DomainError, match="exceeds"):
+            RegimeSpec(vocab_size=2**40, num_contexts=2**40)
+        assert MAX_TABLE_ENTRIES >= 8 * 4096 * 1024
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -441,4 +468,93 @@ def test_finetune_peak_memory_in_tables(kind, batch_size):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / model.logit_table.nbytes <= 6.5
+    assert peak / model.logit_table.nbytes <= 5.5
+
+
+# sha256 of build_task's table, labels, clean labels and conflict mask bytes at
+# 1024 contexts x 256 tokens, 0.25 conflicts (confident_only on the strong
+# prior, uniform elsewhere), seed 1; pinned before pretraining took its
+# softmax in place.
+GOLDEN_BUILD_SHA256 = {
+    "strong": "d08296e1f4d70b4ee9d893eb3992a89a3d619394944b849c83990271372942fc",
+    "intermediate": "9ac1c78ea7f36e6a0cb687f68473c6aead1202d1fede3c0fc3bb6423b97e9072",
+    "weak": "30cc22e498ba2b981ec8ed8725d3d3bf9f0c4eaf041f918d43bbf0319a9acb2a",
+}
+
+
+def _build_spec(regime):
+    policy = "confident_only" if regime == "strong" else "uniform"
+    return RegimeSpec(regime, 256, 1024, conflict_fraction=0.25, conflict_policy=policy)
+
+
+@pytest.mark.parametrize("regime", list(GOLDEN_BUILD_SHA256))
+def test_golden_build_task(regime):
+    task = build_task(_build_spec(regime), 1)
+    digest = hashlib.sha256()
+    for array in (task.model.logit_table, task.labels, task.clean_labels, task.conflict_mask):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == GOLDEN_BUILD_SHA256[regime]
+
+
+def test_build_task_peak_memory_in_tables():
+    """Pretraining holds the table and one buffer for its probabilities and update."""
+    spec = _build_spec("strong")
+    tracemalloc.start()
+    try:
+        build_task(spec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (spec.num_contexts * spec.vocab_size * 8) <= 3.0
+
+
+def _reference_softmax(table):
+    """The trainer's softmax before it was taken in place: fresh arrays at each stage."""
+    shifted = table - table.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def tables_and_rows(draw):
+    """Logit tables up to 64 x 300 in [-700, 700], with a subset of their rows in any order."""
+    rows = draw(st.integers(1, 64))
+    vocab = draw(st.integers(2, 300))
+    table = draw(hnp.arrays(np.float64, (rows, vocab), elements=st.floats(-700.0, 700.0)))
+    subset = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=rows, unique=True))
+    return table, np.array(subset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tables_and_rows())
+def test_softmax_kernel_matches_reference_on_any_rows(case):
+    """The in-place kernel equals the reference bit for bit, on the whole table and on gathered rows."""
+    table, subset = case
+    expected = _reference_softmax(table)
+    whole = _softmax_rows(table, np.empty_like(table))
+    assert whole.tobytes() == expected.tobytes()
+    gathered = table[subset]
+    assert _softmax_rows(gathered, gathered).tobytes() == expected[subset].tobytes()
+    assert np.shares_memory(_softmax_rows(table, table), table)
+    assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("batch_size", [None, 64])
+@pytest.mark.parametrize("kind", [NLL, LINEAR, fixed_alpha(0.5), CAYLEY, DEFT, EAFT], ids=lambda kind: kind.encode())
+def test_traces_match_fresh_softmax_of_each_state(kind, batch_size):
+    """Every traced value equals a fresh softmax and focus of the table that on_step saw."""
+    task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.25), 4)
+    rows = np.arange(task.model.num_contexts)
+    expected_p, expected_alpha = [], []
+
+    def observe(step, model):
+        probs = _reference_softmax(model.logit_table)
+        expected_p.append(float(probs[rows, task.labels].mean()))
+        expected_alpha.append(float(focus_per_row(kind, probs, task.labels).mean()))
+
+    cfg = TrainConfig(objective=kind, steps=12, batch_size=batch_size, seed=4)
+    record = finetune(task.model, task.labels, cfg, clean_labels=task.clean_labels, on_step=observe)
+    assert record.mean_target_p == expected_p
+    assert record.mean_alpha == expected_alpha
+    final = _reference_softmax(record.final_table)
+    assert record.deltas.p_after.tobytes() == final[rows, task.clean_labels].tobytes()
