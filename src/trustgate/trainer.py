@@ -44,6 +44,13 @@ _WEAK_LOGIT_SCALE = 0.01
 # anything is allocated.
 MAX_TABLE_ENTRIES = 2**26
 
+# Entries per block of rows in the row-wise kernels (512 KiB of float64). A
+# block's logits, probabilities and temporaries stay in one core's cache
+# through every operation of a step, so a large table is read from memory
+# once per step rather than once per operation, and no temporary grows with
+# the table.
+_BLOCK_ENTRIES = 2**16
+
 # Confidence threshold for the high/low split of token deltas, and the
 # minimum |delta p| for a token to count as learned/forgotten in the
 # quadrant proportions.
@@ -125,7 +132,7 @@ class ToyModel:
 
     def probs(self) -> np.ndarray:
         """Row-wise softmax of the logit table."""
-        return _softmax_rows(self.logit_table, np.empty_like(self.logit_table))
+        return _softmax_table(self.logit_table)
 
     def target_probs(self, labels: np.ndarray) -> np.ndarray:
         """Probability each context assigns to its label."""
@@ -235,6 +242,28 @@ def _softmax_rows(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices that cut ``rows`` rows of ``width`` entries into blocks of about _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _softmax_table(table: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a whole table into a new buffer, one block of rows at a time."""
+    out = np.empty_like(table)
+    for block in _row_blocks(*table.shape):
+        _softmax_rows(table[block], out[block])
+    return out
+
+
+def _by_blocks(rule, kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """A row-wise objective rule over a whole table, one block of rows at a time."""
+    out = np.empty(probs.shape[0])
+    for block in _row_blocks(*probs.shape):
+        out[block] = rule(kind, probs[block], labels[block])
+    return out
+
+
 def _nll_pretrain(
     table: np.ndarray, labels: np.ndarray, stop_at: float, ceiling: float | None
 ) -> tuple[np.ndarray, int, float]:
@@ -243,23 +272,32 @@ def _nll_pretrain(
     As soon as the mean label probability reaches ``stop_at``, returns the
     softmax of the final table, the number of steps taken and that mean;
     raises BuildError if the budget runs out or ``ceiling`` is overshot. One
-    table-sized buffer holds each step's probabilities and then its update.
+    table-sized buffer holds the probabilities; a step takes the table block by
+    block, forming each block's update in its probabilities and then their
+    softmax after the update.
     """
-    rows = np.arange(table.shape[0])
-    buffer = np.empty_like(table)
+    probs = _softmax_table(table)
+    target_p = probs[np.arange(table.shape[0]), labels]
+    blocks = _row_blocks(*table.shape)
     for step in range(_PRETRAIN_MAX_STEPS):
-        probs = _softmax_rows(table, buffer)
-        mean_p = float(probs[rows, labels].mean())
+        mean_p = float(target_p.mean())
         if mean_p >= stop_at:
             if ceiling is not None and mean_p > ceiling:
                 raise BuildError(
                     f"pretraining overshot: mean target probability {mean_p:.3f} > {ceiling}"
                 )
             return probs, step, mean_p
-        # the update lr * (P - onehot), formed over the probabilities
-        probs[rows, labels] -= 1.0
-        probs *= _PRETRAIN_LEARNING_RATE
-        table -= probs
+        for block in blocks:
+            # the update lr * (P - onehot), formed over the block's probabilities,
+            # then the softmax of the updated rows in their place
+            block_probs, block_labels = probs[block], labels[block]
+            block_rows = np.arange(block_probs.shape[0])
+            block_probs[block_rows, block_labels] -= 1.0
+            block_probs *= _PRETRAIN_LEARNING_RATE
+            block_table = table[block]
+            block_table -= block_probs
+            _softmax_rows(block_table, block_probs)
+            target_p[block] = block_probs[block_rows, block_labels]
     raise BuildError(
         f"pretraining did not reach mean target probability {stop_at} "
         f"within {_PRETRAIN_MAX_STEPS} steps"
@@ -400,7 +438,8 @@ def _label_state(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clean-label p, clean-label frozen loss and supervised-label p of one state's probs."""
     rows = np.arange(probs.shape[0])
-    return probs[rows, clean_labels], loss_per_row(kind, probs, clean_labels), probs[rows, labels]
+    loss = _by_blocks(loss_per_row, kind, probs, clean_labels)
+    return probs[rows, clean_labels], loss, probs[rows, labels]
 
 
 def finetune(
@@ -420,10 +459,11 @@ def finetune(
     start table is kept.
 
     One table-sized buffer holds the softmax of the current table, and both
-    states are read from it. A step forms its update in the members' probs,
-    then refills them with the softmax of the updated rows; a minibatch run
-    also refreshes those rows in its cached focus vector. Every operation is
-    row-wise, so the buffer equals a fresh softmax of the table bit for bit.
+    states are read from it. A step takes its members in cache-sized parts:
+    it forms each part's update in the part's probs, then refills them with
+    the softmax of the updated rows; a minibatch run also refreshes those rows
+    in its cached focus vector. Every operation is row-wise, so the buffer
+    equals a fresh softmax of the table bit for bit.
     ``on_step``, when given, sees the current model before each update, for
     instrumentation.
     """
@@ -433,15 +473,18 @@ def finetune(
     clean_labels = _check_labels("clean_labels", clean_labels, model)
 
     table = model.logit_table.copy()
-    probs = _softmax_rows(table, np.empty_like(table))
+    probs = _softmax_table(table)
     p_before, loss_before, target_p_before = _label_state(cfg.objective, probs, labels, clean_labels)
     rows = np.arange(table.shape[0])
     rng = np.random.default_rng(cfg.seed)
     batch = cfg.batch_size if cfg.batch_size is not None else table.shape[0]
     batch = min(batch, table.shape[0])
     full_batch = batch == table.shape[0]
-    # a minibatch run keeps every row's focus, refreshed with its probs
-    focus = None if full_batch else focus_per_row(cfg.objective, probs, labels)
+    # the focus of every row: a full batch fills it in as a step forms its
+    # gates, a minibatch run refreshes the rows it updates
+    focus = np.empty(table.shape[0]) if full_batch else _by_blocks(focus_per_row, cfg.objective, probs, labels)
+    # a full batch takes the table's blocks, a minibatch the same cuts of its members
+    blocks = _row_blocks(batch, table.shape[1])
     order = np.arange(table.shape[0])
     cursor = 0
 
@@ -453,34 +496,39 @@ def finetune(
             on_step(step, ToyModel(table.copy()))
 
         if full_batch:
-            # a basic slice: the members' probs and table rows are views
-            members = slice(None)
+            # basic slices: each part's probs and table rows are views
+            parts = blocks
         else:
             if cursor + batch > order.size:
                 rng.shuffle(order)
                 cursor = 0
             members = order[cursor : cursor + batch]
             cursor += batch
+            parts = [members[block] for block in blocks]
+            mean_alpha.append(float(focus.mean()))
 
-        member_probs = probs[members]
-        member_labels = labels[members]
-        p, w, a = frozen_state(cfg.objective, member_probs, member_labels)
-        # a full batch holds the focus of every context for the trace
-        mean_alpha.append(float((a if full_batch else focus).mean()))
-        # the update lr * gate * (P - onehot), formed over the members' probs
-        gates = w * p**a
-        member_probs *= gates[:, None]
-        member_probs[np.arange(batch), member_labels] -= gates
-        member_probs *= cfg.learning_rate
-        table[members] -= member_probs
-        updated = table[members]
-        if not np.all(np.isfinite(updated)):
-            raise TrainingError(f"non-finite logits after update at step {step}")
-        # the members' probs (a view of the buffer on a full batch) take the new rows' softmax
-        _softmax_rows(updated, member_probs)
-        if not full_batch:
-            probs[members] = member_probs
-            focus[members] = focus_per_row(cfg.objective, member_probs, member_labels)
+        for part in parts:
+            part_probs = probs[part]
+            part_labels = labels[part]
+            p, w, a = frozen_state(cfg.objective, part_probs, part_labels)
+            # the update lr * gate * (P - onehot), formed over the part's probs
+            gates = w * p**a
+            part_probs *= gates[:, None]
+            part_probs[np.arange(part_probs.shape[0]), part_labels] -= gates
+            part_probs *= cfg.learning_rate
+            table[part] -= part_probs
+            updated = table[part]
+            if not np.all(np.isfinite(updated)):
+                raise TrainingError(f"non-finite logits after update at step {step}")
+            # the part's probs take the softmax of its updated rows
+            _softmax_rows(updated, part_probs)
+            if full_batch:
+                focus[part] = a
+            else:
+                probs[part] = part_probs
+                focus[part] = focus_per_row(cfg.objective, part_probs, part_labels)
+        if full_batch:
+            mean_alpha.append(float(focus.mean()))
 
     p_after, loss_after, target_p_after = _label_state(cfg.objective, probs, labels, clean_labels)
     deltas = TokenDeltas(p_before, p_after, loss_before, loss_after)
