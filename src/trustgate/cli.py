@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .core_math import DomainError, tsallis_entropy
-from .landscape import check_target, emit, gradient_landscape, write_atomic
+from .landscape import check_grid_size, check_target, emit, gradient_landscape, write_atomic
 from .objectives import ObjectiveKind
 from .trainer import BuildError, RegimeSpec, TrainConfig, build_task, finetune
 from .verification import RULE_MAIN, RULE_PROPER, minimize_risk, reports_to_json, run_property_suite
@@ -36,7 +36,9 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
         raise ConfigError("p-steps and h-steps must be >= 1")
     if args.vocab < 3:
         raise ConfigError(f"vocab must be >= 3, got {args.vocab}")
+    check_grid_size(args.p_steps, args.h_steps, args.vocab)
     kind = ObjectiveKind.parse(args.objective)
+    check_target(args.out)  # before the grid, not after it
     p_grid = (np.arange(args.p_steps) + 1.0) / (args.p_steps + 1.0)
     max_h = math.log(args.vocab)
     if args.h_steps == 1:

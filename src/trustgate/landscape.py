@@ -29,6 +29,10 @@ _BISECTION_MAX_ITERS = 200
 # Grid cells are realized in blocks of at most this many distribution entries
 # (512 cells at vocabulary 32), so peak memory stays flat in the grid size.
 _BLOCK_ENTRIES = 1 << 14
+# Largest grid, in p steps x entropy steps x vocabulary entries. It admits a
+# 100 x 100 grid at vocabulary 32 fifty times over and is checked before
+# anything is allocated.
+MAX_GRID_ENTRIES = 2**24
 
 
 class FeasibilityError(DomainError):
@@ -73,6 +77,15 @@ def _check_vocab(vocab: int) -> None:
         raise DomainError(f"vocabulary must have >= 3 tokens, got {vocab}")
 
 
+def check_grid_size(p_steps: int, h_steps: int, vocab: int) -> None:
+    """Refuse a grid of more than MAX_GRID_ENTRIES p steps x entropy steps x vocabulary entries."""
+    if p_steps * h_steps * vocab > MAX_GRID_ENTRIES:
+        raise DomainError(
+            f"a {p_steps} x {h_steps} grid at vocabulary {vocab} exceeds "
+            f"{MAX_GRID_ENTRIES} entries"
+        )
+
+
 def _entropy_bounds(p: np.ndarray, vocab: int) -> tuple[np.ndarray, np.ndarray]:
     """Attainable entropy interval [low, high] for each target mass in p."""
     low, high = np.empty(p.size), np.empty(p.size)
@@ -114,31 +127,56 @@ def _realize(p, entropy, low, high, vocab: int) -> np.ndarray:
     return _family_rows(p, mix, vocab)
 
 
-def feasible_entropy_range(p: float, vocab: int) -> tuple[float, float]:
-    """Attainable Shannon-entropy interval for target mass p in this family."""
+def feasible_entropy_rows(p, vocab: int) -> tuple[np.ndarray, np.ndarray]:
+    """Attainable Shannon-entropy interval [low, high] for each target mass in p."""
     _check_vocab(vocab)
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"target probability must lie in (0, 1), got {p!r}")
-    low, high = _entropy_bounds(np.array([p], dtype=np.float64), vocab)
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise DomainError(f"target probabilities must be a 1-d vector, got shape {p.shape}")
+    outside = ~((0.0 < p) & (p < 1.0))
+    if outside.any():
+        raise DomainError(f"target probability must lie in (0, 1), got {p[outside][0].tolist()!r}")
+    return _entropy_bounds(p, vocab)
+
+
+def feasible_entropy_range(p: float, vocab: int) -> tuple[float, float]:
+    """Attainable Shannon-entropy interval for target mass p in this family.
+
+    The one-row call of ``feasible_entropy_rows``.
+    """
+    low, high = feasible_entropy_rows([p], vocab)
     return float(low[0]), float(high[0])
+
+
+def construct_distribution_rows(p, entropy, vocab: int) -> np.ndarray:
+    """One distribution per (p, entropy) pair: target entry exactly p, Shannon entropy ~ entropy.
+
+    All pairs are realized by one batched bisection of the spike-to-tail
+    mixing weight (entropy is strictly increasing in it), each to tolerance
+    1e-6 within 200 iterations and independently of the others. Raises
+    FeasibilityError, naming the attainable interval of the first pair that
+    cannot be realized.
+    """
+    low, high = feasible_entropy_rows(p, vocab)
+    p = np.asarray(p, dtype=np.float64)
+    entropy = np.broadcast_to(np.asarray(entropy, dtype=np.float64), p.shape)
+    infeasible = ~((entropy >= low - _BISECTION_TOL) & (entropy <= high + _BISECTION_TOL))
+    if infeasible.any():
+        i = int(np.flatnonzero(infeasible)[0])
+        raise FeasibilityError(
+            f"entropy {float(entropy[i])!r} unattainable for p={float(p[i])!r}, vocab={vocab}: "
+            f"feasible interval is [{low[i]:.6f}, {high[i]:.6f}]"
+        )
+    return _realize(p, entropy, low, high, vocab)
 
 
 def construct_distribution(p: float, entropy: float, vocab: int) -> np.ndarray:
     """Distribution with target entry exactly p and Shannon entropy ~ ``entropy``.
 
-    Bisects the spike-to-tail mixing weight (entropy is strictly increasing in
-    it) to tolerance 1e-6 within 200 iterations. Raises FeasibilityError,
-    naming the attainable interval, when the pair cannot be realized. This is
-    the one-cell case of the bisection ``gradient_landscape`` runs per grid.
+    The one-row call of ``construct_distribution_rows``, and the one-cell case
+    of the bisection ``gradient_landscape`` runs per grid.
     """
-    low, high = feasible_entropy_range(p, vocab)
-    if entropy < low - _BISECTION_TOL or entropy > high + _BISECTION_TOL:
-        raise FeasibilityError(
-            f"entropy {entropy!r} unattainable for p={p!r}, vocab={vocab}: "
-            f"feasible interval is [{low:.6f}, {high:.6f}]"
-        )
-    cell = [np.array([value], dtype=np.float64) for value in (p, entropy, low, high)]
-    return _realize(*cell, vocab)[0]
+    return construct_distribution_rows([p], [entropy], vocab)[0]
 
 
 def _check_grid(values: np.ndarray, what: str) -> None:
@@ -166,6 +204,7 @@ def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> Lands
     if np.any(p_grid <= 0.0) or np.any(p_grid >= 1.0):
         raise DomainError("p grid values must lie strictly inside (0, 1)")
     _check_vocab(vocab)
+    check_grid_size(p_grid.size, h_grid.size, vocab)
 
     low, high = _entropy_bounds(p_grid, vocab)
     row, col = np.nonzero(

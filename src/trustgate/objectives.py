@@ -148,29 +148,47 @@ class GateError:
     signal: float
 
 
-def softmax(z) -> np.ndarray:
-    """Numerically stable softmax of a finite logit vector (length >= 2)."""
+def _logit_row(z) -> np.ndarray:
+    """One logit vector (length >= 2) as a one-row stack."""
     arr = np.asarray(z, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise DomainError(f"logits must be a 1-d vector of length >= 2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    return arr[None, :]
+
+
+def softmax_rows(Z) -> np.ndarray:
+    """Numerically stable softmax of each row of a (rows, vocab >= 2) stack of finite logits."""
+    arr = np.asarray(Z, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise DomainError(f"logits must be a (rows, >= 2) array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise DomainError("logits contain non-finite entries")
-    shifted = arr - arr.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    e = np.exp(arr - arr.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def _check_target(P: np.ndarray, target: int) -> int:
-    target = int(target)
-    if target < 0 or target >= P.size:
-        raise DomainError(f"target index {target} out of range for vocabulary of {P.size}")
-    return target
+def softmax(z) -> np.ndarray:
+    """Numerically stable softmax of a finite logit vector (length >= 2); one-row ``softmax_rows``."""
+    return softmax_rows(_logit_row(z))[0]
+
+
+def _check_targets(P: np.ndarray, targets) -> np.ndarray:
+    """Targets of a (rows, vocab) stack as an index vector, each in range."""
+    targets = np.asarray(targets)
+    if targets.shape != P.shape[:1]:
+        raise DomainError(f"expected {P.shape[0]} target indices, got shape {targets.shape}")
+    bad = (targets < 0) | (targets >= P.shape[1])
+    if bad.any():
+        raise DomainError(
+            f"target index {int(targets[bad][0])} out of range for vocabulary of {P.shape[1]}"
+        )
+    return targets.astype(np.intp, copy=False)
 
 
 def _one_row(P, target: int) -> tuple[np.ndarray, np.ndarray]:
     """Validate one distribution and its target; return them as a one-row stack."""
-    P = validate_dist(P)
-    return P[None, :], np.array([_check_target(P, target)])
+    P = validate_dist(P)[None, :]
+    return P, _check_targets(P, [int(target)])
 
 
 def focus_index(kind: ObjectiveKind, P, target: int) -> float:
@@ -247,18 +265,28 @@ def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> 
     return w * np.where(small, -log_p, deformed)
 
 
+def logit_gradient_rows(kind: ObjectiveKind, Z, targets) -> np.ndarray:
+    """Exact logit gradient of each row of a (rows, vocab) logit stack at its target.
+
+    Row ``i`` is gate_i * (P_i - onehot(targets[i])) with P = softmax_rows(Z);
+    each row's result depends on that row alone.
+    """
+    P = softmax_rows(Z)
+    targets = _check_targets(P, targets)
+    # P holds distributions by construction: gate them without validating again
+    g = gate_per_row(kind, P, targets)
+    grad = g[:, None] * P
+    grad[np.arange(P.shape[0]), targets] -= g
+    return grad
+
+
 def logit_gradient(kind: ObjectiveKind, z, target: int) -> np.ndarray:
     """Exact gradient of the token loss with respect to the logits.
 
     Returns gate * (P - onehot(target)) with P = softmax(z); entries sum to
     zero and the target entry is nonpositive. For ``cayley`` and ``deft`` the
     focus exponent is frozen at the current state (no differentiation through
-    it) -- this is the family's update rule by construction.
+    it) -- this is the family's update rule by construction. The one-row call
+    of ``logit_gradient_rows``.
     """
-    P = softmax(z)
-    target = _check_target(P, target)
-    # P is a distribution by construction: gate it without validating it again
-    g = float(gate_per_row(kind, P[None, :], np.array([target]))[0])
-    grad = g * P
-    grad[target] -= g
-    return grad
+    return logit_gradient_rows(kind, _logit_row(z), [int(target)])[0]

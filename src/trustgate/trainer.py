@@ -135,8 +135,16 @@ class ToyModel:
         return _softmax_table(self.logit_table)
 
     def target_probs(self, labels: np.ndarray) -> np.ndarray:
-        """Probability each context assigns to its label."""
-        return self.probs()[np.arange(self.num_contexts), labels]
+        """Probability each context assigns to its label, one block of rows at a time."""
+        labels = np.asarray(labels)
+        out = np.empty(self.num_contexts)
+        blocks = _row_blocks(*self.logit_table.shape)
+        buffer = np.empty_like(self.logit_table[blocks[0]])  # a table has >= 1 row
+        for block in blocks:
+            logits = self.logit_table[block]
+            probs = _softmax_rows(logits, buffer[: logits.shape[0]])
+            out[block] = probs[np.arange(logits.shape[0]), labels[block]]
+        return out
 
     def copy(self) -> "ToyModel":
         return ToyModel(self.logit_table.copy())

@@ -24,13 +24,10 @@ from .core_math import (
     PROB_FLOOR,
     DomainError,
     cayley_alpha,
-    clamp_prob,
     concentration,
     deformed_loss,
     mobius_alpha,
     q_log,
-    renyi2_entropy,
-    shannon_entropy,
     tsallis_entropy,
     validate_dist,
     validate_rows,
@@ -46,8 +43,10 @@ from .objectives import (
     fixed_alpha,
     frozen_state,
     gate,
-    logit_gradient,
+    gate_per_row,
+    logit_gradient_rows,
     softmax,
+    softmax_rows,
 )
 
 # Scoring-rule variants for the risk-minimization oracle. The "main" rule
@@ -69,6 +68,11 @@ _PGD_MAX_ITERS = 4000
 # smallest normal float, (1+a)/a overflows, so the risk surface goes flat.
 _MIN_ORDER = sys.float_info.min
 _MAX_ORDER = math.log(sys.float_info.min) / math.log(PROB_FLOOR) - 1.0
+
+# The property suite draws its random rows in chunks of this many draws and
+# evaluates each chunk's rows one stack per size, so memory stays flat in the
+# number of draws.
+_DRAW_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -114,57 +118,69 @@ def softmax_jacobian(z) -> np.ndarray:
     return np.diag(P) - np.outer(P, P)
 
 
-def _frozen_state(kind: ObjectiveKind, P0: np.ndarray, target: int) -> tuple[float, float]:
-    """Weight w0 and focus exponent a0 of the token loss, frozen at state P0.
-
-    The frozen loss is w0 * (1 - p^a0) / a0 (-w0 log p below ALPHA_SWITCH),
-    the surrogate whose gradient the update rule takes; static members ignore
-    P0.
-    """
-    _, w, a = frozen_state(kind, P0[None, :], np.array([target]))
-    return float(w[0]), float(a[0])
-
-
 def _frozen_loss_derivative(kind: ObjectiveKind, P0: np.ndarray, target: int) -> Callable[[float], float]:
     """d/dp of the frozen-state token loss, -w0 p^(a0 - 1), written apart from the gate."""
-    w0, a0 = _frozen_state(kind, P0, target)
+    _, w, a = frozen_state(kind, P0[None, :], np.array([target]))
+    w0, a0 = float(w[0]), float(a[0])
     return lambda p: -w0 * p ** (a0 - 1.0)
+
+
+def fd_gradient_rows(kind: ObjectiveKind, Z, targets, h: float = 1e-5) -> np.ndarray:
+    """Central-difference logit gradient of the frozen-state token loss, row by row.
+
+    Row ``i`` differences the loss of row ``i`` of the (rows, vocab) logit
+    stack at ``targets[i]``; each row's result depends on that row alone.
+    Oracle counterpart of ``objectives.logit_gradient_rows``; the step must lie
+    in [1e-8, 1e-3]. Temporaries hold rows x vocab x vocab entries.
+    """
+    if not (isinstance(h, (int, float)) and 1e-8 <= h <= 1e-3):
+        raise DomainError(f"finite-difference step must lie in [1e-8, 1e-3], got {h!r}")
+    P0 = softmax_rows(Z)
+    Z = np.asarray(Z, dtype=np.float64)
+    rows, size = Z.shape
+    targets = np.asarray(targets)
+    if targets.shape != (rows,):
+        raise DomainError(f"expected {rows} target indices, got shape {targets.shape}")
+    bad = (targets < 0) | (targets >= size)
+    if bad.any():
+        raise DomainError(f"target index {int(targets[bad][0])} out of range for vocabulary of {size}")
+    targets = targets.astype(np.intp)
+    _, w0, a0 = (column[:, None] for column in frozen_state(kind, P0, targets))
+
+    # (rows, size, size): every row with each of its logits nudged in turn
+    offsets = np.eye(size) * h
+
+    def target_probs(logit_rows: np.ndarray) -> np.ndarray:
+        shifted = logit_rows - logit_rows.max(axis=2, keepdims=True)
+        expd = np.exp(shifted)
+        return np.maximum(expd[np.arange(rows), :, targets] / expd.sum(axis=2), PROB_FLOOR)
+
+    lower = target_probs(Z[:, None, :] - offsets)
+    log_ratio = np.log(target_probs(Z[:, None, :] + offsets) / lower)
+    # f(p+) - f(p-) with the loss's constant term cancelled exactly: differencing
+    # two values of 1 - p^a0 next to 1 leaves ~eps/2h of absolute noise, which
+    # swamps gradients of order p at small p.
+    small = a0 < ALPHA_SWITCH
+    a0 = np.where(small, 1.0, a0)
+    # The exponent as a full array: NumPy takes a single exponent of 0.5 or 2 as
+    # sqrt or square, which would make a row's last bit depend on its stack.
+    deformed = -w0 * lower ** np.repeat(a0, size, axis=1) * np.expm1(a0 * log_ratio) / a0
+    difference = np.where(small, -w0 * log_ratio, deformed)
+    if not np.all(np.isfinite(difference)):
+        raise DomainError("non-finite loss differences in finite differences")
+    return difference / (2.0 * h)
 
 
 def fd_gradient(kind: ObjectiveKind, z, target: int, h: float = 1e-5) -> np.ndarray:
     """Central-difference logit gradient of the frozen-state token loss.
 
     Oracle counterpart of ``objectives.logit_gradient``; the step must lie in
-    [1e-8, 1e-3].
+    [1e-8, 1e-3]. The one-row call of ``fd_gradient_rows``.
     """
-    if not (isinstance(h, (int, float)) and 1e-8 <= h <= 1e-3):
-        raise DomainError(f"finite-difference step must lie in [1e-8, 1e-3], got {h!r}")
     z = np.asarray(z, dtype=np.float64)
-    P0 = softmax(z)
-    target = int(target)
-    if target < 0 or target >= z.size:
-        raise DomainError(f"target index {target} out of range for vocabulary of {z.size}")
-    w0, a0 = _frozen_state(kind, P0, target)
-
-    offsets = np.eye(z.size) * h
-
-    def target_probs(logit_rows: np.ndarray) -> np.ndarray:
-        shifted = logit_rows - logit_rows.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        return np.maximum(expd[:, target] / expd.sum(axis=1), PROB_FLOOR)
-
-    lower = target_probs(z[None, :] - offsets)
-    log_ratio = np.log(target_probs(z[None, :] + offsets) / lower)
-    # f(p+) - f(p-) with the loss's constant term cancelled exactly: differencing
-    # two values of 1 - p^a0 next to 1 leaves ~eps/2h of absolute noise, which
-    # swamps gradients of order p at small p.
-    if a0 < ALPHA_SWITCH:
-        difference = -w0 * log_ratio
-    else:
-        difference = -w0 * lower**a0 * np.expm1(a0 * log_ratio) / a0
-    if not np.all(np.isfinite(difference)):
-        raise DomainError("non-finite loss differences in finite differences")
-    return difference / (2.0 * h)
+    if z.ndim != 1 or z.size < 2:
+        raise DomainError(f"logits must be a 1-d vector of length >= 2, got shape {z.shape}")
+    return fd_gradient_rows(kind, z[None, :], [int(target)], h)[0]
 
 
 def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER) -> float:
@@ -459,6 +475,38 @@ def _random_dist(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.dirichlet(np.ones(size))
 
 
+def _random_logits(rng: np.random.Generator, size: int) -> np.ndarray:
+    return rng.normal(0.0, 2.0, size)
+
+
+def _draw_by_size(
+    rng: np.random.Generator,
+    count: int,
+    low: int,
+    high: int,
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    target: bool = True,
+):
+    """Draw ``count`` random rows in order and yield them stacked by size.
+
+    Each draw takes a size ``rng.integers(low, high)``, then the row
+    ``draw(rng, size)`` and, with ``target``, a target ``rng.integers(size)``:
+    the order a one-row loop draws them in, so the RNG stream is the same.
+    Every _DRAW_CHUNK draws, yields one ``(rows, targets)`` pair per size
+    drawn in that chunk; ``targets`` is empty without ``target``.
+    """
+    for start in range(0, count, _DRAW_CHUNK):
+        by_size: dict[int, tuple[list, list]] = {}
+        for _ in range(min(_DRAW_CHUNK, count - start)):
+            size = int(rng.integers(low, high))
+            rows, targets = by_size.setdefault(size, ([], []))
+            rows.append(draw(rng, size))
+            if target:
+                targets.append(int(rng.integers(size)))
+        for rows, targets in by_size.values():
+            yield np.array(rows), np.array(targets, dtype=np.intp)
+
+
 def surprisal_linearization_residual(kappa: float) -> float:
     """1 - R^2 of arctanh(mobius(z, kappa)) regressed on log z.
 
@@ -513,12 +561,16 @@ def _suite_deformed_loss_report() -> PropertyReport:
 def _suite_concentration_reports(rng: np.random.Generator) -> list[PropertyReport]:
     worst_range = 0.0
     worst_renyi = 0.0
-    for _ in range(10_000):
-        size = int(rng.integers(2, 65))
-        dist = _random_dist(rng, size)
-        c = concentration(dist)
-        worst_range = max(worst_range, (1.0 / size) - c, c - 1.0)
-        worst_renyi = max(worst_renyi, abs(c - math.exp(-renyi2_entropy(dist))))
+    for dists, _ in _draw_by_size(rng, 10_000, 2, 65, _random_dist, target=False):
+        dists = validate_rows(dists)
+        c = (dists * dists).sum(axis=1)
+        size = dists.shape[1]
+        worst_range = max(worst_range, float((1.0 / size - c).max()), float((c - 1.0).max()))
+        # exp(-H2) with H2 = -log c, through scalar math.exp: NumPy's array exp
+        # differs from it in the last bit on some rows
+        worst_renyi = max(
+            worst_renyi, *(abs(ci - math.exp(li)) for ci, li in zip(c.tolist(), np.log(c).tolist()))
+        )
     for size in (2, 7, 33):
         uniform = np.full(size, 1.0 / size)
         worst_range = max(worst_range, abs(concentration(uniform) - 1.0 / size))
@@ -573,12 +625,10 @@ def _suite_mobius_reports(cayley_kappa: float) -> list[PropertyReport]:
 def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list[PropertyReport]:
     kinds = default_kinds(0.5)
     worst_sum = 0.0
-    for _ in range(1000):
-        size = int(rng.integers(2, 33))
-        z = rng.normal(0.0, 2.0, size)
-        target = int(rng.integers(size))
+    for logits, targets in _draw_by_size(rng, 1000, 2, 33, _random_logits):
         for kind in kinds:
-            worst_sum = max(worst_sum, abs(float(logit_gradient(kind, z, target).sum())))
+            sums = np.abs(logit_gradient_rows(kind, logits, targets).sum(axis=1))
+            worst_sum = max(worst_sum, float(sums.max()))
     reports = [_report("gradient-sum-zero", worst_sum, 1e-12)]
 
     # fd_gradient differences the frozen loss without its constant term, so its
@@ -589,29 +639,22 @@ def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list
     dynamic = [CAYLEY, DEFT, EAFT]
     for label, group in (("static", static), ("dynamic", dynamic)):
         worst = 0.0
-        for _ in range(200):
-            size = int(rng.integers(2, 33))
-            z = rng.normal(0.0, 2.0, size)
-            target = int(rng.integers(size))
+        for logits, targets in _draw_by_size(rng, 200, 2, 33, _random_logits):
             for kind in group:
-                analytic = logit_gradient(kind, z, target)
-                numeric = fd_gradient(kind, z, target, 1e-5)
-                scale = max(float(np.abs(analytic).max()), 1e-300)
-                worst = max(worst, float(np.abs(analytic - numeric).max()) / scale)
+                analytic = logit_gradient_rows(kind, logits, targets)
+                numeric = fd_gradient_rows(kind, logits, targets, 1e-5)
+                scale = np.maximum(np.abs(analytic).max(axis=1), 1e-300)
+                worst = max(worst, float((np.abs(analytic - numeric).max(axis=1) / scale).max()))
         reports.append(_report(f"fd-gradient-{label}", worst, fd_rel_tol))
     return reports
 
 
 def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
     worst_order = 0.0
-    for _ in range(2000):
-        size = int(rng.integers(2, 33))
-        dist = _random_dist(rng, size)
-        target = int(rng.integers(size))
-        lin = gate(LINEAR, dist, target).gate
-        dft = gate(DEFT, dist, target).gate
-        nll = gate(NLL, dist, target).gate
-        worst_order = max(worst_order, lin - dft, dft - nll)
+    for dists, targets in _draw_by_size(rng, 2000, 2, 33, _random_dist):
+        dists = validate_rows(dists)
+        lin, dft, nll = (gate_per_row(kind, dists, targets) for kind in (LINEAR, DEFT, NLL))
+        worst_order = max(worst_order, float((lin - dft).max()), float((dft - nll).max()))
     reports = [_report("gate-ordering-linear-deft-nll", worst_order, 1e-12)]
 
     ps = np.linspace(0.01, 0.99, 60)
@@ -620,52 +663,66 @@ def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
     worst_mono = float(np.max(np.diff(gates, axis=0)))
     reports.append(_report("gate-monotone-in-alpha", worst_mono, 1e-15))
 
-    # confidently misaligned state: a non-target spike holds mass 0.9
-    worst_conflict = 0.0
+    # confidently misaligned states, one per row: a non-target spike holds mass 0.9
     spike = 0.9
     vocab = 16
-    for p in np.linspace(1e-6, 1.0 - spike - 1e-6, 500):
-        dist = np.full(vocab, (1.0 - spike - p) / (vocab - 2))
-        dist[0] = p
-        dist[1] = spike
-        signal = gate(DEFT, dist, 0).signal
-        bound = p ** ((1.0 - 0.1) ** 2) * (1.0 - p)
-        worst_conflict = max(worst_conflict, signal - bound)
+    p = np.linspace(1e-6, 1.0 - spike - 1e-6, 500)
+    dists = np.empty((p.size, vocab))
+    dists[:] = ((1.0 - spike - p) / (vocab - 2))[:, None]
+    dists[:, 0] = p
+    dists[:, 1] = spike
+    signal = gate_per_row(DEFT, validate_rows(dists), np.zeros(p.size, dtype=np.intp)) * (1.0 - p)
+    # scalar pow, as NumPy's array pow differs from it in the last bit on some rows
+    bound = np.array([q ** ((1.0 - 0.1) ** 2) * (1.0 - q) for q in p.tolist()])
+    worst_conflict = float((signal - bound).max())
     cayley_floor = 0.999 - gate(CAYLEY, np.array([1e-6, 1.0 - 1e-6]), 0).signal
     reports.append(
         _report("conflict-suppression", max(worst_conflict, cayley_floor, 0.0), 1e-12)
     )
 
     worst_decomp = 0.0
-    for _ in range(10_000):
-        size = int(rng.integers(2, 65))
-        dist = _random_dist(rng, size)
-        target = int(rng.integers(size))
-        p = float(dist[target])
-        if p >= 1.0 - 1e-12:
-            continue
-        a = concentration(dist)
-        tail = dist[np.arange(size) != target] / (1.0 - p)
-        identity_gap = abs(a - (p**2 + (1.0 - p) ** 2 * float((tail * tail).sum())))
-        lower = p**2 + (1.0 - p) ** 2 / (size - 1)
-        upper = p**2 + (1.0 - p) ** 2
-        worst_decomp = max(worst_decomp, identity_gap, lower - a, a - upper)
+    for dists, targets in _draw_by_size(rng, 10_000, 2, 65, _random_dist):
+        dists = validate_rows(dists)
+        size = dists.shape[1]
+        on_target = np.arange(size) == targets[:, None]
+        p = dists[on_target]
+        keep = p < 1.0 - 1e-12
+        dists, on_target, p = dists[keep], on_target[keep], p[keep]
+        a = (dists * dists).sum(axis=1)
+        tail = dists[~on_target].reshape(-1, size - 1) / (1.0 - p)[:, None]
+        # scalar squares, as NumPy's p**2 (p*p) differs from pow in the last bit on some rows
+        p2, q2 = (np.array([v**2 for v in values.tolist()]) for values in (p, 1.0 - p))
+        identity_gap = np.abs(a - (p2 + q2 * (tail * tail).sum(axis=1)))
+        lower = p2 + q2 / (size - 1)
+        upper = p2 + q2
+        if a.size:
+            worst_decomp = max(
+                worst_decomp,
+                float(identity_gap.max()),
+                float((lower - a).max()),
+                float((a - upper).max()),
+            )
     reports.append(_report("focus-decomposition-bounds", worst_decomp, 1e-12))
     return reports
 
 
 def _suite_jacobian_report(rng: np.random.Generator) -> PropertyReport:
     worst = 0.0
-    for _ in range(200):
-        size = int(rng.integers(2, 17))
-        z = rng.normal(0.0, 2.0, size)
-        target = int(rng.integers(size))
-        P0 = softmax(z)
-        jac = softmax_jacobian(z)
+    for logits, targets in _draw_by_size(rng, 200, 2, 17, _random_logits):
+        P0 = softmax_rows(logits)
+        rows = np.arange(targets.size)
+        p = P0[rows, targets]
+        # row ``target`` of softmax_jacobian: P_t * (delta_tj - P_j)
+        diagonal = np.zeros_like(P0)
+        diagonal[rows, targets] = p
+        jac = diagonal - p[:, None] * P0
         for kind in default_kinds(0.5):
-            fprime = _frozen_loss_derivative(kind, P0, target)(clamp_prob(float(P0[target])))
-            chain = fprime * jac[target]
-            analytic = logit_gradient(kind, z, target)
+            # d/dp of the frozen loss, -w0 p^(a0 - 1), by scalar pow: NumPy's array
+            # pow differs from it in the last bit on some rows
+            state = zip(*(column.tolist() for column in frozen_state(kind, P0, targets)))
+            fprime = np.array([-w0 * q ** (a0 - 1.0) for q, w0, a0 in state])
+            chain = fprime[:, None] * jac
+            analytic = logit_gradient_rows(kind, logits, targets)
             worst = max(worst, float(np.abs(analytic - chain).max()))
     return _report("jacobian-chain-consistency", worst, 1e-10)
 
@@ -752,7 +809,7 @@ def _suite_peak_reports() -> list[PropertyReport]:
 
 
 def _suite_landscape_reports(rng: np.random.Generator) -> list[PropertyReport]:
-    from .landscape import construct_distribution, feasible_entropy_range, gradient_landscape
+    from .landscape import construct_distribution_rows, feasible_entropy_rows, gradient_landscape
 
     p_grid = np.linspace(0.1, 0.9, 5)
     h_grid = np.linspace(0.2, math.log(8.0), 5)
@@ -767,16 +824,16 @@ def _suite_landscape_reports(rng: np.random.Generator) -> list[PropertyReport]:
             row_spread = max(row_spread, float(vals.max() - vals.min()))
     reports = [_report("landscape-nll-entropy-independent", max(norm_err, row_spread), 1e-9)]
 
-    worst_entropy = 0.0
-    for _ in range(50):
-        p = float(rng.uniform(0.05, 0.95))
-        low, high = feasible_entropy_range(p, 8)
-        target_h = float(rng.uniform(low, high))
-        dist = construct_distribution(p, target_h, 8)
-        validate_dist(dist)
-        worst_entropy = max(
-            worst_entropy, abs(shannon_entropy(dist) - target_h), abs(float(dist[0]) - p)
-        )
+    # rng.uniform(low, high) is low + (high - low) * rng.random() bit for bit, so
+    # the pairs can be drawn before their entropy intervals are known
+    p, fraction = np.array([(rng.uniform(0.05, 0.95), rng.random()) for _ in range(50)]).T
+    low, high = feasible_entropy_rows(p, 8)
+    target_h = low + (high - low) * fraction
+    dists = validate_rows(construct_distribution_rows(p, target_h, 8))
+    entropy = -(dists * np.log(np.where(dists > 0.0, dists, 1.0))).sum(axis=1)
+    worst_entropy = max(
+        float(np.abs(entropy - target_h).max()), float(np.abs(dists[:, 0] - p).max())
+    )
     reports.append(_report("landscape-distribution-realization", worst_entropy, 1e-6))
     return reports
 

@@ -108,6 +108,48 @@ class TestLandscape:
         assert code == 2
         assert "focal" in err
 
+    def _no_grid(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("gradient_landscape must not run")
+
+        monkeypatch.setattr(cli, "gradient_landscape", refuse)
+
+    def _landscape(self, capsys, p_steps, out, objective="nll"):
+        return run_cli(
+            capsys,
+            "landscape",
+            "--objective", objective,
+            "--p-steps", str(p_steps),
+            "--h-steps", "256",
+            "--vocab", "32",
+            "--out", out,
+        )
+
+    def test_oversized_grid_exits_two_before_work(self, tmp_path, monkeypatch, capsys):
+        """2049 x 256 steps at vocabulary 32 is one column past the bound."""
+        self._no_grid(monkeypatch)
+        code, out, err = self._landscape(capsys, 2049, str(tmp_path / "g.csv"))
+        assert code == 2 and out == ""
+        assert "a 2049 x 256 grid at vocabulary 32 exceeds 16777216 entries" in err
+        assert os.listdir(tmp_path) == []
+
+    def test_missing_out_directory_fails_before_the_grid(self, tmp_path, monkeypatch, capsys):
+        """An --out whose directory is missing exits 1 naming the given path, before any work."""
+        self._no_grid(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = self._landscape(capsys, 2048, "nodir/x.csv")
+        assert code == 1 and out == ""
+        assert err == "error: [Errno 2] No such file or directory: 'nodir/x.csv'\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("p_steps, objective, message", [(2049, "nll", "exceeds"), (2, "focal", "focal")])
+    def test_usage_errors_take_precedence_over_a_bad_out(
+        self, p_steps, objective, message, tmp_path, monkeypatch, capsys
+    ):
+        self._no_grid(monkeypatch)
+        code, _, err = self._landscape(capsys, p_steps, str(tmp_path / "nodir" / "x.csv"), objective)
+        assert code == 2 and message in err
+
 
 class TestTrain:
     def _config(self, tmp_path, **overrides):

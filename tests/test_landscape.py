@@ -23,9 +23,11 @@ from trustgate import (
     TrainConfig,
     build_task,
     construct_distribution,
+    construct_distribution_rows,
     default_kinds,
     emit,
     feasible_entropy_range,
+    feasible_entropy_rows,
     finetune,
     fixed_alpha,
     gate,
@@ -33,7 +35,7 @@ from trustgate import (
     shannon_entropy,
 )
 from trustgate.cli import parse_and_run
-from trustgate.landscape import _realize, write_atomic
+from trustgate.landscape import MAX_GRID_ENTRIES, _realize, check_grid_size, write_atomic
 
 
 def scalar_construct(p, entropy, vocab):
@@ -121,6 +123,66 @@ class TestConstructDistribution:
             entropy = rng.choice([low, high, low - 1e-6, high + 1e-6, rng.uniform(low, high)])
             dist = construct_distribution(p, float(entropy), vocab)
             assert np.array_equal(dist, scalar_construct(p, float(entropy), vocab))
+
+
+class TestRowForms:
+    """construct_distribution_rows and feasible_entropy_rows against their one-row calls."""
+
+    def test_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(8)
+        for vocab in (3, 8, 57):
+            ps = rng.uniform(0.01, 0.99, 40)
+            low, high = feasible_entropy_rows(ps, vocab)
+            picks = rng.integers(0, 5, ps.size)
+            entropy = np.choose(
+                picks, [low, high, low - 1e-6, high + 1e-6, low + (high - low) * rng.random(ps.size)]
+            )
+            dists = construct_distribution_rows(ps, entropy, vocab)
+            for p, h, lo, hi, dist in zip(ps.tolist(), entropy.tolist(), low, high, dists):
+                assert (lo, hi) == feasible_entropy_range(p, vocab)
+                assert np.array_equal(dist, construct_distribution(p, h, vocab))
+
+    def test_names_first_infeasible_pair(self):
+        ps = np.array([0.3, 0.5, 0.7])
+        low, high = feasible_entropy_rows(ps, 4)
+        entropy = np.array([low[0], high[1] + 0.5, high[2] + 0.5])
+        with pytest.raises(FeasibilityError) as err:
+            construct_distribution_rows(ps, entropy, 4)
+        assert f"entropy {float(entropy[1])!r} unattainable for p=0.5, vocab=4" in str(err.value)
+        assert f"[{low[1]:.6f}, {high[1]:.6f}]" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, float("nan")])
+    def test_names_target_mass_outside_open_interval(self, bad):
+        with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
+            feasible_entropy_rows([0.5, bad, 0.2], 8)
+        with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
+            feasible_entropy_range(bad, 8)
+
+    def test_rejects_stack_of_target_masses(self):
+        with pytest.raises(DomainError, match="1-d vector"):
+            feasible_entropy_rows([[0.5, 0.2]], 8)
+
+
+class TestGridSizeBound:
+    def test_benchmark_grid_admitted(self):
+        check_grid_size(100, 100, 32)
+        check_grid_size(2048, 256, 32)
+        assert 2048 * 256 * 32 == MAX_GRID_ENTRIES
+
+    def test_one_entry_column_past_the_bound_refused(self):
+        with pytest.raises(DomainError, match="a 2049 x 256 grid at vocabulary 32 exceeds 16777216 entries"):
+            check_grid_size(2049, 256, 32)
+
+    def test_gradient_landscape_refuses_before_realizing(self, monkeypatch):
+        from trustgate import landscape
+
+        def refuse(*args):
+            raise AssertionError("no cell may be realized")
+
+        monkeypatch.setattr(landscape, "_entropy_bounds", refuse)
+        p_grid = (np.arange(2049) + 1.0) / 2050.0
+        with pytest.raises(DomainError, match="exceeds"):
+            gradient_landscape(NLL, p_grid, np.linspace(0.0, 3.0, 256), 32)
 
 
 @settings(max_examples=150, deadline=None)

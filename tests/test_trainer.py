@@ -570,3 +570,32 @@ def test_traces_match_fresh_softmax_of_each_state(kind, batch_size, block_entrie
     assert record.deltas.p_after.tobytes() == final[rows, task.clean_labels].tobytes()
     expected_loss = loss_per_row(kind, final, task.clean_labels)
     assert record.deltas.loss_after.tobytes() == expected_loss.tobytes()
+
+
+@pytest.mark.parametrize("block_entries", [trainer._BLOCK_ENTRIES, 7 * 37])
+def test_target_probs_match_whole_table_softmax(block_entries, monkeypatch):
+    """The blocked gather equals a gather from the whole softmaxed table, bit for bit.
+
+    7-row blocks leave a short last one.
+    """
+    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(9)
+    model = ToyModel(rng.normal(0.0, 3.0, (1000, 37)))
+    labels = rng.integers(0, 37, 1000)
+    expected = _reference_softmax(model.logit_table)[np.arange(1000), labels]
+    assert model.target_probs(labels).tobytes() == expected.tobytes()
+    assert model.target_probs(list(labels)).tobytes() == expected.tobytes()
+
+
+def test_target_probs_peak_memory_well_below_a_table():
+    """One block buffer and the output vector, not a softmaxed copy of the table (here 16 MiB)."""
+    rng = np.random.default_rng(2)
+    model = ToyModel(rng.normal(0.0, 2.0, (2048, 1024)))
+    labels = rng.integers(0, 1024, 2048)
+    tracemalloc.start()
+    try:
+        model.target_probs(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / model.logit_table.nbytes <= 0.1

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -11,6 +12,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trustgate import (
     CAYLEY,
@@ -21,20 +23,25 @@ from trustgate import (
     RULE_MAIN,
     RULE_PROPER,
     DomainError,
+    default_kinds,
     expected_score,
     fd_gradient,
+    fd_gradient_rows,
     fixed_alpha,
     gradient_flow_ordering,
     logit_gradient,
+    logit_gradient_rows,
     minimize_risk,
     minimize_risk_rows,
     peak_location,
     run_property_suite,
+    shannon_entropy,
     softmax,
     softmax_jacobian,
     tsallis_entropy,
 )
 from trustgate import verification
+from trustgate.landscape import construct_distribution, feasible_entropy_range
 from trustgate.verification import reports_to_json
 
 
@@ -385,6 +392,18 @@ class TestRiskFlowOrdering:
 # minimizer produced it, one minimize_risk call per duality problem.
 GOLDEN_SUITE_SHA256 = "1c6cf4c8ff4b2230370729042a1ea48b8c659c53c3bf36e5ad0bc73c1ea86cc8"
 
+# The same hash at two more seeds (21 is the one whose fd-gradient-static
+# report once failed), pinned while every drawn sub-suite still evaluated its
+# rows one call at a time.
+GOLDEN_SEED_SHA256 = {
+    0: "383f3f410e8292333ddc9b8f9e273a1978d35ecd4793c96a6faf8f74d7fe3313",
+    21: "cbfd207f7d7ce49cc2bbd57c516fcb09acfcdc8f2aeb6212fa05b0b1b8bb3361",
+}
+
+
+def _suite_sha256(seed):
+    return hashlib.sha256(reports_to_json(run_property_suite(seed)).encode()).hexdigest()
+
 
 @pytest.fixture(scope="module")
 def suite_seven():
@@ -399,6 +418,15 @@ class TestPropertySuite:
     def test_golden_report_hash(self, suite_seven):
         digest = hashlib.sha256(reports_to_json(suite_seven).encode()).hexdigest()
         assert digest == GOLDEN_SUITE_SHA256
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_SEED_SHA256))
+    def test_golden_report_hash_at_more_seeds(self, seed):
+        assert _suite_sha256(seed) == GOLDEN_SEED_SHA256[seed]
+
+    def test_golden_report_hash_with_tiny_chunks(self, monkeypatch):
+        """Chunks of 7 draws put a chunk boundary inside every drawn loop and leave each last chunk short."""
+        monkeypatch.setattr(verification, "_DRAW_CHUNK", 7)
+        assert _suite_sha256(7) == GOLDEN_SUITE_SHA256
 
     def test_deterministic_given_seed(self):
         first = run_property_suite(3)
@@ -424,3 +452,174 @@ class TestPropertySuite:
         assert isinstance(decoded, list)
         for item in decoded:
             assert set(item) == {"name", "passed", "max_error", "detail"}
+
+
+def _per_row_draws(rng, count, low, high, draw, target):
+    """The drawn sub-suites' loop as it was: one (size, row, target) after another."""
+    draws = []
+    for _ in range(count):
+        size = int(rng.integers(low, high))
+        row = draw(rng, size)
+        draws.append((size, row, int(rng.integers(size)) if target else None))
+    return draws
+
+
+class TestDrawBySize:
+    """The helper draws what the per-row loop drew, in its order, and stacks it by size."""
+
+    @pytest.mark.parametrize("chunk", [1024, 7])
+    @pytest.mark.parametrize(
+        "draw, target, high",
+        [
+            (verification._random_dist, True, 65),
+            (verification._random_dist, False, 65),
+            (verification._random_logits, True, 33),
+        ],
+    )
+    def test_yields_the_per_row_draws_in_order(self, chunk, draw, target, high, monkeypatch):
+        monkeypatch.setattr(verification, "_DRAW_CHUNK", chunk)
+        count = 2500
+        loop_rng = np.random.default_rng(5)
+        expected = _per_row_draws(loop_rng, count, 2, high, draw, target)
+        rng = np.random.default_rng(5)
+        stacks = list(verification._draw_by_size(rng, count, 2, high, draw, target))
+
+        # each chunk's draws, grouped by size in the order the sizes first appear
+        groups = []
+        for start in range(0, count, chunk):
+            by_size = {}
+            for size, row, t in expected[start : start + chunk]:
+                by_size.setdefault(size, []).append((row, t))
+            groups.extend(by_size.values())
+        assert len(stacks) == len(groups)
+        for (rows, targets), group in zip(stacks, groups):
+            assert np.array_equal(rows, np.array([row for row, _ in group]))
+            assert targets.tolist() == ([t for _, t in group] if target else [])
+        # the stream is left where the loop leaves it
+        assert rng.random() == loop_rng.random()
+
+    def test_landscape_pairs_match_per_cell_loop(self):
+        """The realization report equals the per-cell loop that drew uniform(low, high) after each p."""
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            worst = 0.0
+            for _ in range(50):
+                p = float(rng.uniform(0.05, 0.95))
+                low, high = feasible_entropy_range(p, 8)
+                target_h = float(rng.uniform(low, high))
+                dist = construct_distribution(p, target_h, 8)
+                worst = max(worst, abs(shannon_entropy(dist) - target_h), abs(float(dist[0]) - p))
+            report = verification._suite_landscape_reports(np.random.default_rng(seed))[1]
+            assert report.name == "landscape-distribution-realization"
+            assert report.max_error == worst
+
+
+def _corrupting(draw, at, corrupt):
+    """``draw`` with the row of its ``at``-th call (from 0) passed through ``corrupt``."""
+    calls = itertools.count()
+
+    def corrupted(rng, size):
+        row = draw(rng, size)
+        return corrupt(row) if next(calls) == at else row
+
+    return corrupted
+
+
+def _scale(row):
+    return row * 1.01
+
+
+def _negate_first(row):
+    row[0] = -row[0]
+    return row
+
+
+def _nan_last(row):
+    row[-1] = np.nan
+    return row
+
+
+class TestCorruptedRowsStillRaise:
+    """A bad row inside a stack fails its sub-suite as a bad one-row call did."""
+
+    @pytest.mark.parametrize(
+        "suite, at",
+        [
+            (verification._suite_concentration_reports, 1500),
+            (verification._suite_gate_reports, 1500),  # gate ordering
+            (verification._suite_gate_reports, 7000),  # focus decomposition
+        ],
+    )
+    @pytest.mark.parametrize("corrupt, message", [(_scale, "sums to"), (_negate_first, "negative entries")])
+    def test_distribution(self, suite, at, corrupt, message, monkeypatch):
+        monkeypatch.setattr(
+            verification, "_random_dist", _corrupting(verification._random_dist, at, corrupt)
+        )
+        with pytest.raises(DomainError, match=message):
+            suite(np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "suite, at",
+        [
+            (functools.partial(verification._suite_gradient_reports, fd_rel_tol=1e-6), 500),
+            (functools.partial(verification._suite_gradient_reports, fd_rel_tol=1e-6), 1100),
+            (functools.partial(verification._suite_gradient_reports, fd_rel_tol=1e-6), 1300),
+            (verification._suite_jacobian_report, 150),
+        ],
+    )
+    def test_logits(self, suite, at, monkeypatch):
+        monkeypatch.setattr(
+            verification, "_random_logits", _corrupting(verification._random_logits, at, _nan_last)
+        )
+        with pytest.raises(DomainError, match="non-finite"):
+            suite(np.random.default_rng(0))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def _logit_stacks(draw):
+    """(rows, size) logits with size in [2, 32], and one target per row.
+
+    Logits come from a few values, so rows often tie; a tie at size 2 gives
+    deft a focus exponent of exactly 0.5.
+    """
+    size = draw(st.integers(2, 32))
+    rows = draw(st.integers(1, 8))
+    values = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 3.0]), st.floats(-30.0, 30.0))
+    logits = draw(hnp.arrays(np.float64, (rows, size), elements=values))
+    targets = draw(hnp.arrays(np.int64, rows, elements=st.integers(0, size - 1)))
+    return logits, targets
+
+
+# Every member, with fixed exponents 0.5 and 2, which NumPy takes as sqrt and
+# square when they are a power's single exponent.
+_MEMBERS = default_kinds(0.5) + [fixed_alpha(1.0), fixed_alpha(2.0), fixed_alpha(0.3)]
+
+
+class TestGradientRowForms:
+    @pytest.mark.parametrize("kind", _MEMBERS, ids=lambda kind: kind.encode())
+    @settings(max_examples=40, deadline=None)
+    @given(stack=_logit_stacks())
+    def test_rows_equal_one_row_calls(self, kind, stack):
+        logits, targets = stack
+        analytic = logit_gradient_rows(kind, logits, targets)
+        numeric = fd_gradient_rows(kind, logits, targets, 1e-5)
+        for z, target, analytic_row, numeric_row in zip(logits, targets, analytic, numeric):
+            npt.assert_array_equal(_bits(analytic_row), _bits(logit_gradient(kind, z, target)))
+            npt.assert_array_equal(_bits(numeric_row), _bits(fd_gradient(kind, z, target, 1e-5)))
+
+    @pytest.mark.parametrize("rows_fn", [logit_gradient_rows, fd_gradient_rows])
+    def test_reject_bad_targets_and_logits(self, rows_fn):
+        logits = np.zeros((3, 4))
+        with pytest.raises(DomainError, match="target index 4 out of range"):
+            rows_fn(DEFT, logits, [0, 4, 1])
+        with pytest.raises(DomainError, match="expected 3 target indices"):
+            rows_fn(DEFT, logits, [0, 1])
+        logits[1, 2] = np.inf
+        with pytest.raises(DomainError, match="non-finite"):
+            rows_fn(DEFT, logits, [0, 1, 2])
+        with pytest.raises(DomainError, match="logits must be"):
+            rows_fn(DEFT, np.zeros(4), [0])
