@@ -121,15 +121,22 @@ def tsallis_entropy(r, q: float) -> float:
     """Generalized entropy (1 - sum r^q) / (q - 1) for q > 0.
 
     Returns the Shannon entropy when |q - 1| < Q_ONE_SWITCH. Nonnegative and
-    zero exactly on point masses.
+    zero exactly on point masses. Summed over r > 0 as w * (1 - r^d) / d with
+    d = |q - 1|, w = r (q > 1) or r^q (q < 1) and 1 - r^d = -expm1(d log r):
+    full precision near q = 1, and no power of r exceeds 1.
     """
     if not math.isfinite(q) or q <= 0.0:
         raise DomainError(f"entropy order must be > 0, got {q!r}")
     arr = validate_dist(r)
+    nz = arr[arr > 0.0]
+    log_r = np.log(nz)
+    # "0.0 -" keeps a point mass at +0.0
     if abs(q - 1.0) < Q_ONE_SWITCH:
-        nz = arr[arr > 0.0]
-        return float(-(nz * np.log(nz)).sum())
-    return float((1.0 - (arr**q).sum()) / (q - 1.0))
+        return 0.0 - float((nz * log_r).sum())
+    d = abs(q - 1.0)
+    weight = nz if q > 1.0 else np.exp(q * log_r)
+    with np.errstate(over="ignore"):  # d log r overflows to -inf for huge q; expm1 gives -1
+        return 0.0 - float((weight * np.expm1(d * log_r)).sum()) / d
 
 
 def renyi2_entropy(P) -> float:

@@ -163,8 +163,18 @@ def softmax_rows(Z) -> np.ndarray:
         raise DomainError(f"logits must be a (rows, >= 2) array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DomainError("logits contain non-finite entries")
-    e = np.exp(arr - arr.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax_into(arr, np.empty_like(arr))
+
+
+def softmax_into(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of ``logits`` into ``out`` (may be ``logits``): the one kernel, unchecked.
+
+    A row's bits depend on that row alone, so a subset of rows gives the bits of the whole stack.
+    """
+    np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def softmax(z) -> np.ndarray:
@@ -265,6 +275,14 @@ def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> 
     return w * np.where(small, -log_p, deformed)
 
 
+def gate_error_into(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Overwrite a checked (rows, vocab) prediction stack with gate * (P - onehot): the one kernel."""
+    g = gate_per_row(kind, probs, labels)
+    probs *= g[:, None]
+    probs[np.arange(probs.shape[0]), labels] -= g
+    return probs
+
+
 def logit_gradient_rows(kind: ObjectiveKind, Z, targets) -> np.ndarray:
     """Exact logit gradient of each row of a (rows, vocab) logit stack at its target.
 
@@ -272,12 +290,8 @@ def logit_gradient_rows(kind: ObjectiveKind, Z, targets) -> np.ndarray:
     each row's result depends on that row alone.
     """
     P = softmax_rows(Z)
-    targets = _check_targets(P, targets)
     # P holds distributions by construction: gate them without validating again
-    g = gate_per_row(kind, P, targets)
-    grad = g[:, None] * P
-    grad[np.arange(P.shape[0]), targets] -= g
-    return grad
+    return gate_error_into(kind, P, _check_targets(P, targets))
 
 
 def logit_gradient(kind: ObjectiveKind, z, target: int) -> np.ndarray:

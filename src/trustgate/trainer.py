@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .core_math import DomainError
-from .objectives import ObjectiveKind, focus_per_row, frozen_state, loss_per_row
+from .objectives import ObjectiveKind, focus_per_row, gate_error_into, loss_per_row, softmax_into
 
 REGIMES = ("strong", "intermediate", "weak")
 CONFLICT_POLICIES = ("confident_only", "uniform")
@@ -142,7 +142,7 @@ class ToyModel:
         buffer = np.empty_like(self.logit_table[blocks[0]])  # a table has >= 1 row
         for block in blocks:
             logits = self.logit_table[block]
-            probs = _softmax_rows(logits, buffer[: logits.shape[0]])
+            probs = softmax_into(logits, buffer[: logits.shape[0]])
             out[block] = probs[np.arange(logits.shape[0]), labels[block]]
         return out
 
@@ -236,20 +236,6 @@ class RunRecord:
         }
 
 
-def _softmax_rows(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of ``logits`` written into ``out``, which may be ``logits`` itself.
-
-    The trainer's one softmax kernel. Each row is shifted by its max,
-    exponentiated and divided by its sum, all in ``out``; the result of a row
-    depends on that row alone, so a subset of rows gives the same bits as the
-    whole table.
-    """
-    np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
-    return out
-
-
 def _row_blocks(rows: int, width: int) -> list[slice]:
     """Slices that cut ``rows`` rows of ``width`` entries into blocks of about _BLOCK_ENTRIES entries."""
     step = max(1, _BLOCK_ENTRIES // width)
@@ -260,7 +246,7 @@ def _softmax_table(table: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a whole table into a new buffer, one block of rows at a time."""
     out = np.empty_like(table)
     for block in _row_blocks(*table.shape):
-        _softmax_rows(table[block], out[block])
+        softmax_into(table[block], out[block])
     return out
 
 
@@ -304,7 +290,7 @@ def _nll_pretrain(
             block_probs *= _PRETRAIN_LEARNING_RATE
             block_table = table[block]
             block_table -= block_probs
-            _softmax_rows(block_table, block_probs)
+            softmax_into(block_table, block_probs)
             target_p[block] = block_probs[block_rows, block_labels]
     raise BuildError(
         f"pretraining did not reach mean target probability {stop_at} "
@@ -466,12 +452,12 @@ def finetune(
     on ``clean_labels`` (defaults to the supervision labels). No copy of the
     start table is kept.
 
-    One table-sized buffer holds the softmax of the current table, and both
-    states are read from it. A step takes its members in cache-sized parts:
-    it forms each part's update in the part's probs, then refills them with
-    the softmax of the updated rows; a minibatch run also refreshes those rows
-    in its cached focus vector. Every operation is row-wise, so the buffer
-    equals a fresh softmax of the table bit for bit.
+    One table-sized buffer holds the softmax of the current table, both states
+    are read from it, and a vector holds the focus of every row. A step takes
+    its members in cache-sized parts (views for a full batch, gathered rows
+    otherwise) through ``gate_error_into``, the softmax and a focus refresh.
+    Every operation is row-wise, so the buffer equals a fresh softmax of the
+    table bit for bit.
     ``on_step``, when given, sees the current model before each update, for
     instrumentation.
     """
@@ -488,9 +474,7 @@ def finetune(
     batch = cfg.batch_size if cfg.batch_size is not None else table.shape[0]
     batch = min(batch, table.shape[0])
     full_batch = batch == table.shape[0]
-    # the focus of every row: a full batch fills it in as a step forms its
-    # gates, a minibatch run refreshes the rows it updates
-    focus = np.empty(table.shape[0]) if full_batch else _by_blocks(focus_per_row, cfg.objective, probs, labels)
+    focus = _by_blocks(focus_per_row, cfg.objective, probs, labels)
     # a full batch takes the table's blocks, a minibatch the same cuts of its members
     blocks = _row_blocks(batch, table.shape[1])
     order = np.arange(table.shape[0])
@@ -500,6 +484,7 @@ def finetune(
     mean_alpha: list[float] = []
     for step in range(cfg.steps):
         mean_target_p.append(float(probs[rows, labels].mean()))
+        mean_alpha.append(float(focus.mean()))
         if on_step is not None:
             on_step(step, ToyModel(table.copy()))
 
@@ -513,30 +498,21 @@ def finetune(
             members = order[cursor : cursor + batch]
             cursor += batch
             parts = [members[block] for block in blocks]
-            mean_alpha.append(float(focus.mean()))
 
         for part in parts:
-            part_probs = probs[part]
-            part_labels = labels[part]
-            p, w, a = frozen_state(cfg.objective, part_probs, part_labels)
+            part_probs, part_labels = probs[part], labels[part]
             # the update lr * gate * (P - onehot), formed over the part's probs
-            gates = w * p**a
-            part_probs *= gates[:, None]
-            part_probs[np.arange(part_probs.shape[0]), part_labels] -= gates
+            gate_error_into(cfg.objective, part_probs, part_labels)
             part_probs *= cfg.learning_rate
             table[part] -= part_probs
             updated = table[part]
             if not np.all(np.isfinite(updated)):
                 raise TrainingError(f"non-finite logits after update at step {step}")
             # the part's probs take the softmax of its updated rows
-            _softmax_rows(updated, part_probs)
-            if full_batch:
-                focus[part] = a
-            else:
+            softmax_into(updated, part_probs)
+            if not full_batch:
                 probs[part] = part_probs
-                focus[part] = focus_per_row(cfg.objective, part_probs, part_labels)
-        if full_batch:
-            mean_alpha.append(float(focus.mean()))
+            focus[part] = focus_per_row(cfg.objective, part_probs, part_labels)
 
     p_after, loss_after, target_p_after = _label_state(cfg.objective, probs, labels, clean_labels)
     deltas = TokenDeltas(p_before, p_after, loss_before, loss_after)

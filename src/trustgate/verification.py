@@ -39,6 +39,8 @@ from .objectives import (
     LINEAR,
     NLL,
     ObjectiveKind,
+    _check_targets,
+    _logit_row,
     default_kinds,
     fixed_alpha,
     frozen_state,
@@ -65,7 +67,8 @@ _PGD_TOL = 1e-8
 _PGD_MAX_ITERS = 4000
 # Score orders the minimizer accepts. The descent scores probabilities down to
 # PROB_FLOOR; above _MAX_ORDER, p^(1+a) underflows there, and below the
-# smallest normal float, (1+a)/a overflows, so the risk surface goes flat.
+# smallest normal float, a is subnormal and keeps fewer bits (none at 5e-324),
+# so the risk surface turns into steps.
 _MIN_ORDER = sys.float_info.min
 _MAX_ORDER = math.log(sys.float_info.min) / math.log(PROB_FLOOR) - 1.0
 
@@ -138,13 +141,7 @@ def fd_gradient_rows(kind: ObjectiveKind, Z, targets, h: float = 1e-5) -> np.nda
     P0 = softmax_rows(Z)
     Z = np.asarray(Z, dtype=np.float64)
     rows, size = Z.shape
-    targets = np.asarray(targets)
-    if targets.shape != (rows,):
-        raise DomainError(f"expected {rows} target indices, got shape {targets.shape}")
-    bad = (targets < 0) | (targets >= size)
-    if bad.any():
-        raise DomainError(f"target index {int(targets[bad][0])} out of range for vocabulary of {size}")
-    targets = targets.astype(np.intp)
+    targets = _check_targets(P0, targets)
     _, w0, a0 = (column[:, None] for column in frozen_state(kind, P0, targets))
 
     # (rows, size, size): every row with each of its logits nudged in turn
@@ -177,10 +174,7 @@ def fd_gradient(kind: ObjectiveKind, z, target: int, h: float = 1e-5) -> np.ndar
     Oracle counterpart of ``objectives.logit_gradient``; the step must lie in
     [1e-8, 1e-3]. The one-row call of ``fd_gradient_rows``.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size < 2:
-        raise DomainError(f"logits must be a 1-d vector of length >= 2, got shape {z.shape}")
-    return fd_gradient_rows(kind, z[None, :], [int(target)], h)[0]
+    return fd_gradient_rows(kind, _logit_row(z), [int(target)], h)[0]
 
 
 def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER) -> float:
@@ -191,10 +185,8 @@ def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER) -> float:
     if r.size != q.size:
         raise DomainError(f"length mismatch: r has {r.size} entries, phat has {q.size}")
     alpha = _check_order(alpha)
-    qa = np.power(q, alpha)
-    if rule == RULE_MAIN:
-        return float((r * (1.0 - qa)).sum() / alpha)
-    return float(1.0 / alpha - ((1.0 + alpha) / alpha) * (r * qa).sum() + np.power(q, 1.0 + alpha).sum())
+    with np.errstate(over="ignore"):  # a log q overflows to -inf for huge a; expm1 gives -1
+        return float(_risk_rows(q, r, alpha, rule))
 
 
 def _project_simplex(rows: np.ndarray) -> np.ndarray:
@@ -212,15 +204,29 @@ def _project_simplex(rows: np.ndarray) -> np.ndarray:
     return np.maximum(rows - theta[:, None], 0.0).reshape(shape)
 
 
+def _score_terms(rows: np.ndarray, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray]:
+    """Entry terms (weighted, free) of the score: the risk under r is sum r*weighted + sum free.
+
+    With L_a(q) = -expm1(a log q) / a and q^a = 1 + expm1(a log q), q clamped to PROB_FLOOR,
+    the main rule weighs L_a(q) and the proper rule weighs L_a(q) - q^a and adds q * q^a, with
+    q unclamped so that a zero entry adds exactly 0. No terms of order 1/a cancel, so the risk
+    keeps full precision at every order. The proper rule's terms are formed in place, so the
+    dense grid's take two grid-sized arrays at a time. Entries of ``rows`` must be >= 0.
+    """
+    qa = np.expm1(alpha * np.log(np.maximum(rows, PROB_FLOOR)))  # q^a - 1 until the += below
+    loss = qa / -alpha
+    if rule == RULE_MAIN:
+        return loss, np.zeros_like(loss[..., :1])  # no free term: one zero per row
+    qa += 1.0
+    loss -= qa
+    qa *= rows
+    return loss, qa
+
+
 def _risk_rows(rows: np.ndarray, r: np.ndarray, alpha: float, rule: str) -> np.ndarray:
     """Expected score of each row (last axis) of ``rows`` under ``r``, broadcast against them."""
-    q = np.maximum(rows, 0.0)
-    qa = np.power(q, alpha)
-    if rule == RULE_MAIN:
-        return ((r * (1.0 - qa)).sum(axis=-1)) / alpha
-    return 1.0 / alpha - ((1.0 + alpha) / alpha) * (r * qa).sum(axis=-1) + np.power(
-        q, 1.0 + alpha
-    ).sum(axis=-1)
+    weighted, free = _score_terms(rows, alpha, rule)
+    return (r * weighted).sum(axis=-1) + free.sum(axis=-1)
 
 
 def _risk_grad_rows(rows: np.ndarray, r: np.ndarray, alpha: float, rule: str) -> np.ndarray:
@@ -251,25 +257,21 @@ def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
 def _grid_minimizers(rs: np.ndarray, alpha: float, rule: str) -> np.ndarray:
     """Dense-grid minimizer of the risk of each row of rs (dimension <= 3).
 
-    The grid's powers are taken once per call. Each problem's grid risk is then
-    one weighted sum of grid columns, added in the order ``_risk_rows`` sums,
-    so it equals ``_risk_rows(grid, r, ...)`` bit for bit. Problems are scanned
-    one at a time, so memory stays flat in their number.
+    The grid's score terms are taken once per call. Each problem's grid risk is
+    then one weighted sum of grid columns plus the free sums, added in the order
+    ``_risk_rows`` adds, so it equals ``_risk_rows(grid, r, ...)`` bit for bit.
+    Problems are scanned one at a time, so memory stays flat in their number.
     """
     grid = _simplex_grid(rs.shape[1], _GRID_RESOLUTION)
-    qa = np.power(grid, alpha)
-    columns = (1.0 - qa if rule == RULE_MAIN else qa).T.copy()
-    if rule == RULE_PROPER:
-        power_sums = np.power(grid, 1.0 + alpha).sum(axis=1)
+    weighted, free = _score_terms(grid, alpha, rule)
+    columns, free_sums = weighted.T.copy(), free.sum(axis=1)
+    del weighted, free  # the scan below holds the columns alone
     best = np.empty(rs.shape[0], dtype=np.intp)
     for index, r in enumerate(rs):
-        weighted = r[0] * columns[0]
+        risk = r[0] * columns[0]
         for weight, column in zip(r[1:], columns[1:]):
-            weighted += weight * column
-        if rule == RULE_MAIN:
-            risk = weighted / alpha
-        else:
-            risk = 1.0 / alpha - ((1.0 + alpha) / alpha) * weighted + power_sums
+            risk += weight * column
+        risk += free_sums
         best[index] = np.argmin(risk)
     return grid[best]
 
@@ -323,8 +325,8 @@ def minimize_risk_rows(rs, alpha: float, rule: str = RULE_PROPER) -> tuple[np.nd
     search never starts from ``r`` itself, so recovering ``r`` is a finding,
     not an input. All problems descend together, but each keeps its own
     steps and stop test, so a row's result does not depend on the others.
-    Returns the (problems, dim) minimizers and their risks. Orders whose score
-    arithmetic under- or overflows (outside [2.2e-308, 24.6]) are rejected.
+    Returns the (problems, dim) minimizers and their risks. Orders outside
+    [2.2e-308, 24.6], where the score arithmetic underflows, are rejected.
     """
     rule = _check_rule(rule)
     rs = validate_rows(rs)

@@ -322,6 +322,21 @@ class TestDuality:
         minimizer = np.array(body["minimizer"])
         assert float(np.abs(minimizer - np.array([0.8, 0.2])).max()) > 0.05
 
+    @pytest.mark.parametrize("rule", ["proper", "main"])
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-12", "1e-8", "1e-5"])
+    def test_tiny_order_keeps_risk_and_entropy(self, alpha, rule, capsys):
+        """Near order 0 the risk is the entropy; once it read 1.0 (proper) or 0.0 (main) at 1e-300."""
+        code, out, _ = run_cli(capsys, "duality", "--r", "0.8,0.2", "--alpha", alpha, "--rule", rule)
+        assert code == 0
+        body = json.loads(out)
+        r, a = np.array([0.8, 0.2]), float(alpha)
+        # the main rule's minimizer is the escort of r, 2.2e-6 from it at 1e-5
+        expected = r if rule == "proper" else r ** (1.0 / (1.0 - a)) / (r ** (1.0 / (1.0 - a))).sum()
+        assert float(np.abs(np.array(body["minimizer"]) - expected).max()) <= 1e-6
+        assert abs(body["risk"] - body["tsallis_entropy"]) <= 1e-9
+        entropy = -(r * np.log(r)).sum()
+        assert abs(body["tsallis_entropy"] - entropy) <= 1e-5
+
     def test_malformed_distribution_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "duality", "--r", "0.8;0.2", "--alpha", "0.5")
         assert code == 2

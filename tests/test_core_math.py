@@ -101,6 +101,8 @@ class TestEntropies:
 
     def test_tsallis_point_mass_is_zero(self):
         assert tsallis_entropy([1.0, 0.0], 2.0) == 0.0
+        for q in (0.5, 1.0, 1.0 + 1e-12, 2.0):
+            assert math.copysign(1.0, tsallis_entropy([0.0, 1.0], q)) == 1.0
 
     def test_tsallis_skewed_pair(self):
         assert tsallis_entropy([0.9, 0.1], 2.0) == pytest.approx(0.18, abs=1e-12)
@@ -114,6 +116,33 @@ class TestEntropies:
             tsallis_entropy([0.5, 0.5], 0.0)
         with pytest.raises(DomainError):
             tsallis_entropy([0.5, 0.5], -1.0)
+
+    @pytest.mark.parametrize("dist", [[0.8, 0.2], [0.5, 0.3, 0.2], [0.97, 0.02, 0.01]])
+    @pytest.mark.parametrize("offset", [2e-9, -2e-9, 1e-8, -1e-8, 1e-7, 1e-6, -1e-6, 1e-5, -1e-5])
+    def test_tsallis_near_order_one_follows_its_expansion(self, dist, offset):
+        """H_q = H - (q-1)/2 sum r log^2 r - (q-1)^2/6 sum r log^3 r + O((q-1)^3).
+
+        The direct quotient (1 - sum r^q) / (q - 1) misses this by 2.3e-8 at
+        q = 1 + 2e-9 for r = (0.8, 0.2); the third-order remainder is below
+        1e-15 at every offset here.
+        """
+        r = np.array(dist)
+        q = 1.0 + offset
+        d = q - 1.0
+        log_r = np.log(r)
+        expansion = (
+            shannon_entropy(r)
+            - d / 2.0 * float((r * log_r**2).sum())
+            - d * d / 6.0 * float((r * log_r**3).sum())
+        )
+        assert abs(tsallis_entropy(r, q) - expansion) <= 1e-14
+
+    def test_tsallis_extreme_orders_stay_finite(self):
+        """No power of r exceeds 1: a subnormal entry at a tiny order and a huge order are exact."""
+        assert tsallis_entropy([0.9, 0.1], 1e308) == pytest.approx(1e-308, rel=1e-12)
+        tiny = 5e-324
+        expected = (1.0 - tiny**0.01 - (1.0 - tiny) ** 0.01) / (0.01 - 1.0)
+        assert tsallis_entropy([tiny, 1.0 - tiny], 0.01) == pytest.approx(expected, rel=1e-12)
 
     def test_tsallis_nonnegative_on_random_distributions(self):
         rng = np.random.default_rng(3)

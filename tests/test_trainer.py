@@ -32,8 +32,8 @@ from trustgate import (
 )
 from trustgate import trainer
 from trustgate.cli import parse_and_run
-from trustgate.objectives import focus_per_row, loss_per_row
-from trustgate.trainer import DEFAULT_HISTOGRAM_EDGES, MAX_TABLE_ENTRIES, _softmax_rows
+from trustgate.objectives import focus_per_row, loss_per_row, softmax_into
+from trustgate.trainer import DEFAULT_HISTOGRAM_EDGES, MAX_TABLE_ENTRIES
 
 
 def final_probs(record):
@@ -535,11 +535,11 @@ def test_softmax_kernel_matches_reference_on_any_rows(case):
     """The in-place kernel equals the reference bit for bit, on the whole table and on gathered rows."""
     table, subset = case
     expected = _reference_softmax(table)
-    whole = _softmax_rows(table, np.empty_like(table))
+    whole = softmax_into(table, np.empty_like(table))
     assert whole.tobytes() == expected.tobytes()
     gathered = table[subset]
-    assert _softmax_rows(gathered, gathered).tobytes() == expected[subset].tobytes()
-    assert np.shares_memory(_softmax_rows(table, table), table)
+    assert softmax_into(gathered, gathered).tobytes() == expected[subset].tobytes()
+    assert np.shares_memory(softmax_into(table, table), table)
     assert table.tobytes() == expected.tobytes()
 
 
