@@ -8,6 +8,7 @@ there are no environment variables.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -91,28 +92,21 @@ def _load_train_config(path: str, args: argparse.Namespace) -> dict:
     return raw
 
 
+def _fields_set(cfg: dict, cls) -> dict:
+    """The config's values for the fields of dataclass ``cls``; fields it leaves out keep their defaults."""
+    return {field.name: cfg[field.name] for field in dataclasses.fields(cls) if field.name in cfg}
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_train_config(args.config, args)
     try:
-        spec = RegimeSpec(
-            regime=cfg.get("regime", "strong"),
-            vocab_size=cfg.get("vocab_size", 32),
-            num_contexts=cfg.get("num_contexts", 256),
-            conflict_fraction=cfg.get("conflict_fraction", 0.0),
-            conflict_policy=cfg.get("conflict_policy", "confident_only"),
-        )
-        seed = cfg.get("seed", 0)
-        train_cfg = TrainConfig(
-            objective=ObjectiveKind.parse(cfg.get("objective", "nll")),
-            learning_rate=cfg.get("learning_rate", 0.5),
-            steps=cfg.get("steps", 200),
-            batch_size=cfg.get("batch_size"),
-            seed=seed,
-        )
+        spec = RegimeSpec(**_fields_set(cfg, RegimeSpec))
+        objective = ObjectiveKind.parse(cfg.get("objective", "nll"))
+        train_cfg = TrainConfig(**{**_fields_set(cfg, TrainConfig), "objective": objective})
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     check_target(args.out)  # before the run, not after it
-    task = build_task(spec, cfg.get("task_seed", seed))
+    task = build_task(spec, cfg.get("task_seed", train_cfg.seed))
     record = finetune(task.model, task.labels, train_cfg, clean_labels=task.clean_labels)
     record.config["regime"] = spec.regime
     emit(record, args.out, "json")

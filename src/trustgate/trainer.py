@@ -146,9 +146,6 @@ class ToyModel:
             out[block] = probs[np.arange(logits.shape[0]), labels[block]]
         return out
 
-    def copy(self) -> "ToyModel":
-        return ToyModel(self.logit_table.copy())
-
 
 @dataclass(frozen=True)
 class TrainConfig:

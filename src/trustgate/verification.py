@@ -2,15 +2,14 @@
 
 Every formal claim the library relies on is recomputed here by a route that
 does not share code with the implementation it checks: finite differences
-instead of analytic gradients, dense simplex search plus projected descent
-instead of closed-form minimizers, and explicit entropy formulas instead of
-the loss-side identities. Results are returned as ``PropertyReport`` records
+instead of analytic gradients, a direct search over the simplex that reads
+only the score instead of closed-form minimizers, and explicit entropy
+formulas instead of the loss-side identities. Results are returned as ``PropertyReport`` records
 so a single suite run can serve as a CI gate.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -59,13 +58,15 @@ RULE_MAIN = "main"
 RULE_PROPER = "proper"
 _RULES = (RULE_MAIN, RULE_PROPER)
 
-# Defaults for the risk-minimization oracle.
-_GRID_RESOLUTION = 400
+# Defaults for the risk-minimization oracle. Each start of the pair-move search
+# moves mass in steps from _FIRST_STEP down to _MIN_STEP; _MAX_ITERS is only a
+# guard (searches end within about 110 iterations).
 _MAX_VOCAB = 6
 _NUM_RESTARTS = 16
-_PGD_TOL = 1e-8
-_PGD_MAX_ITERS = 4000
-# Score orders the minimizer accepts. The descent scores probabilities down to
+_FIRST_STEP = 0.25
+_MIN_STEP = 1e-12
+_MAX_ITERS = 4000
+# Score orders the minimizer accepts. The search scores probabilities down to
 # PROB_FLOOR; above _MAX_ORDER, p^(1+a) underflows there, and below the
 # smallest normal float, a is subnormal and keeps fewer bits (none at 5e-324),
 # so the risk surface turns into steps.
@@ -189,29 +190,14 @@ def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER) -> float:
         return float(_risk_rows(q, r, alpha, rule))
 
 
-def _project_simplex(rows: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row (last axis) onto the probability simplex."""
-    shape = rows.shape
-    rows = rows.reshape(-1, shape[-1])
-    n = rows.shape[1]
-    sorted_desc = np.sort(rows, axis=1)[:, ::-1]
-    cumsums = np.cumsum(sorted_desc, axis=1)
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    positive = sorted_desc + (1.0 - cumsums) / ks > 0.0
-    # index of the last True entry per row
-    rho = n - 1 - np.argmax(positive[:, ::-1], axis=1)
-    theta = (cumsums[np.arange(rows.shape[0]), rho] - 1.0) / (rho + 1.0)
-    return np.maximum(rows - theta[:, None], 0.0).reshape(shape)
-
-
 def _score_terms(rows: np.ndarray, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray]:
     """Entry terms (weighted, free) of the score: the risk under r is sum r*weighted + sum free.
 
     With L_a(q) = -expm1(a log q) / a and q^a = 1 + expm1(a log q), q clamped to PROB_FLOOR,
     the main rule weighs L_a(q) and the proper rule weighs L_a(q) - q^a and adds q * q^a, with
     q unclamped so that a zero entry adds exactly 0. No terms of order 1/a cancel, so the risk
-    keeps full precision at every order. The proper rule's terms are formed in place, so the
-    dense grid's take two grid-sized arrays at a time. Entries of ``rows`` must be >= 0.
+    keeps full precision at every order. The proper rule's terms are formed in place, in two
+    arrays the size of ``rows``. Entries of ``rows`` must be >= 0.
     """
     qa = np.expm1(alpha * np.log(np.maximum(rows, PROB_FLOOR)))  # q^a - 1 until the += below
     loss = qa / -alpha
@@ -229,103 +215,51 @@ def _risk_rows(rows: np.ndarray, r: np.ndarray, alpha: float, rule: str) -> np.n
     return (r * weighted).sum(axis=-1) + free.sum(axis=-1)
 
 
-def _risk_grad_rows(rows: np.ndarray, r: np.ndarray, alpha: float, rule: str) -> np.ndarray:
-    q = np.maximum(rows, PROB_FLOOR)
-    if rule == RULE_MAIN:
-        return -r * np.power(q, alpha - 1.0)
-    return (1.0 + alpha) * (np.power(q, alpha) - r * np.power(q, alpha - 1.0))
-
-
-@functools.lru_cache(maxsize=2)
-def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
-    """All points of the simplex with coordinates at multiples of 1/resolution (read-only, cached)."""
-    if dim == 2:
-        t = np.arange(resolution + 1, dtype=np.float64) / resolution
-        grid = np.stack([t, 1.0 - t], axis=1)
-    elif dim == 3:
-        i, j = np.meshgrid(np.arange(resolution + 1), np.arange(resolution + 1), indexing="ij")
-        keep = (i + j) <= resolution
-        i = i[keep].astype(np.float64)
-        j = j[keep].astype(np.float64)
-        grid = np.stack([i, j, resolution - i - j], axis=1) / resolution
-    else:
-        raise DomainError(f"dense simplex grid only built for dimension <= 3, got {dim}")
-    grid.flags.writeable = False
-    return grid
-
-
-def _grid_minimizers(rs: np.ndarray, alpha: float, rule: str) -> np.ndarray:
-    """Dense-grid minimizer of the risk of each row of rs (dimension <= 3).
-
-    The grid's score terms are taken once per call. Each problem's grid risk is
-    then one weighted sum of grid columns plus the free sums, added in the order
-    ``_risk_rows`` adds, so it equals ``_risk_rows(grid, r, ...)`` bit for bit.
-    Problems are scanned one at a time, so memory stays flat in their number.
-    """
-    grid = _simplex_grid(rs.shape[1], _GRID_RESOLUTION)
-    weighted, free = _score_terms(grid, alpha, rule)
-    columns, free_sums = weighted.T.copy(), free.sum(axis=1)
-    del weighted, free  # the scan below holds the columns alone
-    best = np.empty(rs.shape[0], dtype=np.intp)
-    for index, r in enumerate(rs):
-        risk = r[0] * columns[0]
-        for weight, column in zip(r[1:], columns[1:]):
-            risk += weight * column
-        risk += free_sums
-        best[index] = np.argmin(risk)
-    return grid[best]
-
-
 def _descend(points: np.ndarray, rs: np.ndarray, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient descent from a (problems, starts, dim) stack of starts.
+    """Pair-move search from a (problems, starts, dim) stack of starts, on the risk alone.
 
-    Every start keeps its own adaptive step. Every problem keeps its own stall
-    counter and leaves the active set on the first iteration where the counter
-    reaches 12 or its largest step falls below 1e-12. Returns the final points
-    and their risks.
+    Each iteration tries, for every ordered pair (giver j, taker i), moving
+    min(step, q_j) of mass from entry j to entry i, each try divided by its sum.
+    A start takes its best try when that lowers its risk and halves its own step
+    otherwise; it stops once its step is below _MIN_STEP. Every start's moves
+    depend on its own state alone. Returns the final points and their risks.
     """
-    final_points = np.empty_like(points)
-    final_risk = np.empty(points.shape[:2])
-    active = np.arange(points.shape[0])
-    r = rs[:, None, :]
-    risk = _risk_rows(points, r, alpha, rule)
-    step = np.full(risk.shape, 0.25)
-    stall = np.zeros(active.size, dtype=np.intp)
-    for _ in range(_PGD_MAX_ITERS):
-        if active.size == 0:
+    dim = points.shape[-1]
+    giver, taker = np.nonzero(~np.eye(dim, dtype=bool))
+    moves = np.arange(giver.size)
+    r = rs[:, None, None, :]
+    risk = _risk_rows(points, rs[:, None, :], alpha, rule)
+    step = np.full(risk.shape, _FIRST_STEP)
+    for _ in range(_MAX_ITERS):
+        going = step >= _MIN_STEP
+        if not going.any():
             break
-        grad = _risk_grad_rows(points, r, alpha, rule)
-        candidate = _project_simplex(points - step[..., None] * grad)
-        cand_risk = _risk_rows(candidate, r, alpha, rule)
-        improved = cand_risk <= risk
-        gain = np.where(improved, risk - cand_risk, 0.0).max(axis=1)
-        points = np.where(improved[..., None], candidate, points)
-        risk = np.where(improved, cand_risk, risk)
-        step = step * np.where(improved, 1.2, 0.5)
-        stall = np.where(gain < _PGD_TOL * 1e-2, stall + 1, 0)
-        stop = (stall >= 12) | (step.max(axis=1) < 1e-12)
-        if stop.any():
-            final_points[active[stop]] = points[stop]
-            final_risk[active[stop]] = risk[stop]
-            going = ~stop
-            active, points, risk, step, stall, r = (
-                active[going], points[going], risk[going], step[going], stall[going], r[going]
-            )
-    final_points[active] = points
-    final_risk[active] = risk
-    return final_points, final_risk
+        tries = np.repeat(points[..., None, :], moves.size, axis=-2)
+        mass = np.minimum(step[..., None], points[..., giver])
+        tries[..., moves, giver] -= mass
+        tries[..., moves, taker] += mass
+        tries /= tries.sum(axis=-1, keepdims=True)
+        try_risk = _risk_rows(tries, r, alpha, rule)
+        best = np.argmin(try_risk, axis=-1)[..., None]
+        best_risk = np.take_along_axis(try_risk, best, axis=-1)[..., 0]
+        take = going & (best_risk < risk)
+        chosen = np.take_along_axis(tries, best[..., None], axis=-2)[..., 0, :]
+        points = np.where(take[..., None], chosen, points)
+        risk = np.where(take, best_risk, risk)
+        step = np.where(going & ~take, 0.5 * step, step)
+    return points, risk
 
 
 def minimize_risk_rows(rs, alpha: float, rule: str = RULE_PROPER) -> tuple[np.ndarray, np.ndarray]:
     """Search oracle for the expected-score minimizer of each row of a (problems, dim) stack.
 
-    Dense grid (resolution 1/400, vocabularies of size <= 3) gives a global
-    candidate; projected gradient descent with per-start adaptive steps
-    refines it together with 16 random restarts and the uniform start. The
-    search never starts from ``r`` itself, so recovering ``r`` is a finding,
-    not an input. All problems descend together, but each keeps its own
-    steps and stop test, so a row's result does not depend on the others.
-    Returns the (problems, dim) minimizers and their risks. Orders outside
+    The uniform start and 16 fixed random restarts each run a pair-move search
+    (``_descend``) that moves mass along the simplex edges and reads only the
+    risk, so every dimension from 2 to 6 takes the same path. The search never
+    starts from ``r`` itself, so recovering ``r`` is a finding, not an input.
+    All problems search together, but each start keeps its own step and stop
+    test, so a row's result does not depend on the others. Returns the
+    (problems, dim) minimizers and their risks. Orders outside
     [2.2e-308, 24.6], where the score arithmetic underflows, are rejected.
     """
     rule = _check_rule(rule)
@@ -341,11 +275,8 @@ def minimize_risk_rows(rs, alpha: float, rule: str = RULE_PROPER) -> tuple[np.nd
         raise DomainError(f"unsupported size: vocabulary {dim} exceeds {_MAX_VOCAB}")
 
     restarts = np.random.default_rng(0).dirichlet(np.ones(dim), size=_NUM_RESTARTS)
-    starts = [np.full((problems, 1, dim), 1.0 / dim)]
-    if dim <= 3:
-        starts.append(_grid_minimizers(rs, alpha, rule)[:, None, :])
-    starts.append(np.broadcast_to(restarts, (problems, _NUM_RESTARTS, dim)))
-    points, risk = _descend(np.concatenate(starts, axis=1), rs, alpha, rule)
+    starts = np.concatenate([np.full((1, dim), 1.0 / dim), restarts])
+    points, risk = _descend(np.broadcast_to(starts, (problems, *starts.shape)), rs, alpha, rule)
     index, best = np.arange(problems), np.argmin(risk, axis=1)
     return points[index, best], risk[index, best]
 
@@ -743,8 +674,8 @@ def _suite_duality_reports(rng: np.random.Generator) -> list[PropertyReport]:
                 worst_risk = max(worst_risk, abs(float(risk) - tsallis_entropy(r, 1.0 + alpha)))
                 worst_min = max(worst_min, float(np.abs(minimizer - r).max()))
     reports = [
-        _report("duality-proper-risk", worst_risk, 1e-3),
-        _report("duality-proper-minimizer", worst_min, 1e-2),
+        _report("duality-proper-risk", worst_risk, 1e-12),
+        _report("duality-proper-minimizer", worst_min, 1e-6),
     ]
 
     r = np.array([0.8, 0.2])

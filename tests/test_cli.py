@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from trustgate import cli
+from trustgate import cli, tsallis_entropy
 from trustgate.cli import parse_and_run
 
 
@@ -336,6 +336,23 @@ class TestDuality:
         assert abs(body["risk"] - body["tsallis_entropy"]) <= 1e-9
         entropy = -(r * np.log(r)).sum()
         assert abs(body["tsallis_entropy"] - entropy) <= 1e-5
+
+    def test_five_tokens_with_small_entries_recover_truth(self, capsys):
+        """The old descent stopped at [0.592, 0.257, 0.106, 0.045, 0.0] with risk 0.74154 here."""
+        r = [0.6, 0.25, 0.1, 0.04, 0.01]
+        code, out, _ = run_cli(capsys, "duality", "--r", ",".join(map(str, r)), "--alpha", "0.5")
+        assert code == 0
+        body = json.loads(out)
+        assert float(np.abs(np.array(body["minimizer"]) - r).max()) <= 1e-6
+        assert abs(body["risk"] - tsallis_entropy(r, 1.5)) <= 1e-12
+
+    def test_point_mass_under_main_rule_scores_zero(self, capsys):
+        """Moves onto a vertex are divided by their sum, so the minimizer is the vertex exactly."""
+        code, out, _ = run_cli(capsys, "duality", "--r", "0,0,1", "--alpha", "0.5", "--rule", "main")
+        assert code == 0
+        body = json.loads(out)
+        assert body["minimizer"] == [0.0, 0.0, 1.0]
+        assert body["risk"] == 0.0
 
     def test_malformed_distribution_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "duality", "--r", "0.8;0.2", "--alpha", "0.5")

@@ -39,6 +39,7 @@ from trustgate import (
     softmax,
     softmax_jacobian,
     tsallis_entropy,
+    validate_dist,
 )
 from trustgate import verification
 from trustgate.landscape import construct_distribution, feasible_entropy_range
@@ -201,72 +202,49 @@ class TestMinimizeRisk:
             minimize_risk([0.5, 0.5], 0.5, "brier")
 
 
-@functools.lru_cache(maxsize=None)
-def _reference_grid(dim):
-    if dim == 2:
-        t = np.arange(401, dtype=np.float64) / 400
-        return np.stack([t, 1.0 - t], axis=1)
-    i, j = np.meshgrid(np.arange(401), np.arange(401), indexing="ij")
-    keep = (i + j) <= 400
-    i, j = i[keep].astype(np.float64), j[keep].astype(np.float64)
-    return np.stack([i, j, 400 - i - j], axis=1) / 400
-
-
 def _reference_minimize_risk(r, alpha, rule, max_iters=4000):
-    """The search as one scalar loop per problem: the minimizer before it was batched.
+    """The pair-move search for one problem, which the batched search must match bit for bit.
 
     The score is in its cancellation-free form: sum r L(q) for the main rule and
     sum r (L(q) - q^a) + sum q^(1+a) for the proper rule, with the deformed loss
     L(q) = (1 - q^a) / a = -expm1(a log q) / a, q clamped to 1e-12 inside the
-    log and q^(1+a) taken as q * q^a with q unclamped.
+    log and q^(1+a) taken as q * q^a with q unclamped. A try adds min(step, q_j)
+    times the edge e_i - e_j to a start and divides by the sum.
     """
 
     def risk_rows(rows):
         deformed = np.expm1(alpha * np.log(np.maximum(rows, 1e-12)))
         loss = -deformed / alpha
         if rule == RULE_MAIN:
-            return (r[None, :] * loss).sum(axis=1)
+            return (r * loss).sum(axis=-1)
         qa = 1.0 + deformed
-        return (r[None, :] * (loss - qa)).sum(axis=1) + (rows * qa).sum(axis=1)
-
-    def grad_rows(rows):
-        q = np.maximum(rows, 1e-12)
-        if rule == RULE_MAIN:
-            return -r[None, :] * np.power(q, alpha - 1.0)
-        return (1.0 + alpha) * (np.power(q, alpha) - r[None, :] * np.power(q, alpha - 1.0))
-
-    def project(rows):
-        n = rows.shape[1]
-        sorted_desc = np.sort(rows, axis=1)[:, ::-1]
-        cumsums = np.cumsum(sorted_desc, axis=1)
-        positive = sorted_desc + (1.0 - cumsums) / np.arange(1, n + 1, dtype=np.float64) > 0.0
-        rho = n - 1 - np.argmax(positive[:, ::-1], axis=1)
-        theta = (cumsums[np.arange(rows.shape[0]), rho] - 1.0) / (rho + 1.0)
-        return np.maximum(rows - theta[:, None], 0.0)
+        return (r * (loss - qa)).sum(axis=-1) + (rows * qa).sum(axis=-1)
 
     dim = r.size
+    pairs = list(itertools.permutations(range(dim), 2))
+    givers = [j for j, _ in pairs]
+    edges = np.zeros((len(pairs), dim))
+    for index, (j, i) in enumerate(pairs):
+        edges[index, i], edges[index, j] = 1.0, -1.0
     rng = np.random.default_rng(0)
-    starts = [np.full(dim, 1.0 / dim)]
-    if dim <= 3:
-        grid = _reference_grid(dim)
-        starts.append(grid[int(np.argmin(risk_rows(grid)))])
-    starts.extend(rng.dirichlet(np.ones(dim), size=16))
-    points = np.vstack(starts)
+    points = np.vstack([np.full(dim, 1.0 / dim), rng.dirichlet(np.ones(dim), size=16)])
     risk = risk_rows(points)
     step = np.full(points.shape[0], 0.25)
-    stall = 0
     for _ in range(max_iters):
-        candidate = project(points - step[:, None] * grad_rows(points))
-        cand_risk = risk_rows(candidate)
-        improved = cand_risk <= risk
-        gain = float(np.max(np.where(improved, risk - cand_risk, 0.0)))
-        points[improved] = candidate[improved]
-        risk[improved] = cand_risk[improved]
-        step[improved] *= 1.2
-        step[~improved] *= 0.5
-        stall = stall + 1 if gain < 1e-10 else 0
-        if stall >= 12 or step.max() < 1e-12:
+        going = step >= 1e-12
+        if not going.any():
             break
+        mass = np.minimum(step[:, None], points[:, givers])
+        tries = points[:, None, :] + mass[:, :, None] * edges
+        tries /= tries.sum(axis=-1, keepdims=True)
+        try_risk = risk_rows(tries)
+        best = np.argmin(try_risk, axis=1)
+        for start in np.flatnonzero(going):
+            if try_risk[start, best[start]] < risk[start]:
+                points[start] = tries[start, best[start]]
+                risk[start] = try_risk[start, best[start]]
+            else:
+                step[start] *= 0.5
     best = int(np.argmin(risk))
     return points[best], float(risk[best])
 
@@ -311,19 +289,12 @@ class TestMinimizeRiskRows:
 
     def test_iteration_cap_matches_scalar_search(self, monkeypatch):
         """Problems still descending when the iterations run out keep their last state."""
-        monkeypatch.setattr(verification, "_PGD_MAX_ITERS", 9)
+        monkeypatch.setattr(verification, "_MAX_ITERS", 9)
         rs = _truths(np.random.default_rng(11), 4, 3)
         minimizers, risks = minimize_risk_rows(rs, 0.5, RULE_PROPER)
         for r, minimizer, risk in zip(rs, minimizers, risks):
             expected, expected_risk = _reference_minimize_risk(r, 0.5, RULE_PROPER, max_iters=9)
             assert np.array_equal(minimizer, expected) and risk == expected_risk
-
-    def test_cached_grid_is_read_only(self):
-        grid = verification._simplex_grid(3, 400)
-        assert grid is verification._simplex_grid(3, 400)
-        with pytest.raises(ValueError):
-            grid[0, 0] = 0.5
-        npt.assert_array_equal(grid, _reference_grid(3))
 
     def test_empty_stack(self):
         minimizers, risks = minimize_risk_rows(np.empty((0, 3)), 0.5, RULE_PROPER)
@@ -369,15 +340,49 @@ class TestMinimizeRiskRows:
         assert abs(risk - tsallis_entropy(r, 1.0 + alpha)) <= 1e-9
         assert abs(expected_score(r, r, alpha, rule) - tsallis_entropy(r, 1.0 + alpha)) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_orders_below_one_reach_the_exact_minimizer(self, dim):
+        """The proper rule recovers r with the Bayes risk; the main rule reaches the escort of r.
+
+        The truths mix sparse, flat and concentrated Dirichlet draws, so some
+        have entries near 0, where the old descent stopped on the boundary face.
+        """
+        rng = np.random.default_rng(100 + dim)
+        rs = np.vstack([rng.dirichlet(np.full(dim, c), size=2) for c in (0.2, 0.7, 5.0)])
+        for alpha in (1e-300, 1e-8, 0.05, 0.25, 0.5, 0.9):
+            minimizers, risks = minimize_risk_rows(rs, alpha, RULE_PROPER)
+            assert float(np.abs(minimizers - rs).max()) <= 1e-6
+            for r, risk in zip(rs, risks):
+                assert abs(risk - expected_score(r, r, alpha, RULE_PROPER)) <= 1e-12
+            escort = rs ** (1.0 / (1.0 - alpha))
+            escort /= escort.sum(axis=1, keepdims=True)
+            minimizers, _ = minimize_risk_rows(rs, alpha, RULE_MAIN)
+            assert float(np.abs(minimizers - escort).max()) <= 1e-6
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_orders_from_one_reach_the_global_minimum(self, dim):
+        """At orders 1 to 24 the proper risk ends at the entropy and the main risk at the best vertex."""
+        rng = np.random.default_rng(200 + dim)
+        rs = np.vstack([rng.dirichlet(np.full(dim, c), size=2) for c in (0.2, 0.7, 5.0)])
+        for alpha in (1.0, 1.5, 2.0, 4.0, 8.0, 16.0, 24.0):
+            _, risks = minimize_risk_rows(rs, alpha, RULE_PROPER)
+            for r, risk in zip(rs, risks):
+                assert risk <= tsallis_entropy(r, 1.0 + alpha) + 1e-12
+            _, risks = minimize_risk_rows(rs, alpha, RULE_MAIN)
+            for r, risk in zip(rs, risks):
+                vertex = np.zeros(dim)
+                vertex[np.argmax(r)] = 1.0
+                assert risk <= expected_score(r, vertex, alpha, RULE_MAIN) + 1e-12
+
     @pytest.mark.parametrize("rule", [RULE_PROPER, RULE_MAIN])
-    def test_grid_risk_equals_risk_rows(self, rule):
-        """The grid's column sums are the stack form of the risk, bit for bit."""
-        rs = _truths(np.random.default_rng(6), 4, 3)
-        grid = verification._simplex_grid(3, 400)
-        for alpha in (1e-300, 1e-8, 0.5, 2.0):
-            found = verification._grid_minimizers(rs, alpha, rule)
-            for r, point in zip(rs, found):
-                assert np.array_equal(point, grid[np.argmin(verification._risk_rows(grid, r, alpha, rule))])
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_minimizers_are_distributions(self, dim, rule):
+        """Every try is divided by its sum, so no entry of a minimizer ends above 1."""
+        rs = _truths(np.random.default_rng(dim), 3, dim)
+        for alpha in (1e-300, 0.5, 2.0, 24.0):
+            for minimizer in minimize_risk_rows(rs, alpha, rule)[0]:
+                validate_dist(minimizer)
+                assert minimizer.max() <= 1.0 and minimizer.min() >= 0.0
 
     def test_largest_accepted_order_still_recovers_truth(self):
         minimizer, risk = minimize_risk([0.8, 0.2], 24.0, RULE_PROPER)
@@ -432,17 +437,17 @@ class TestRiskFlowOrdering:
             assert gradient_flow_ordering("weak", (LINEAR, NLL), seed=seed).passed
 
 
-# sha256 of reports_to_json(run_property_suite(7)). Re-pinned when the
-# expected score and the Tsallis entropy took their cancellation-free forms:
-# against the hash before that, only the max_error of duality-proper-minimizer,
-# duality-proper-risk and loss-entropy-index-relation changed (all smaller).
-GOLDEN_SUITE_SHA256 = "e99cff75d786373681685b154129136dd2492a3f5ea589c1dd1d5ff8a214125c"
+# sha256 of reports_to_json(run_property_suite(7)). Re-pinned when the risk
+# minimizer became the pair-move search and the two duality-proper reports took
+# the tolerances it meets (1e-12 risk, 1e-6 minimizer): against the hash before
+# that, only the max_error and detail of those two reports changed.
+GOLDEN_SUITE_SHA256 = "91730138bfb82f9001d2e9a67d77ccac1b0f0e9ba1023352cdf21e90a6d0e724"
 
 # The same hash at two more seeds (21 is the one whose fd-gradient-static
 # report once failed), re-pinned with the one above.
 GOLDEN_SEED_SHA256 = {
-    0: "8ea9dda17368497a34071731c325a69b2fc90751b12c24fc0d967b1996a8bd94",
-    21: "9379ae8fae24f60dcdaa6ef8ff4800007bc20b70eab3f3f46b6ded025360ffd4",
+    0: "c9c633a94de18772cb7cd9c6b5d9dea55f6d8cc50b172c65c6ec6c7ffecbc35c",
+    21: "34df81de847fce47c99332bc0d2ed99e4114d7ef2e642cf72ed538b2c67c396e",
 }
 
 
