@@ -9,6 +9,7 @@ No I/O, no mutable state; every function is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -17,13 +18,12 @@ import numpy as np
 # which results are reported.
 PROB_FLOOR = 1e-12
 
-# Below this focus exponent the closed-form deformed loss (1 - p^a)/a is
-# replaced by its exact -log(p) limit; the direct quotient loses precision to
-# cancellation at that scale.
-ALPHA_SWITCH = 1e-6
-
-# Deformation orders within this distance of 1 use the logarithmic limit.
-Q_ONE_SWITCH = 1e-9
+# The deformed loss is written -expm1(a log p) / a, which keeps full precision
+# at every a > 0, so its -log(p) limit is taken at a == 0 alone (and the log
+# limit of q_log and tsallis_entropy at q == 1 alone). A positive order must be
+# at least the smallest normal float: below it the order is subnormal and keeps
+# fewer bits the smaller it gets (none at 5e-324).
+MIN_ORDER = sys.float_info.min
 
 # A probability vector must sum to 1 within this tolerance.
 DIST_SUM_TOL = 1e-9
@@ -85,27 +85,28 @@ def validate_rows(probs) -> np.ndarray:
 def q_log(x: float, q: float) -> float:
     """Generalized logarithm ln_q(x) = (x^(1-q) - 1) / (1 - q) for x > 0.
 
-    Recovers the natural logarithm as q -> 1 (taken exactly when
-    |1 - q| < Q_ONE_SWITCH). Strictly increasing in x with derivative x^(-q).
+    Recovers the natural logarithm at q == 1, and tends to it as q -> 1.
+    Strictly increasing in x with derivative x^(-q).
     """
     if not (isinstance(x, (int, float, np.floating)) and math.isfinite(x)) or x <= 0:
         raise DomainError(f"q_log requires x > 0, got {x!r}")
-    if abs(1.0 - q) < Q_ONE_SWITCH:
+    if q == 1.0:
         return math.log(x)
     # expm1 keeps full precision when (1-q)*log(x) is small.
     return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q)
 
 
 def deformed_loss(p: float, alpha: float) -> float:
-    """Token loss (1 - p^alpha) / alpha, with the -log(p) limit at alpha -> 0.
+    """Token loss (1 - p^alpha) / alpha = -expm1(alpha log p) / alpha, and -log(p) at alpha == 0.
 
-    Nonnegative, zero iff p == 1, nonincreasing in p for fixed alpha >= 0.
-    The input probability is clamped to [PROB_FLOOR, 1] first.
+    Nonnegative, zero iff p == 1, nonincreasing in p for fixed alpha. The
+    exponent is 0 or at least MIN_ORDER. The input probability is clamped to
+    [PROB_FLOOR, 1] first.
     """
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise DomainError(f"focus exponent must be >= 0, got {alpha!r}")
+    if not (alpha == 0.0 or MIN_ORDER <= alpha < math.inf):
+        raise DomainError(f"focus exponent must be 0 or >= {MIN_ORDER!r}, got {alpha!r}")
     p = clamp_prob(p)
-    if alpha < ALPHA_SWITCH:
+    if alpha == 0.0:
         return -math.log(p)
     return -math.expm1(alpha * math.log(p)) / alpha
 
@@ -120,10 +121,11 @@ def shannon_entropy(r) -> float:
 def tsallis_entropy(r, q: float) -> float:
     """Generalized entropy (1 - sum r^q) / (q - 1) for q > 0.
 
-    Returns the Shannon entropy when |q - 1| < Q_ONE_SWITCH. Nonnegative and
-    zero exactly on point masses. Summed over r > 0 as w * (1 - r^d) / d with
-    d = |q - 1|, w = r (q > 1) or r^q (q < 1) and 1 - r^d = -expm1(d log r):
-    full precision near q = 1, and no power of r exceeds 1.
+    Returns the Shannon entropy at q == 1. Nonnegative and zero exactly on
+    point masses. Summed over r > 0 as w * (1 - r^d) / d with d = |q - 1|,
+    w = r (q > 1) or r^q (q < 1) and 1 - r^d = -expm1(d log r): full
+    precision at every q != 1 (where d is at least 1.1e-16), and no power of
+    r exceeds 1.
     """
     if not math.isfinite(q) or q <= 0.0:
         raise DomainError(f"entropy order must be > 0, got {q!r}")
@@ -131,7 +133,7 @@ def tsallis_entropy(r, q: float) -> float:
     nz = arr[arr > 0.0]
     log_r = np.log(nz)
     # "0.0 -" keeps a point mass at +0.0
-    if abs(q - 1.0) < Q_ONE_SWITCH:
+    if q == 1.0:
         return 0.0 - float((nz * log_r).sum())
     d = abs(q - 1.0)
     weight = nz if q > 1.0 else np.exp(q * log_r)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import ALPHA_SWITCH, PROB_FLOOR, DomainError, validate_dist
+from .core_math import MIN_ORDER, PROB_FLOOR, DomainError, validate_dist
 
 
 def _target_p(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -33,8 +33,8 @@ def _target_p(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 # The family as one table. Every member freezes a weight w and a focus
-# exponent a at the current prediction; its loss is w * (1 - p^a) / a (with
-# the -w log p limit at a -> 0) and its gate is w * p^a. Each rule maps
+# exponent a at the current prediction; its loss is w * (1 - p^a) / a (the
+# -w log p limit at a == 0) and its gate is w * p^a. Each rule maps
 # (kind, probs, labels) of a (rows, vocab) stack to one value per row, so a
 # new member is one entry here.
 def _unit(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -83,7 +83,7 @@ class ObjectiveKind:
 
     ``name`` is one of ``nll``, ``linear``, ``alpha``, ``cayley``, ``deft``,
     ``eaft``; a fixed-exponent member (``alpha``) carries its exponent, which
-    must be positive.
+    must be finite and at least MIN_ORDER, the smallest normal float.
     """
 
     name: str
@@ -93,8 +93,8 @@ class ObjectiveKind:
         if self.name not in _KIND_NAMES:
             raise DomainError(f"unknown objective {self.name!r}, expected one of {_KIND_NAMES}")
         if self.name == "alpha":
-            if self.alpha is None or not math.isfinite(self.alpha) or self.alpha <= 0.0:
-                raise DomainError(f"fixed-exponent objective requires alpha > 0, got {self.alpha!r}")
+            if self.alpha is None or not MIN_ORDER <= self.alpha < math.inf:
+                raise DomainError(f"fixed-exponent objective requires alpha >= {MIN_ORDER!r}, got {self.alpha!r}")
         elif self.alpha is not None:
             raise DomainError(f"objective {self.name!r} takes no exponent parameter")
 
@@ -130,7 +130,7 @@ EAFT = ObjectiveKind("eaft")
 
 
 def fixed_alpha(alpha: float) -> ObjectiveKind:
-    """Fixed-exponent member of the family with the given alpha > 0."""
+    """Fixed-exponent member of the family with the given alpha >= MIN_ORDER."""
     return ObjectiveKind("alpha", float(alpha))
 
 
@@ -261,18 +261,18 @@ def gate_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> 
 
 
 def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Frozen-state token loss w * (1 - p^a) / a of each row; row-wise ``loss``.
+    """Frozen-state token loss w * (1 - p^a) / a = -w expm1(a log p) / a of each row; row-wise ``loss``.
 
-    Below ALPHA_SWITCH the exact limit -w log p is taken, without dividing by a.
+    At a == 0 the exact limit -w log p is taken, without dividing by a.
     """
     p, w, a = frozen_state(kind, probs, labels)
     log_p = np.log(p)
-    small = a < ALPHA_SWITCH
-    a = np.where(small, 1.0, a)
+    zero = a == 0.0
+    a = np.where(zero, 1.0, a)
     # a * log p may overflow to -inf for huge a, where expm1 gives the exact limit -1
     with np.errstate(over="ignore"):
         deformed = -np.expm1(a * log_p) / a
-    return w * np.where(small, -log_p, deformed)
+    return w * np.where(zero, -log_p, deformed)
 
 
 def gate_error_into(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

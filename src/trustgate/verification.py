@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core_math import (
-    ALPHA_SWITCH,
+    MIN_ORDER,
     PROB_FLOOR,
     DomainError,
     cayley_alpha,
@@ -66,17 +65,9 @@ _NUM_RESTARTS = 16
 _FIRST_STEP = 0.25
 _MIN_STEP = 1e-12
 _MAX_ITERS = 4000
-# Score orders the minimizer accepts. The search scores probabilities down to
-# PROB_FLOOR; above _MAX_ORDER, p^(1+a) underflows there, and below the
-# smallest normal float, a is subnormal and keeps fewer bits (none at 5e-324),
-# so the risk surface turns into steps.
-_MIN_ORDER = sys.float_info.min
-_MAX_ORDER = math.log(sys.float_info.min) / math.log(PROB_FLOOR) - 1.0
-
-# The property suite draws its random rows in chunks of this many draws and
-# evaluates each chunk's rows one stack per size, so memory stays flat in the
-# number of draws.
-_DRAW_CHUNK = 1024
+# Score orders the minimizer accepts: MIN_ORDER to _MAX_ORDER. The search scores
+# probabilities down to PROB_FLOOR; above _MAX_ORDER, p^(1+a) underflows there.
+_MAX_ORDER = math.log(MIN_ORDER) / math.log(PROB_FLOOR) - 1.0
 
 
 @dataclass(frozen=True)
@@ -157,13 +148,14 @@ def fd_gradient_rows(kind: ObjectiveKind, Z, targets, h: float = 1e-5) -> np.nda
     log_ratio = np.log(target_probs(Z[:, None, :] + offsets) / lower)
     # f(p+) - f(p-) with the loss's constant term cancelled exactly: differencing
     # two values of 1 - p^a0 next to 1 leaves ~eps/2h of absolute noise, which
-    # swamps gradients of order p at small p.
-    small = a0 < ALPHA_SWITCH
-    a0 = np.where(small, 1.0, a0)
+    # swamps gradients of order p at small p. The expm1 form is exact at every
+    # a0 > 0, so the log limit is taken at a0 == 0 alone.
+    zero = a0 == 0.0
+    a0 = np.where(zero, 1.0, a0)
     # The exponent as a full array: NumPy takes a single exponent of 0.5 or 2 as
     # sqrt or square, which would make a row's last bit depend on its stack.
     deformed = -w0 * lower ** np.repeat(a0, size, axis=1) * np.expm1(a0 * log_ratio) / a0
-    difference = np.where(small, -w0 * log_ratio, deformed)
+    difference = np.where(zero, -w0 * log_ratio, deformed)
     if not np.all(np.isfinite(difference)):
         raise DomainError("non-finite loss differences in finite differences")
     return difference / (2.0 * h)
@@ -265,10 +257,10 @@ def minimize_risk_rows(rs, alpha: float, rule: str = RULE_PROPER) -> tuple[np.nd
     rule = _check_rule(rule)
     rs = validate_rows(rs)
     alpha = _check_order(alpha)
-    if not _MIN_ORDER <= alpha <= _MAX_ORDER:
+    if not MIN_ORDER <= alpha <= _MAX_ORDER:
         raise DomainError(
             f"score order {alpha!r} under- or overflows the score arithmetic; "
-            f"expected {_MIN_ORDER:g} <= alpha <= {_MAX_ORDER:.4g}"
+            f"expected {MIN_ORDER:g} <= alpha <= {_MAX_ORDER:.4g}"
         )
     problems, dim = rs.shape
     if dim > _MAX_VOCAB:
@@ -404,12 +396,13 @@ def _report(name: str, max_error: float, tol: float, detail: str = "") -> Proper
     return PropertyReport(name=name, passed=bool(max_error <= tol), max_error=float(max_error), detail=text)
 
 
-def _random_dist(rng: np.random.Generator, size: int) -> np.ndarray:
-    return rng.dirichlet(np.ones(size))
+def _random_dist(rng: np.random.Generator, size: int, rows: int | None = None) -> np.ndarray:
+    """A flat-Dirichlet distribution of ``size`` entries, or a (rows, size) stack of them."""
+    return rng.dirichlet(np.ones(size), rows)
 
 
-def _random_logits(rng: np.random.Generator, size: int) -> np.ndarray:
-    return rng.normal(0.0, 2.0, size)
+def _random_logits(rng: np.random.Generator, size: int, rows: int) -> np.ndarray:
+    return rng.normal(0.0, 2.0, (rows, size))
 
 
 def _draw_by_size(
@@ -417,27 +410,23 @@ def _draw_by_size(
     count: int,
     low: int,
     high: int,
-    draw: Callable[[np.random.Generator, int], np.ndarray],
+    draw: Callable[[np.random.Generator, int, int], np.ndarray],
     target: bool = True,
 ):
-    """Draw ``count`` random rows in order and yield them stacked by size.
+    """Draw ``count`` random rows and yield them as one stack per size, sizes ascending.
 
-    Each draw takes a size ``rng.integers(low, high)``, then the row
-    ``draw(rng, size)`` and, with ``target``, a target ``rng.integers(size)``:
-    the order a one-row loop draws them in, so the RNG stream is the same.
-    Every _DRAW_CHUNK draws, yields one ``(rows, targets)`` pair per size
-    drawn in that chunk; ``targets`` is empty without ``target``.
+    All sizes come first, from one ``rng.integers(low, high, count)``; then,
+    for each size drawn ``k`` times, the ``(k, size)`` stack ``draw(rng, size,
+    k)`` and, with ``target``, its ``k`` targets ``rng.integers(0, size, k)``.
+    Yields one ``(rows, targets)`` pair per size; ``targets`` is empty without
+    ``target``.
     """
-    for start in range(0, count, _DRAW_CHUNK):
-        by_size: dict[int, tuple[list, list]] = {}
-        for _ in range(min(_DRAW_CHUNK, count - start)):
-            size = int(rng.integers(low, high))
-            rows, targets = by_size.setdefault(size, ([], []))
-            rows.append(draw(rng, size))
-            if target:
-                targets.append(int(rng.integers(size)))
-        for rows, targets in by_size.values():
-            yield np.array(rows), np.array(targets, dtype=np.intp)
+    counts = np.bincount(rng.integers(low, high, count), minlength=high)
+    for size in range(low, high):
+        k = int(counts[size])
+        if k:
+            rows = draw(rng, size, k)
+            yield rows, rng.integers(0, size, k) if target else np.empty(0, dtype=np.intp)
 
 
 def surprisal_linearization_residual(kappa: float) -> float:
@@ -483,11 +472,15 @@ def _suite_deformed_loss_report() -> PropertyReport:
     for alpha in (0.0, 1e-9, 0.25, 0.5, 1.0, 2.0):
         values = np.array([deformed_loss(float(p), alpha) for p in ps])
         worst = max(worst, float(np.max(np.diff(values))))  # must be nonincreasing
+    # L_a(p) = -log p - a log^2 p / 2 + a^2 |log p|^3 / 6 + ...: past the second
+    # order the gap is at most 1.7e-13 here, so a log-loss switch would show
     continuity = max(
-        abs(deformed_loss(float(p), 1e-7) - (-math.log(p))) for p in (0.01, 0.3, 0.9)
+        abs(deformed_loss(p, a) + math.log(p) + a * math.log(p) ** 2 / 2.0)
+        for a in (1e-9, 1e-7)
+        for p in (0.01, 0.3, 0.9)
     )
     return _report(
-        "deformed-loss-monotone-and-continuous-at-zero", max(worst, continuity), 1e-6
+        "deformed-loss-monotone-and-continuous-at-zero", max(worst, continuity), 1e-12
     )
 
 
@@ -499,11 +492,8 @@ def _suite_concentration_reports(rng: np.random.Generator) -> list[PropertyRepor
         c = (dists * dists).sum(axis=1)
         size = dists.shape[1]
         worst_range = max(worst_range, float((1.0 / size - c).max()), float((c - 1.0).max()))
-        # exp(-H2) with H2 = -log c, through scalar math.exp: NumPy's array exp
-        # differs from it in the last bit on some rows
-        worst_renyi = max(
-            worst_renyi, *(abs(ci - math.exp(li)) for ci, li in zip(c.tolist(), np.log(c).tolist()))
-        )
+        # exp(-H2) with H2 = -log c
+        worst_renyi = max(worst_renyi, float(np.abs(c - np.exp(np.log(c))).max()))
     for size in (2, 7, 33):
         uniform = np.full(size, 1.0 / size)
         worst_range = max(worst_range, abs(concentration(uniform) - 1.0 / size))
@@ -605,8 +595,7 @@ def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
     dists[:, 0] = p
     dists[:, 1] = spike
     signal = gate_per_row(DEFT, validate_rows(dists), np.zeros(p.size, dtype=np.intp)) * (1.0 - p)
-    # scalar pow, as NumPy's array pow differs from it in the last bit on some rows
-    bound = np.array([q ** ((1.0 - 0.1) ** 2) * (1.0 - q) for q in p.tolist()])
+    bound = p ** ((1.0 - 0.1) ** 2) * (1.0 - p)
     worst_conflict = float((signal - bound).max())
     cayley_floor = 0.999 - gate(CAYLEY, np.array([1e-6, 1.0 - 1e-6]), 0).signal
     reports.append(
@@ -623,8 +612,7 @@ def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
         dists, on_target, p = dists[keep], on_target[keep], p[keep]
         a = (dists * dists).sum(axis=1)
         tail = dists[~on_target].reshape(-1, size - 1) / (1.0 - p)[:, None]
-        # scalar squares, as NumPy's p**2 (p*p) differs from pow in the last bit on some rows
-        p2, q2 = (np.array([v**2 for v in values.tolist()]) for values in (p, 1.0 - p))
+        p2, q2 = p**2, (1.0 - p) ** 2
         identity_gap = np.abs(a - (p2 + q2 * (tail * tail).sum(axis=1)))
         lower = p2 + q2 / (size - 1)
         upper = p2 + q2
@@ -650,11 +638,9 @@ def _suite_jacobian_report(rng: np.random.Generator) -> PropertyReport:
         diagonal[rows, targets] = p
         jac = diagonal - p[:, None] * P0
         for kind in default_kinds(0.5):
-            # d/dp of the frozen loss, -w0 p^(a0 - 1), by scalar pow: NumPy's array
-            # pow differs from it in the last bit on some rows
-            state = zip(*(column.tolist() for column in frozen_state(kind, P0, targets)))
-            fprime = np.array([-w0 * q ** (a0 - 1.0) for q, w0, a0 in state])
-            chain = fprime[:, None] * jac
+            # d/dp of the frozen loss, -w0 p^(a0 - 1)
+            q, w0, a0 = frozen_state(kind, P0, targets)
+            chain = (-w0 * q ** (a0 - 1.0))[:, None] * jac
             analytic = logit_gradient_rows(kind, logits, targets)
             worst = max(worst, float(np.abs(analytic - chain).max()))
     return _report("jacobian-chain-consistency", worst, 1e-10)

@@ -108,6 +108,22 @@ class TestLandscape:
         assert code == 2
         assert "focal" in err
 
+    def test_subnormal_fixed_exponent_is_usage_error(self, tmp_path, capsys):
+        """alpha:1e-320 is subnormal: its loss would be off by up to 100 % relative."""
+        out_path = tmp_path / "g.csv"
+        code, out, err = run_cli(
+            capsys,
+            "landscape",
+            "--objective", "alpha:1e-320",
+            "--p-steps", "2",
+            "--h-steps", "2",
+            "--vocab", "8",
+            "--out", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert "requires alpha >= 2.2250738585072014e-308, got 1e-320" in err
+        assert not out_path.exists()
+
     def _no_grid(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("gradient_landscape must not run")
@@ -193,6 +209,16 @@ class TestTrain:
         record = json.loads(out_path.read_text())
         assert record["config"]["objective"] == "linear"
         assert record["config"]["steps"] == 4
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_subnormal_fixed_exponent_exits_two(self, where, tmp_path, capsys):
+        config = self._config(tmp_path, **({"objective": "alpha:1e-320"} if where == "config" else {}))
+        out_path = tmp_path / "run.json"
+        flags = ["--objective", "alpha:1e-320"] if where == "flag" else []
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path), *flags)
+        assert code == 2 and out == ""
+        assert "requires alpha >= 2.2250738585072014e-308, got 1e-320" in err
+        assert not out_path.exists()
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -323,9 +349,13 @@ class TestDuality:
         assert float(np.abs(minimizer - np.array([0.8, 0.2])).max()) > 0.05
 
     @pytest.mark.parametrize("rule", ["proper", "main"])
-    @pytest.mark.parametrize("alpha", ["1e-300", "1e-12", "1e-8", "1e-5"])
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-15", "1e-12", "1e-10", "1e-8", "1e-5"])
     def test_tiny_order_keeps_risk_and_entropy(self, alpha, rule, capsys):
-        """Near order 0 the risk is the entropy; once it read 1.0 (proper) or 0.0 (main) at 1e-300."""
+        """Near order 0 the risk is the entropy; once it read 1.0 (proper) or 0.0 (main) at 1e-300.
+
+        At orders <= 1e-8 the two agree within 1e-12; at 1e-5 the main rule's
+        minimizer is the escort of r, whose risk is 2.7e-11 from the entropy.
+        """
         code, out, _ = run_cli(capsys, "duality", "--r", "0.8,0.2", "--alpha", alpha, "--rule", rule)
         assert code == 0
         body = json.loads(out)
@@ -333,7 +363,7 @@ class TestDuality:
         # the main rule's minimizer is the escort of r, 2.2e-6 from it at 1e-5
         expected = r if rule == "proper" else r ** (1.0 / (1.0 - a)) / (r ** (1.0 / (1.0 - a))).sum()
         assert float(np.abs(np.array(body["minimizer"]) - expected).max()) <= 1e-6
-        assert abs(body["risk"] - body["tsallis_entropy"]) <= 1e-9
+        assert abs(body["risk"] - body["tsallis_entropy"]) <= (1e-12 if a <= 1e-8 else 1e-9)
         entropy = -(r * np.log(r)).sum()
         assert abs(body["tsallis_entropy"] - entropy) <= 1e-5
 

@@ -1,6 +1,7 @@
 """Scalar primitive checks: frozen values, limits, and property sweeps."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +91,18 @@ class TestDeformedLoss:
     def test_continuous_in_alpha_at_zero(self):
         for p in (0.01, 0.3, 0.9):
             assert deformed_loss(p, 1e-7) == pytest.approx(-math.log(p), rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [sys.float_info.min, 1e-300, 1e-15, 1e-12, 1e-9, 1e-7])
+    def test_tiny_exponents_follow_the_expansion(self, alpha):
+        """(1 - p^a) / a = -log p - a log^2 p / 2 + a^2 |log p|^3 / 6 + ...; the last is <= 1.7e-13 here."""
+        for p in (0.01, 0.3, 0.9):
+            log_p = math.log(p)
+            assert abs(deformed_loss(p, alpha) + log_p + alpha * log_p**2 / 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1e-320, 5e-324, 2e-308, math.inf, math.nan])
+    def test_rejects_subnormal_and_nonfinite_exponents(self, alpha):
+        with pytest.raises(DomainError, match="focus exponent must be 0 or >= 2.2250738585072014e-308"):
+            deformed_loss(0.5, alpha)
 
     def test_clamps_hard_zero(self):
         assert math.isfinite(deformed_loss(0.0, 0.0))

@@ -1,6 +1,7 @@
 """Objective-family checks: encodings, gates, losses, and exact gradients."""
 
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -43,6 +44,17 @@ class TestEncoding:
             ObjectiveKind.parse("alpha:0")
         with pytest.raises(DomainError):
             ObjectiveKind.parse("alpha:-1")
+
+    @pytest.mark.parametrize("text", ["alpha:1e-320", "alpha:2e-308", "alpha:inf", "alpha:nan"])
+    def test_fixed_exponent_must_be_a_finite_normal_float(self, text):
+        """A subnormal exponent keeps too few bits for the loss -expm1(a log p) / a."""
+        with pytest.raises(DomainError, match="requires alpha >= 2.2250738585072014e-308"):
+            ObjectiveKind.parse(text)
+
+    def test_smallest_fixed_exponent_gives_the_log_loss(self):
+        kind = fixed_alpha(sys.float_info.min)
+        assert loss(kind, [0.1, 0.9], 0) == pytest.approx(-math.log(0.1), rel=1e-15)
+        assert gate(kind, [0.1, 0.9], 0).gate == 1.0
 
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
@@ -242,11 +254,11 @@ class TestSoftmax:
         npt.assert_allclose(softmax(z), softmax(z + 100.0), atol=1e-12)
 
 
-# Every member; the fixed exponent is drawn log-uniformly from 1e-7 to 10, so
-# it crosses the loss's switch to the -log p limit at 1e-6.
+# Every member; the fixed exponent is drawn log-uniformly from 1e-12 to 10,
+# down to orders where the loss -expm1(a log p) / a is within rounding of -log p.
 KINDS = st.one_of(
     st.sampled_from([NLL, LINEAR, CAYLEY, DEFT, EAFT]),
-    st.floats(-7.0, 1.0).map(lambda exponent: fixed_alpha(10.0**exponent)),
+    st.floats(-12.0, 1.0).map(lambda exponent: fixed_alpha(10.0**exponent)),
 )
 
 
@@ -303,7 +315,7 @@ class TestRuleTableProperties:
     @settings(max_examples=150, deadline=None)
     @given(kind=KINDS, stack=logit_stacks())
     def test_loss_matches_scalar_deformed_loss(self, kind, stack):
-        """w * (1 - p^a) / a per row against core_math's scalar loss, including its -log p switch.
+        """w * (1 - p^a) / a per row against core_math's scalar loss, including its -log p limit at 0.
 
         numpy's and the math module's log/expm1 may differ in the last bit, hence 1e-13.
         """
