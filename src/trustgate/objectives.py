@@ -254,10 +254,14 @@ def focus_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) ->
     return _RULES[kind.name][1](kind, probs, labels)
 
 
+def _gate(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, focus: np.ndarray) -> np.ndarray:
+    """Trust gate w * p^a of each row, given its focus exponent a: the one gate expression."""
+    return _RULES[kind.name][0](kind, probs, labels) * _target_p(probs, labels) ** focus
+
+
 def gate_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Trust gate w * p^a of each row of a (rows, vocab) prediction stack; row-wise ``gate(...).gate``."""
-    p, w, a = frozen_state(kind, probs, labels)
-    return w * p**a
+    return _gate(kind, probs, labels, focus_per_row(kind, probs, labels))
 
 
 def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -275,9 +279,9 @@ def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> 
     return w * np.where(zero, -log_p, deformed)
 
 
-def gate_error_into(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Overwrite a checked (rows, vocab) prediction stack with gate * (P - onehot): the one kernel."""
-    g = gate_per_row(kind, probs, labels)
+def gate_error_into(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, focus: np.ndarray) -> np.ndarray:
+    """Overwrite a checked (rows, vocab) stack with gate * (P - onehot) at each row's focus: the one kernel."""
+    g = _gate(kind, probs, labels, focus)
     probs *= g[:, None]
     probs[np.arange(probs.shape[0]), labels] -= g
     return probs
@@ -290,8 +294,9 @@ def logit_gradient_rows(kind: ObjectiveKind, Z, targets) -> np.ndarray:
     each row's result depends on that row alone.
     """
     P = softmax_rows(Z)
+    targets = _check_targets(P, targets)
     # P holds distributions by construction: gate them without validating again
-    return gate_error_into(kind, P, _check_targets(P, targets))
+    return gate_error_into(kind, P, targets, focus_per_row(kind, P, targets))
 
 
 def logit_gradient(kind: ObjectiveKind, z, target: int) -> np.ndarray:

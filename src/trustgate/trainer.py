@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .core_math import DomainError
+from .core_math import PROB_FLOOR, DomainError
 from .objectives import ObjectiveKind, focus_per_row, gate_error_into, loss_per_row, softmax_into
 
 REGIMES = ("strong", "intermediate", "weak")
@@ -394,13 +393,13 @@ def quadrant_stats(deltas: TokenDeltas, min_change: float = MIN_COUNTED_CHANGE) 
 
 
 def probability_histogram(model: ToyModel, labels: np.ndarray, bins) -> np.ndarray:
-    """Counts of label probabilities per bin; counts sum to the context count."""
+    """Counts of label probabilities, clamped to [PROB_FLOOR, 1], per bin; counts sum to the context count."""
     edges = np.asarray(bins, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
         raise DomainError("bin edges must be a strictly ascending vector of length >= 2")
-    if edges[0] > 1e-12 or edges[-1] < 1.0:
+    if edges[0] > PROB_FLOOR or edges[-1] < 1.0:
         raise DomainError(f"bin edges must cover (0, 1], got [{edges[0]}, {edges[-1]}]")
-    counts, _ = np.histogram(model.target_probs(np.asarray(labels)), bins=edges)
+    counts, _ = np.histogram(np.clip(model.target_probs(np.asarray(labels)), PROB_FLOOR, 1.0), bins=edges)
     return counts
 
 
@@ -438,25 +437,23 @@ def finetune(
     labels: np.ndarray,
     cfg: TrainConfig,
     clean_labels: np.ndarray | None = None,
-    on_step: Callable[[int, ToyModel], None] | None = None,
 ) -> RunRecord:
     """Gradient-descend the logit table on the supervised labels.
 
     The caller's model is not mutated. Each step applies the exact
     frozen-exponent logit gradient to every context in the batch (full batch
     by default, updated in place). Traces record the state at the start of
-    each step; deltas and quadrant statistics compare the start and end states
-    on ``clean_labels`` (defaults to the supervision labels). No copy of the
-    start table is kept.
+    each step ``k``, which is the final table of a ``k``-step run; deltas and
+    quadrant statistics compare the start and end states on ``clean_labels``
+    (defaults to the supervision labels). No copy of the start table is kept.
 
     One table-sized buffer holds the softmax of the current table, both states
     are read from it, and a vector holds the focus of every row. A step takes
     its members in cache-sized parts (views for a full batch, gathered rows
-    otherwise) through ``gate_error_into``, the softmax and a focus refresh.
+    otherwise) through ``gate_error_into`` with their cached focus, the
+    softmax and a focus refresh, so the focus rule runs once per row per step.
     Every operation is row-wise, so the buffer equals a fresh softmax of the
     table bit for bit.
-    ``on_step``, when given, sees the current model before each update, for
-    instrumentation.
     """
     labels = _check_labels("labels", labels, model)
     if clean_labels is None:
@@ -482,8 +479,6 @@ def finetune(
     for step in range(cfg.steps):
         mean_target_p.append(float(probs[rows, labels].mean()))
         mean_alpha.append(float(focus.mean()))
-        if on_step is not None:
-            on_step(step, ToyModel(table.copy()))
 
         if full_batch:
             # basic slices: each part's probs and table rows are views
@@ -499,7 +494,7 @@ def finetune(
         for part in parts:
             part_probs, part_labels = probs[part], labels[part]
             # the update lr * gate * (P - onehot), formed over the part's probs
-            gate_error_into(cfg.objective, part_probs, part_labels)
+            gate_error_into(cfg.objective, part_probs, part_labels, focus[part])
             part_probs *= cfg.learning_rate
             table[part] -= part_probs
             updated = table[part]

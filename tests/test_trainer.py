@@ -1,5 +1,6 @@
 """Synthetic task construction and fine-tuning dynamics."""
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -30,7 +31,7 @@ from trustgate import (
     probability_histogram,
     quadrant_stats,
 )
-from trustgate import trainer
+from trustgate import objectives, trainer
 from trustgate.cli import parse_and_run
 from trustgate.objectives import focus_per_row, loss_per_row, softmax_into
 from trustgate.trainer import DEFAULT_HISTOGRAM_EDGES, MAX_TABLE_ENTRIES
@@ -45,6 +46,14 @@ def final_probs(record):
 def clean_retention(record, task):
     probs = final_probs(record)
     return float(probs[np.arange(len(task.labels)), task.clean_labels].mean())
+
+
+def _step_tables(model, labels, cfg, clean_labels=None):
+    """The table at the start of each step of a run: a run of k steps ends on step k's table."""
+    return [
+        finetune(model, labels, dataclasses.replace(cfg, steps=k), clean_labels=clean_labels).final_table
+        for k in range(cfg.steps)
+    ]
 
 
 class TestBuildTask:
@@ -176,22 +185,14 @@ class TestFinetune:
     def test_rows_remain_valid_distributions(self):
         """Every update leaves each context with a finite, normalized row."""
         task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.1), 4)
-        seen = []
-
-        def check(step, model):
-            probs = model.probs()
+        cfg = TrainConfig(objective=NLL, steps=25, seed=0)
+        tables = _step_tables(task.model, task.labels, cfg, clean_labels=task.clean_labels)
+        assert len(tables) == 25
+        for table in tables:
+            probs = ToyModel(table).probs()
             assert np.all(np.isfinite(probs))
             npt.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-            seen.append(step)
-
-        record = finetune(
-            task.model,
-            task.labels,
-            TrainConfig(objective=NLL, steps=25, seed=0),
-            clean_labels=task.clean_labels,
-            on_step=check,
-        )
-        assert seen == list(range(25))
+        record = finetune(task.model, task.labels, cfg, clean_labels=task.clean_labels)
         assert np.all(np.isfinite(record.final_table))
 
     def test_runtime_signal_ordering(self):
@@ -199,9 +200,9 @@ class TestFinetune:
         task = build_task(RegimeSpec(regime="intermediate"), 5)
         rng = np.random.default_rng(0)
         samples = rng.integers(0, task.model.num_contexts, size=100)
-
-        def check(step, model):
-            probs = model.probs()
+        cfg = TrainConfig(objective=DEFT, steps=20, seed=0)
+        for table in _step_tables(task.model, task.labels, cfg):
+            probs = ToyModel(table).probs()
             for context in samples[:10]:
                 dist = probs[context]
                 target = int(task.labels[context])
@@ -210,13 +211,6 @@ class TestFinetune:
                 nll = gate(NLL, dist, target).signal
                 assert lin <= dft + 1e-12
                 assert dft <= nll + 1e-12
-
-        finetune(
-            task.model,
-            task.labels,
-            TrainConfig(objective=DEFT, steps=20, seed=0),
-            on_step=check,
-        )
 
     # the first three keep their original ids (kind0-kind2); the rest complete the family
     @pytest.mark.parametrize("kind", [NLL, LINEAR, DEFT, fixed_alpha(0.5), CAYLEY, EAFT])
@@ -366,6 +360,12 @@ class TestProbabilityHistogram:
         before = record.histograms[0]["counts"]
         after = record.histograms[-1]["counts"]
         assert after[-1] >= before[-1]
+
+    def test_probabilities_below_the_first_edge_are_counted(self):
+        """A label probability below a first edge of PROB_FLOOR is clamped into the first bin."""
+        model = ToyModel([[0.0, 40.0], [0.0, 0.0]])
+        counts = probability_histogram(model, [0, 0], [1e-12, 0.5, 1.0])
+        assert counts.tolist() == [1, 1]
 
     def test_malformed_edges_rejected(self):
         task = build_task(RegimeSpec(regime="weak"), 1)
@@ -547,7 +547,7 @@ def test_softmax_kernel_matches_reference_on_any_rows(case):
 @pytest.mark.parametrize("batch_size", [None, 64])
 @pytest.mark.parametrize("kind", [NLL, LINEAR, fixed_alpha(0.5), CAYLEY, DEFT, EAFT], ids=lambda kind: kind.encode())
 def test_traces_match_fresh_softmax_of_each_state(kind, batch_size, block_entries, monkeypatch):
-    """Every traced value equals a fresh softmax and focus of the table that on_step saw.
+    """Every traced value equals a fresh softmax and focus of the table at the start of its step.
 
     Run with the whole 256 x 32 table as one block and with 5-row blocks,
     which split a batch of 64 into 13 parts, the last one short.
@@ -556,14 +556,13 @@ def test_traces_match_fresh_softmax_of_each_state(kind, batch_size, block_entrie
     task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.25), 4)
     rows = np.arange(task.model.num_contexts)
     expected_p, expected_alpha = [], []
-
-    def observe(step, model):
-        probs = _reference_softmax(model.logit_table)
+    cfg = TrainConfig(objective=kind, steps=12, batch_size=batch_size, seed=4)
+    for table in _step_tables(task.model, task.labels, cfg, clean_labels=task.clean_labels):
+        probs = _reference_softmax(table)
         expected_p.append(float(probs[rows, task.labels].mean()))
         expected_alpha.append(float(focus_per_row(kind, probs, task.labels).mean()))
 
-    cfg = TrainConfig(objective=kind, steps=12, batch_size=batch_size, seed=4)
-    record = finetune(task.model, task.labels, cfg, clean_labels=task.clean_labels, on_step=observe)
+    record = finetune(task.model, task.labels, cfg, clean_labels=task.clean_labels)
     assert record.mean_target_p == expected_p
     assert record.mean_alpha == expected_alpha
     final = _reference_softmax(record.final_table)
@@ -599,3 +598,22 @@ def test_target_probs_peak_memory_well_below_a_table():
     finally:
         tracemalloc.stop()
     assert peak / model.logit_table.nbytes <= 0.1
+
+
+def test_full_batch_step_evaluates_the_focus_once_per_row(monkeypatch):
+    """Per block: the start fill, one refresh per step, and the two frozen-loss readings."""
+    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 32)
+    weight, focus = objectives._RULES["deft"]
+    calls = []
+
+    def counted(kind, probs, labels):
+        calls.append(probs.shape[0])
+        return focus(kind, probs, labels)
+
+    monkeypatch.setitem(objectives._RULES, "deft", (weight, counted))
+    task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.25), 4)
+    steps = 10
+    finetune(task.model, task.labels, TrainConfig(objective=DEFT, steps=steps, seed=0))
+    blocks = task.model.num_contexts // 32
+    assert len(calls) == blocks * (steps + 3)
+    assert set(calls) == {32}
