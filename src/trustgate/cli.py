@@ -12,9 +12,11 @@ import dataclasses
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
+from . import trainer
 from .core_math import DomainError, tsallis_entropy
 from .landscape import check_grid_size, check_target, emit, gradient_landscape, write_atomic
 from .objectives import ObjectiveKind
@@ -106,10 +108,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     check_target(args.out)  # before the run, not after it
+    started = time.perf_counter()
     task = build_task(spec, cfg.get("task_seed", train_cfg.seed))
+    built = time.perf_counter()
     record = finetune(task.model, task.labels, train_cfg, clean_labels=task.clean_labels)
     record.config["regime"] = spec.regime
+    tuned = time.perf_counter()
     emit(record, args.out, "json")
+    if args.timings:
+        timings = {
+            "build_s": built - started,
+            "pretrain_steps": task.pretrain_steps,
+            "finetune_s": tuned - built,
+            "emit_s": time.perf_counter() - tuned,
+            "workers": trainer.BLOCK_WORKERS,
+        }
+        print(json.dumps(timings), file=sys.stderr)
     summary = {
         "out": args.out,
         "objective": train_cfg.objective.encode(),
@@ -186,6 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--steps", type=int, default=None)
     p_train.add_argument("--seed", type=_seed, default=None)
     p_train.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
+    p_train.add_argument(
+        "--timings", action="store_true",
+        help="write the wall seconds of build, finetune and emit as one JSON line on stderr",
+    )
     p_train.set_defaults(func=_cmd_train)
 
     p_dual = sub.add_parser("duality", help="search the expected-score minimizer over the simplex")

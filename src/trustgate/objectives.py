@@ -59,7 +59,11 @@ def _collision(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np
 
 
 def _normalized_entropy(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    entropy = -(probs * np.log(np.maximum(probs, 1e-300))).sum(axis=1)
+    # one temporary the size of the stack: the trainer holds one per block in flight
+    terms = np.maximum(probs, 1e-300)
+    np.log(terms, out=terms)
+    terms *= probs
+    entropy = -terms.sum(axis=1)
     # at most 1; a uniform row's entropy can round to one ulp above log V
     return np.minimum(entropy / math.log(probs.shape[1]), 1.0)
 

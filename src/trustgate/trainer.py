@@ -17,7 +17,10 @@ conflict-injected), ``intermediate`` (pretrained into a middle band), and
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +52,14 @@ MAX_TABLE_ENTRIES = 2**26
 # once per step rather than once per operation, and no temporary grows with
 # the table.
 _BLOCK_ENTRIES = 2**16
+
+# Threads that take the row blocks: every core in the process's affinity mask
+# (``taskset`` confines a run). Each block writes only its own rows, and every
+# reduction runs after all blocks are done, so no bit depends on this count.
+BLOCK_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# made by the first call that takes blocks off the calling thread
+_pool = None
+_pool_threads = 0
 
 # Confidence threshold for the high/low split of token deltas, and the
 # minimum |delta p| for a token to count as learned/forgotten in the
@@ -238,19 +249,74 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
+def _forget_pool() -> None:
+    global _pool, _pool_threads
+    _pool, _pool_threads = None, 0  # a forked child has none of the parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _each_block(work, parts: list) -> None:
+    """``work(part)`` for every part, the parts shared out over the workers.
+
+    The calling thread and up to ``BLOCK_WORKERS - 1`` threads of a shared
+    pool claim the parts in order, one at a time, so a core that runs slow
+    takes fewer of them; parts must touch disjoint rows. Every thread has
+    stopped when this returns or raises. After an error no further part is
+    claimed, and the error raised is the first in part order, the one the
+    plain loop raises. With one part or one worker it is that loop.
+    """
+    workers = min(BLOCK_WORKERS, len(parts))
+    if workers <= 1:
+        for part in parts:
+            work(part)
+        return
+    global _pool, _pool_threads
+    if _pool_threads < workers - 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool, _pool_threads = ThreadPoolExecutor(workers - 1, "trustgate-blocks"), workers - 1
+
+    claims = itertools.count()
+    errors = {}
+
+    def run() -> None:
+        # parts are claimed in order, so every part before a failed one has run
+        while not errors:
+            index = next(claims)
+            if index >= len(parts):
+                return
+            try:
+                work(parts[index])
+            except BaseException as exc:  # raised below, once every thread has stopped
+                errors[index] = exc
+
+    # each thread sees the caller's context, numpy's error state included
+    futures = [_pool.submit(contextvars.copy_context().run, run) for _ in range(workers - 1)]
+    run()
+    for future in futures:
+        future.result()
+    if errors:
+        raise errors[min(errors)]
+
+
 def _softmax_table(table: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a whole table into a new buffer, one block of rows at a time."""
     out = np.empty_like(table)
-    for block in _row_blocks(*table.shape):
-        softmax_into(table[block], out[block])
+    _each_block(lambda block: softmax_into(table[block], out[block]), _row_blocks(*table.shape))
     return out
 
 
 def _by_blocks(rule, kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """A row-wise objective rule over a whole table, one block of rows at a time."""
     out = np.empty(probs.shape[0])
-    for block in _row_blocks(*probs.shape):
+
+    def fill(block: slice) -> None:
         out[block] = rule(kind, probs[block], labels[block])
+
+    _each_block(fill, _row_blocks(*probs.shape))
     return out
 
 
@@ -264,10 +330,23 @@ def _nll_pretrain(
     raises BuildError if the budget runs out or ``ceiling`` is overshot. One
     table-sized buffer holds the probabilities; a step takes the table block by
     block, forming each block's update in its probabilities and then their
-    softmax after the update.
+    softmax after the update, with the blocks spread over the workers.
     """
     probs = _softmax_table(table)
     target_p = probs[np.arange(table.shape[0]), labels]
+
+    def update(block: slice) -> None:
+        # the update lr * (P - onehot), formed over the block's probabilities,
+        # then the softmax of the updated rows in their place
+        block_probs, block_labels = probs[block], labels[block]
+        block_rows = np.arange(block_probs.shape[0])
+        block_probs[block_rows, block_labels] -= 1.0
+        block_probs *= _PRETRAIN_LEARNING_RATE
+        block_table = table[block]
+        block_table -= block_probs
+        softmax_into(block_table, block_probs)
+        target_p[block] = block_probs[block_rows, block_labels]
+
     blocks = _row_blocks(*table.shape)
     for step in range(_PRETRAIN_MAX_STEPS):
         mean_p = float(target_p.mean())
@@ -277,17 +356,7 @@ def _nll_pretrain(
                     f"pretraining overshot: mean target probability {mean_p:.3f} > {ceiling}"
                 )
             return probs, step, mean_p
-        for block in blocks:
-            # the update lr * (P - onehot), formed over the block's probabilities,
-            # then the softmax of the updated rows in their place
-            block_probs, block_labels = probs[block], labels[block]
-            block_rows = np.arange(block_probs.shape[0])
-            block_probs[block_rows, block_labels] -= 1.0
-            block_probs *= _PRETRAIN_LEARNING_RATE
-            block_table = table[block]
-            block_table -= block_probs
-            softmax_into(block_table, block_probs)
-            target_p[block] = block_probs[block_rows, block_labels]
+        _each_block(update, blocks)
     raise BuildError(
         f"pretraining did not reach mean target probability {stop_at} "
         f"within {_PRETRAIN_MAX_STEPS} steps"
@@ -314,11 +383,9 @@ def _inject_conflicts(
     else:
         eligible = np.arange(num_contexts)
     chosen = rng.choice(eligible, size=count, replace=False)
-    for context in chosen:
-        # wrong label, drawn uniformly from the non-argmax tokens
-        offset = int(rng.integers(vocab_size - 1))
-        token = offset + (offset >= argmax[context])
-        labels[context] = token
+    # wrong labels, drawn uniformly from the non-argmax tokens
+    offsets = rng.integers(vocab_size - 1, size=count)
+    labels[chosen] = offsets + (offsets >= argmax[chosen])
     mask[chosen] = True
     return mask
 
@@ -452,8 +519,9 @@ def finetune(
     its members in cache-sized parts (views for a full batch, gathered rows
     otherwise) through ``gate_error_into`` with their cached focus, the
     softmax and a focus refresh, so the focus rule runs once per row per step.
-    Every operation is row-wise, so the buffer equals a fresh softmax of the
-    table bit for bit.
+    The parts of a step run on every worker, and the shuffle and the traced
+    means run between steps. Every operation is row-wise, so the buffer equals
+    a fresh softmax of the table bit for bit, on any number of workers.
     """
     labels = _check_labels("labels", labels, model)
     if clean_labels is None:
@@ -474,6 +542,21 @@ def finetune(
     order = np.arange(table.shape[0])
     cursor = 0
 
+    def update(part) -> None:
+        part_probs, part_labels = probs[part], labels[part]
+        # the update lr * gate * (P - onehot), formed over the part's probs
+        gate_error_into(cfg.objective, part_probs, part_labels, focus[part])
+        part_probs *= cfg.learning_rate
+        table[part] -= part_probs
+        updated = table[part]
+        if not np.all(np.isfinite(updated)):
+            raise TrainingError(f"non-finite logits after update at step {step}")
+        # the part's probs take the softmax of its updated rows
+        softmax_into(updated, part_probs)
+        if not full_batch:
+            probs[part] = part_probs
+        focus[part] = focus_per_row(cfg.objective, part_probs, part_labels)
+
     mean_target_p: list[float] = []
     mean_alpha: list[float] = []
     for step in range(cfg.steps):
@@ -490,21 +573,7 @@ def finetune(
             members = order[cursor : cursor + batch]
             cursor += batch
             parts = [members[block] for block in blocks]
-
-        for part in parts:
-            part_probs, part_labels = probs[part], labels[part]
-            # the update lr * gate * (P - onehot), formed over the part's probs
-            gate_error_into(cfg.objective, part_probs, part_labels, focus[part])
-            part_probs *= cfg.learning_rate
-            table[part] -= part_probs
-            updated = table[part]
-            if not np.all(np.isfinite(updated)):
-                raise TrainingError(f"non-finite logits after update at step {step}")
-            # the part's probs take the softmax of its updated rows
-            softmax_into(updated, part_probs)
-            if not full_batch:
-                probs[part] = part_probs
-            focus[part] = focus_per_row(cfg.objective, part_probs, part_labels)
+        _each_block(update, parts)
 
     p_after, loss_after, target_p_after = _label_state(cfg.objective, probs, labels, clean_labels)
     deltas = TokenDeltas(p_before, p_after, loss_before, loss_after)

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from trustgate import cli, tsallis_entropy
+from trustgate import RegimeSpec, build_task, cli, trainer, tsallis_entropy
 from trustgate.cli import parse_and_run
 
 
@@ -313,6 +313,25 @@ class TestTrain:
         code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o.json"))
         assert code == 1 and out == ""
         assert err == f"error: {str(error) or 'MemoryError'}\n"
+
+    def test_timings_line_on_stderr_changes_no_other_byte(self, tmp_path, capsys):
+        config = self._config(tmp_path, regime="strong", num_contexts=256, conflict_fraction=0.25)
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(plain))
+        assert code == 0 and err == ""
+        code, timed_out, timed_err = run_cli(
+            capsys, "train", "--config", str(config), "--out", str(timed), "--timings"
+        )
+        assert code == 0
+        assert timed_out == out.replace(str(plain), str(timed))
+        assert timed.read_bytes() == plain.read_bytes()
+        (line,) = timed_err.splitlines()
+        timings = json.loads(line)
+        assert list(timings) == ["build_s", "pretrain_steps", "finetune_s", "emit_s", "workers"]
+        assert all(timings[key] >= 0.0 for key in ("build_s", "finetune_s", "emit_s"))
+        spec = RegimeSpec("strong", 32, 256, conflict_fraction=0.25)
+        assert timings["pretrain_steps"] == build_task(spec, 3).pretrain_steps > 0
+        assert timings["workers"] == trainer.BLOCK_WORKERS
 
     def test_determinism_across_invocations(self, tmp_path, capsys):
         config = self._config(tmp_path)

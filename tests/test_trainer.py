@@ -3,6 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -455,10 +460,10 @@ def test_golden_train_artifact(regime, objective, batch_size, tmp_path, capsys):
     assert digest == GOLDEN_TRAIN_SHA256[(regime, objective, batch_size)]
 
 
-@pytest.mark.parametrize("batch_size", [None, 256])
-@pytest.mark.parametrize("kind", [NLL, LINEAR, fixed_alpha(0.5), CAYLEY, DEFT, EAFT], ids=lambda kind: kind.encode())
-def test_finetune_peak_memory_in_tables(kind, batch_size):
-    """A run holds its working table plus a few table-sized temporaries, never a start-state copy."""
+MEMBERS = [NLL, LINEAR, fixed_alpha(0.5), CAYLEY, DEFT, EAFT]
+
+
+def _finetune_peak_in_tables(kind, batch_size):
     rng = np.random.default_rng(0)
     model = ToyModel(rng.normal(0.0, 2.0, size=(1024, 256)))
     labels = rng.integers(0, 256, size=1024)
@@ -469,7 +474,23 @@ def test_finetune_peak_memory_in_tables(kind, batch_size):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / model.logit_table.nbytes <= 3.5
+    return peak / model.logit_table.nbytes
+
+
+@pytest.mark.parametrize("batch_size", [None, 256])
+@pytest.mark.parametrize("kind", MEMBERS, ids=lambda kind: kind.encode())
+def test_finetune_peak_memory_in_tables(kind, batch_size, monkeypatch):
+    """A run holds its working table plus a few table-sized temporaries, never a start-state copy."""
+    monkeypatch.setattr(trainer, "BLOCK_WORKERS", 1)
+    assert _finetune_peak_in_tables(kind, batch_size) <= 3.5
+
+
+@pytest.mark.parametrize("batch_size", [None, 256])
+@pytest.mark.parametrize("kind", MEMBERS, ids=lambda kind: kind.encode())
+def test_finetune_peak_memory_in_tables_on_four_workers(kind, batch_size, monkeypatch):
+    """Four blocks in flight at once (each a quarter of this table) stay within the same bound."""
+    monkeypatch.setattr(trainer, "BLOCK_WORKERS", 4)
+    assert _finetune_peak_in_tables(kind, batch_size) <= 3.5
 
 
 # sha256 of build_task's table, labels, clean labels and conflict mask bytes at
@@ -488,20 +509,23 @@ def _build_spec(regime):
     return RegimeSpec(regime, 256, 1024, conflict_fraction=0.25, conflict_policy=policy)
 
 
+def _build_digest(regime):
+    task = build_task(_build_spec(regime), 1)
+    digest = hashlib.sha256()
+    for array in (task.model.logit_table, task.labels, task.clean_labels, task.conflict_mask):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("block_entries", [trainer._BLOCK_ENTRIES, 7 * 256])
 @pytest.mark.parametrize("regime", list(GOLDEN_BUILD_SHA256))
 def test_golden_build_task(regime, block_entries, monkeypatch):
     """The same bits at the default blocks (4 per table) and at 7-row blocks, the last one short."""
     monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", block_entries)
-    task = build_task(_build_spec(regime), 1)
-    digest = hashlib.sha256()
-    for array in (task.model.logit_table, task.labels, task.clean_labels, task.conflict_mask):
-        digest.update(np.ascontiguousarray(array).tobytes())
-    assert digest.hexdigest() == GOLDEN_BUILD_SHA256[regime]
+    assert _build_digest(regime) == GOLDEN_BUILD_SHA256[regime]
 
 
-def test_build_task_peak_memory_in_tables():
-    """Pretraining holds the table, one buffer for its probabilities and update, and block temporaries."""
+def _build_task_peak_in_tables():
     spec = _build_spec("strong")
     tracemalloc.start()
     try:
@@ -509,7 +533,19 @@ def test_build_task_peak_memory_in_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (spec.num_contexts * spec.vocab_size * 8) <= 2.75
+    return peak / (spec.num_contexts * spec.vocab_size * 8)
+
+
+def test_build_task_peak_memory_in_tables(monkeypatch):
+    """Pretraining holds the table, one buffer for its probabilities and update, and block temporaries."""
+    monkeypatch.setattr(trainer, "BLOCK_WORKERS", 1)
+    assert _build_task_peak_in_tables() <= 2.75
+
+
+def test_build_task_peak_memory_in_tables_on_four_workers(monkeypatch):
+    """Four blocks in flight at once (each a quarter of this table) stay within the same bound."""
+    monkeypatch.setattr(trainer, "BLOCK_WORKERS", 4)
+    assert _build_task_peak_in_tables() <= 2.75
 
 
 def _reference_softmax(table):
@@ -545,7 +581,7 @@ def test_softmax_kernel_matches_reference_on_any_rows(case):
 
 @pytest.mark.parametrize("block_entries", [trainer._BLOCK_ENTRIES, 5 * 32])
 @pytest.mark.parametrize("batch_size", [None, 64])
-@pytest.mark.parametrize("kind", [NLL, LINEAR, fixed_alpha(0.5), CAYLEY, DEFT, EAFT], ids=lambda kind: kind.encode())
+@pytest.mark.parametrize("kind", MEMBERS, ids=lambda kind: kind.encode())
 def test_traces_match_fresh_softmax_of_each_state(kind, batch_size, block_entries, monkeypatch):
     """Every traced value equals a fresh softmax and focus of the table at the start of its step.
 
@@ -617,3 +653,154 @@ def test_full_batch_step_evaluates_the_focus_once_per_row(monkeypatch):
     blocks = task.model.num_contexts // 32
     assert len(calls) == blocks * (steps + 3)
     assert set(calls) == {32}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("regime", list(GOLDEN_BUILD_SHA256))
+def test_golden_build_task_on_any_worker_count(regime, workers, monkeypatch):
+    """147 blocks of 7 rows, the last one short, shared out over 1, 2 or 3 workers: the same bits."""
+    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 7 * 256)
+    monkeypatch.setattr(trainer, "BLOCK_WORKERS", workers)
+    assert _build_digest(regime) == GOLDEN_BUILD_SHA256[regime]
+
+
+@pytest.fixture(scope="module")
+def multi_block_task():
+    return build_task(_build_spec("strong"), 1)
+
+
+@pytest.mark.parametrize("batch_size", [None, 64])
+@pytest.mark.parametrize("kind", MEMBERS, ids=lambda kind: kind.encode())
+def test_finetune_bits_do_not_depend_on_worker_count(kind, batch_size, multi_block_task, monkeypatch):
+    """Records and final tables of 1, 2 and 3 workers over 7-row blocks are byte-identical.
+
+    A full batch of 1024 rows is 147 parts and a minibatch of 64 is 10, the
+    last part short either way.
+    """
+    task = multi_block_task
+    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 7 * 256)
+    cfg = TrainConfig(objective=kind, steps=6, batch_size=batch_size, seed=2)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(trainer, "BLOCK_WORKERS", workers)
+        record = finetune(task.model, task.labels, cfg, clean_labels=task.clean_labels)
+        arrays = [record.final_table, *dataclasses.astuple(record.deltas)]
+        runs.append((json.dumps(record.to_dict()), [array.tobytes() for array in arrays]))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_more_workers_than_cores_under_fast_thread_switching(multi_block_task, monkeypatch):
+    """Eight workers switching every microsecond still give the one-worker bytes."""
+    task = multi_block_task
+    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 7 * 256)
+    cfg = TrainConfig(objective=DEFT, steps=4, batch_size=512, seed=6)
+    monkeypatch.setattr(trainer, "BLOCK_WORKERS", 1)
+    expected = finetune(task.model, task.labels, cfg).final_table.tobytes()
+    monkeypatch.setattr(trainer, "BLOCK_WORKERS", 8)
+    tables = []
+    runner = threading.Thread(
+        target=lambda: tables.append(finetune(task.model, task.labels, cfg).final_table), daemon=True
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert tables[0].tobytes() == expected
+
+
+class TestEachBlock:
+    @staticmethod
+    def _work(done, failing):
+        def work(part):
+            time.sleep({1: 0.05, 3: 0.02, 6: 0.06}.get(part, 0.0))  # some parts end late
+            if part in failing:
+                raise ValueError(f"part {part}")
+            done.append(part)
+
+        return work
+
+    @pytest.mark.parametrize("failing", [{0}, {1, 3}, {2, 5}, {4, 7}, {7}, {8}])
+    def test_first_error_in_part_order_once_every_thread_stopped(self, failing, monkeypatch):
+        """With {1, 3}, part 3 fails while part 1 still sleeps, which then fails too."""
+        monkeypatch.setattr(trainer, "BLOCK_WORKERS", 3)
+        done = []
+        with pytest.raises(ValueError, match=f"^part {min(failing)}$"):
+            trainer._each_block(self._work(done, failing), list(range(9)))
+        ended = sorted(done)
+        time.sleep(0.1)
+        assert sorted(done) == ended  # no part was still running
+        assert set(range(min(failing))) <= set(ended)
+        # the pool serves the next call
+        done.clear()
+        trainer._each_block(self._work(done, set()), list(range(9)))
+        assert sorted(done) == list(range(9))
+
+    @pytest.mark.skipif(
+        np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy keeps its error state per thread before 2.0"
+    )
+    def test_every_thread_sees_the_callers_numpy_error_state(self, monkeypatch):
+        monkeypatch.setattr(trainer, "BLOCK_WORKERS", 3)
+        seen = []
+
+        def work(part):
+            time.sleep(0.01)
+            seen.append((threading.get_ident(), np.geterr()["invalid"]))
+
+        with np.errstate(invalid="raise"):
+            trainer._each_block(work, list(range(9)))
+        assert len({ident for ident, _ in seen}) > 1
+        assert {state for _, state in seen} == {"raise"}
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
+    def test_a_forked_child_makes_its_own_pool(self, monkeypatch):
+        """The child has none of the parent's pool threads; submitting to that pool would hang."""
+        monkeypatch.setattr(trainer, "BLOCK_WORKERS", 2)
+        trainer._each_block(lambda part: None, [0, 1])
+        context = multiprocessing.get_context("fork")
+        queue = context.SimpleQueue()
+
+        def child():
+            done = []
+            trainer._each_block(done.append, list(range(4)))
+            queue.put(sorted(done))
+
+        process = context.Process(target=child)
+        process.start()
+        process.join(timeout=20.0)
+        hung = process.is_alive()
+        if hung:
+            process.kill()
+        assert not hung and process.exitcode == 0
+        assert queue.get() == [0, 1, 2, 3]
+
+    def test_one_worker_is_the_plain_loop(self, monkeypatch):
+        monkeypatch.setattr(trainer, "BLOCK_WORKERS", 1)
+        done = []
+        with pytest.raises(ValueError, match="^part 5$"):
+            trainer._each_block(self._work(done, {5, 7}), list(range(9)))
+        assert done == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_non_finite_update_in_a_late_part_exits_one(self, workers, tmp_path, monkeypatch, capsys):
+        """A weight that turns NaN on the short last part: the serial message, exit 1, on any count."""
+        monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 7 * 32)
+        monkeypatch.setattr(trainer, "BLOCK_WORKERS", workers)
+        weight, focus = objectives._RULES["linear"]
+
+        def short_part_nan(kind, probs, labels):
+            w = weight(kind, probs, labels)
+            return w * np.nan if probs.shape[0] != 7 else w
+
+        monkeypatch.setitem(objectives._RULES, "linear", (short_part_nan, focus))
+        config, out = tmp_path / "config.json", tmp_path / "run.json"
+        config.write_text(json.dumps({"regime": "strong", "objective": "linear", "steps": 3}))
+        code = parse_and_run(["train", "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: non-finite logits after update at step 0\n"
+        assert not out.exists()
