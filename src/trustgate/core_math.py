@@ -1,8 +1,13 @@
-"""Scalar and vector primitives for deformed-log losses and focus trajectories.
+"""The formulas of the objective family, each written once as float64 array code.
 
 Everything here is pure float64 math: the generalized logarithm, the deformed
 token loss it induces, Shannon/Tsallis/collision entropies, and the
 Cayley/Moebius maps that turn a confidence level into a focus exponent.
+Elementwise functions take a scalar or an array as their first argument,
+refuse it naming its first entry outside the domain, and return a Python
+float for a scalar. The Cayley focus, the collision mass and the Shannon row
+entropy are unchecked kernels as well; the objectives and the landscapes call
+them, so the property suite checks the code the trainer and the grids run.
 No I/O, no mutable state; every function is safe to call concurrently.
 """
 
@@ -33,11 +38,28 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-def clamp_prob(p: float) -> float:
-    """Clamp a probability to [PROB_FLOOR, 1]; reject values outside [0, 1]."""
-    if not math.isfinite(p) or p < -1e-9 or p > 1.0 + 1e-9:
-        raise DomainError(f"probability must lie in [0, 1], got {p!r}")
-    return min(max(float(p), PROB_FLOOR), 1.0)
+def _result(value):
+    """A Python float for a 0-d result, else the array itself."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _refuse_first(values: np.ndarray, bad: np.ndarray, message: str) -> None:
+    """Raise DomainError ``message`` naming the first entry of ``values`` flagged in ``bad``, if any."""
+    if bad.any():
+        raise DomainError(f"{message}, got {values[bad][0].tolist()!r}")
+
+
+def _unit_interval(x, what: str = "probability", slack: float = 0.0) -> np.ndarray:
+    """``x`` as a float64 array, every entry in [0, 1] widened by ``slack``: the one range check."""
+    arr = np.asarray(x, dtype=np.float64)
+    # NaN fails both comparisons
+    _refuse_first(arr, ~((arr >= -slack) & (arr <= 1.0 + slack)), f"{what} must lie in [0, 1]")
+    return arr
+
+
+def clamp_prob(p):
+    """Clamp probabilities to [PROB_FLOOR, 1]; reject values outside [0, 1] by more than 1e-9."""
+    return _result(np.minimum(np.maximum(_unit_interval(p, slack=1e-9), PROB_FLOOR), 1.0))
 
 
 def validate_dist(probs) -> np.ndarray:
@@ -82,40 +104,55 @@ def validate_rows(probs) -> np.ndarray:
     raise DomainError(f"distribution sums to {total!r}, expected 1 within {DIST_SUM_TOL}")
 
 
-def q_log(x: float, q: float) -> float:
+def q_log(x, q: float):
     """Generalized logarithm ln_q(x) = (x^(1-q) - 1) / (1 - q) for x > 0.
 
     Recovers the natural logarithm at q == 1, and tends to it as q -> 1.
     Strictly increasing in x with derivative x^(-q).
     """
-    if not (isinstance(x, (int, float, np.floating)) and math.isfinite(x)) or x <= 0:
-        raise DomainError(f"q_log requires x > 0, got {x!r}")
+    arr = np.asarray(x, dtype=np.float64)
+    _refuse_first(arr, ~((arr > 0.0) & (arr < math.inf)), "q_log requires x > 0")
     if q == 1.0:
-        return math.log(x)
-    # expm1 keeps full precision when (1-q)*log(x) is small.
-    return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q)
+        return _result(np.log(arr))
+    # expm1 keeps full precision when (1-q)*log(x) is small; past the float range it gives inf
+    with np.errstate(over="ignore"):
+        return _result(np.expm1((1.0 - q) * np.log(arr)) / (1.0 - q))
 
 
-def deformed_loss(p: float, alpha: float) -> float:
+def deformed_loss(p, alpha):
     """Token loss (1 - p^alpha) / alpha = -expm1(alpha log p) / alpha, and -log(p) at alpha == 0.
 
-    Nonnegative, zero iff p == 1, nonincreasing in p for fixed alpha. The
-    exponent is 0 or at least MIN_ORDER. The input probability is clamped to
-    [PROB_FLOOR, 1] first.
+    Broadcasts ``p`` against ``alpha``. Nonnegative, zero iff p == 1,
+    nonincreasing in p for fixed alpha. Each exponent is 0 or at least
+    MIN_ORDER. Input probabilities are clamped to [PROB_FLOOR, 1] first.
     """
-    if not (alpha == 0.0 or MIN_ORDER <= alpha < math.inf):
-        raise DomainError(f"focus exponent must be 0 or >= {MIN_ORDER!r}, got {alpha!r}")
-    p = clamp_prob(p)
-    if alpha == 0.0:
-        return -math.log(p)
-    return -math.expm1(alpha * math.log(p)) / alpha
+    a = np.asarray(alpha, dtype=np.float64)
+    zero = a == 0.0
+    normal = (a >= MIN_ORDER) & (a < math.inf)
+    _refuse_first(a, ~(zero | normal), f"focus exponent must be 0 or >= {MIN_ORDER!r}")
+    log_p = np.log(clamp_prob(p))
+    a = np.where(zero, 1.0, a)
+    # a * log p may overflow to -inf for huge a, where expm1 gives the exact limit -1
+    with np.errstate(over="ignore"):
+        deformed = -np.expm1(a * log_p) / a
+    return _result(np.where(zero, -log_p, deformed))
+
+
+def entropy_rows(P: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row (last axis) of ``P``, unchecked: the one kernel.
+
+    Entries below 1e-300 enter the logarithm as 1e-300, so 0*log(0) = 0. One
+    temporary the size of ``P``: the trainer holds one per block in flight.
+    """
+    terms = np.maximum(P, 1e-300)
+    np.log(terms, out=terms)
+    terms *= P
+    return -terms.sum(axis=-1)
 
 
 def shannon_entropy(r) -> float:
     """Shannon entropy -sum r*log(r) in nats, with 0*log(0) = 0."""
-    arr = validate_dist(r)
-    nz = arr[arr > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(entropy_rows(validate_dist(r)))
 
 
 def tsallis_entropy(r, q: float) -> float:
@@ -130,21 +167,25 @@ def tsallis_entropy(r, q: float) -> float:
     if not math.isfinite(q) or q <= 0.0:
         raise DomainError(f"entropy order must be > 0, got {q!r}")
     arr = validate_dist(r)
+    # "0.0 +" and "0.0 -" keep a point mass at +0.0
+    if q == 1.0:
+        return 0.0 + float(entropy_rows(arr))
     nz = arr[arr > 0.0]
     log_r = np.log(nz)
-    # "0.0 -" keeps a point mass at +0.0
-    if q == 1.0:
-        return 0.0 - float((nz * log_r).sum())
     d = abs(q - 1.0)
     weight = nz if q > 1.0 else np.exp(q * log_r)
     with np.errstate(over="ignore"):  # d log r overflows to -inf for huge q; expm1 gives -1
         return 0.0 - float((weight * np.expm1(d * log_r)).sum()) / d
 
 
+def collision_mass(P: np.ndarray) -> np.ndarray:
+    """Collision mass sum P^2 of each row (last axis) of ``P``, unchecked: the one kernel."""
+    return (P * P).sum(axis=-1)
+
+
 def renyi2_entropy(P) -> float:
     """Order-2 (collision) entropy H2 = -log(sum P^2)."""
-    arr = validate_dist(P)
-    return float(-np.log((arr * arr).sum()))
+    return float(-np.log(collision_mass(validate_dist(P))))
 
 
 def concentration(P) -> float:
@@ -152,31 +193,31 @@ def concentration(P) -> float:
 
     Equals 1/|V| exactly on the uniform distribution and 1 on point masses.
     """
-    arr = validate_dist(P)
-    return float((arr * arr).sum())
+    return float(collision_mass(validate_dist(P)))
 
 
-def uncertainty_radius(p: float) -> float:
+def uncertainty_radius(p):
     """Radius z = sqrt(1 - p), a monotone rescaling of distance-to-certainty."""
-    if not math.isfinite(p) or p < 0.0 or p > 1.0:
-        raise DomainError(f"probability must lie in [0, 1], got {p!r}")
-    return math.sqrt(1.0 - p)
+    return _result(np.sqrt(1.0 - _unit_interval(p)))
 
 
-def cayley_alpha(p: float) -> float:
+def cayley_focus(p):
+    """Cayley focus exponent p / (1 + sqrt(1-p))^2 of probabilities in [0, 1], unchecked: the one kernel."""
+    # np.square, not ** 2: a numpy scalar's ** 2 calls pow, whose last bit may differ
+    return p / np.square(1.0 + np.sqrt(1.0 - p))
+
+
+def cayley_alpha(p):
     """State-dependent focus exponent (1 - sqrt(1-p)) / (1 + sqrt(1-p)).
 
-    Computed in the cancellation-free form p / (1 + sqrt(1-p))^2, which is
-    algebraically identical. Strictly increasing on [0, 1] with exact
-    endpoints alpha(0) = 0 and alpha(1) = 1.
+    Computed in the cancellation-free form p / (1 + sqrt(1-p))^2 of
+    ``cayley_focus``, which is algebraically identical. Strictly increasing
+    on [0, 1] with exact endpoints alpha(0) = 0 and alpha(1) = 1.
     """
-    if not math.isfinite(p) or p < 0.0 or p > 1.0:
-        raise DomainError(f"probability must lie in [0, 1], got {p!r}")
-    root = math.sqrt(1.0 - p)
-    return p / (1.0 + root) ** 2
+    return _result(cayley_focus(_unit_interval(p)))
 
 
-def mobius_alpha(z: float, kappa: float) -> float:
+def mobius_alpha(z, kappa: float):
     """Linear-fractional map (1 - z) / (1 + kappa*z) on the radius z in [0, 1].
 
     Every member with kappa > -1 swaps the endpoints (z=0 -> 1, z=1 -> 0) and
@@ -185,30 +226,25 @@ def mobius_alpha(z: float, kappa: float) -> float:
     """
     if not math.isfinite(kappa) or kappa <= -1.0:
         raise DomainError(f"map parameter must be > -1, got {kappa!r}")
-    if not math.isfinite(z) or z < 0.0 or z > 1.0:
-        raise DomainError(f"radius must lie in [0, 1], got {z!r}")
-    return (1.0 - z) / (1.0 + kappa * z)
+    z = _unit_interval(z, "radius")
+    return _result((1.0 - z) / (1.0 + kappa * z))
 
 
-def surprisal_alpha(p: float) -> float:
+def surprisal_alpha(p):
     """Focus exponent tanh(I_err / 4) with error surprisal I_err = -log(1-p).
 
-    Identical to ``cayley_alpha`` on [0, 1); returns 1.0 at p == 1 where the
-    surprisal diverges.
+    Identical to ``cayley_alpha`` on [0, 1); at p == 1, where the surprisal
+    diverges, tanh(inf) gives exactly 1.0.
     """
-    if not math.isfinite(p) or p < 0.0 or p > 1.0:
-        raise DomainError(f"probability must lie in [0, 1], got {p!r}")
-    if p >= 1.0:
-        return 1.0
-    return math.tanh(-math.log1p(-p) / 4.0)
+    p = _unit_interval(p)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf
+        return _result(np.tanh(-np.log1p(-p) / 4.0))
 
 
-def fisher_rao_distance(p: float) -> float:
+def fisher_rao_distance(p):
     """Geodesic distance 2*arccos(sqrt(p)) from Bernoulli(p) to certainty.
 
     Satisfies sin(d/2) = sqrt(1 - p), so ``uncertainty_radius`` is a monotone
     reparameterization of this distance.
     """
-    if not math.isfinite(p) or p < 0.0 or p > 1.0:
-        raise DomainError(f"probability must lie in [0, 1], got {p!r}")
-    return 2.0 * math.acos(math.sqrt(p))
+    return _result(2.0 * np.arccos(np.sqrt(_unit_interval(p))))

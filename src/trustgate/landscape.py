@@ -19,10 +19,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core_math import PROB_FLOOR, DomainError, validate_rows
+from .core_math import DomainError, clamp_prob, entropy_rows, validate_rows
 from .objectives import ObjectiveKind, gate_per_row
 from .trainer import RunRecord
-from .verification import PropertyReport
+from .verification import PropertyReport, reports_to_json
 
 _BISECTION_TOL = 1e-6
 _BISECTION_MAX_ITERS = 200
@@ -63,8 +63,7 @@ def _family_rows(p: np.ndarray, mix, vocab: int) -> np.ndarray:
 
 def _row_entropy(rows: np.ndarray) -> np.ndarray:
     """Shannon entropy of each validated row, with 0*log(0) = 0."""
-    rows = validate_rows(rows)
-    return -(rows * np.log(np.where(rows > 0.0, rows, 1.0))).sum(axis=1)
+    return entropy_rows(validate_rows(rows))
 
 
 def _blocks(count: int, vocab: int):
@@ -214,7 +213,7 @@ def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> Lands
     for block in _blocks(row.size, vocab):
         i, j = row[block], col[block]
         dists = _realize(p_grid[i], h_grid[j], low[i], high[i], vocab)
-        error = 1.0 - np.clip(dists[:, 0], PROB_FLOOR, 1.0)
+        error = 1.0 - clamp_prob(dists[:, 0])
         signal[block] = gate_per_row(kind, dists, np.zeros(i.size, dtype=np.int64)) * error
     cells = np.full((p_grid.size, h_grid.size), np.nan)
     if signal.size:
@@ -307,16 +306,16 @@ def emit(artifact: Artifact, path, fmt: str = "csv") -> None:
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
         if isinstance(artifact, LandscapeGrid):
-            body = _grid_to_dict(artifact)
+            text = json.dumps(_grid_to_dict(artifact), indent=2)
         elif isinstance(artifact, RunRecord):
-            body = artifact.to_dict()
+            text = json.dumps(artifact.to_dict(), indent=2)
         elif isinstance(artifact, Sequence) and all(
             isinstance(item, PropertyReport) for item in artifact
         ):
-            body = [item.to_dict() for item in artifact]
+            text = reports_to_json(artifact)
         else:
             raise DomainError(f"cannot serialize {type(artifact).__name__} to json")
-        payload = json.dumps(body, indent=2) + "\n"
+        payload = text + "\n"
     else:
         raise DomainError(f"unknown format {fmt!r}, expected 'csv' or 'json'")
 

@@ -23,12 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import MIN_ORDER, PROB_FLOOR, DomainError, validate_dist
+from .core_math import (
+    MIN_ORDER,
+    PROB_FLOOR,
+    DomainError,
+    cayley_focus,
+    collision_mass,
+    deformed_loss,
+    entropy_rows,
+    validate_dist,
+)
 
 
 def _target_p(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Target probability of each row, clamped to [PROB_FLOOR, 1]."""
-    # np.clip gives the same values but costs more per call on the trainer's small rows
+    # unchecked, unlike core_math.clamp_prob: the per-step path takes no range check
     return np.minimum(np.maximum(probs[np.arange(probs.shape[0]), labels], PROB_FLOOR), 1.0)
 
 
@@ -50,22 +59,16 @@ def _fixed(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.nda
 
 
 def _cayley(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    p = _target_p(probs, labels)
-    return p / (1.0 + np.sqrt(1.0 - p)) ** 2
+    return cayley_focus(_target_p(probs, labels))
 
 
 def _collision(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return (probs * probs).sum(axis=1)
+    return collision_mass(probs)
 
 
 def _normalized_entropy(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    # one temporary the size of the stack: the trainer holds one per block in flight
-    terms = np.maximum(probs, 1e-300)
-    np.log(terms, out=terms)
-    terms *= probs
-    entropy = -terms.sum(axis=1)
     # at most 1; a uniform row's entropy can round to one ulp above log V
-    return np.minimum(entropy / math.log(probs.shape[1]), 1.0)
+    return np.minimum(entropy_rows(probs) / math.log(probs.shape[1]), 1.0)
 
 
 _RULES = {
@@ -269,18 +272,12 @@ def gate_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> 
 
 
 def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Frozen-state token loss w * (1 - p^a) / a = -w expm1(a log p) / a of each row; row-wise ``loss``.
+    """Frozen-state token loss w * (1 - p^a) / a of each row, through ``deformed_loss``; row-wise ``loss``.
 
     At a == 0 the exact limit -w log p is taken, without dividing by a.
     """
     p, w, a = frozen_state(kind, probs, labels)
-    log_p = np.log(p)
-    zero = a == 0.0
-    a = np.where(zero, 1.0, a)
-    # a * log p may overflow to -inf for huge a, where expm1 gives the exact limit -1
-    with np.errstate(over="ignore"):
-        deformed = -np.expm1(a * log_p) / a
-    return w * np.where(zero, -log_p, deformed)
+    return w * deformed_loss(p, a)
 
 
 def gate_error_into(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, focus: np.ndarray) -> np.ndarray:

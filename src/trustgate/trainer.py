@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import PROB_FLOOR, DomainError
+from .core_math import PROB_FLOOR, DomainError, clamp_prob
 from .objectives import ObjectiveKind, focus_per_row, gate_error_into, loss_per_row, softmax_into
 
 REGIMES = ("strong", "intermediate", "weak")
@@ -466,7 +466,7 @@ def probability_histogram(model: ToyModel, labels: np.ndarray, bins) -> np.ndarr
         raise DomainError("bin edges must be a strictly ascending vector of length >= 2")
     if edges[0] > PROB_FLOOR or edges[-1] < 1.0:
         raise DomainError(f"bin edges must cover (0, 1], got [{edges[0]}, {edges[-1]}]")
-    counts, _ = np.histogram(np.clip(model.target_probs(np.asarray(labels)), PROB_FLOOR, 1.0), bins=edges)
+    counts, _ = np.histogram(clamp_prob(model.target_probs(np.asarray(labels))), bins=edges)
     return counts
 
 

@@ -22,6 +22,7 @@ from .core_math import (
     PROB_FLOOR,
     DomainError,
     cayley_alpha,
+    collision_mass,
     concentration,
     deformed_loss,
     mobius_alpha,
@@ -41,6 +42,7 @@ from .objectives import (
     _logit_row,
     default_kinds,
     fixed_alpha,
+    focus_per_row,
     frozen_state,
     gate,
     gate_per_row,
@@ -98,9 +100,15 @@ def _check_rule(rule: str) -> str:
     return rule
 
 
-def _check_order(alpha: float) -> float:
+def _check_order(alpha: float, high: float = math.inf) -> float:
+    """A finite score order in [MIN_ORDER, high]: a subnormal order keeps too few bits to score with."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"score order must be > 0, got {alpha!r}")
+    if not MIN_ORDER <= alpha <= high:
+        raise DomainError(
+            f"score order {alpha!r} under- or overflows the score arithmetic; "
+            f"expected {MIN_ORDER:g} <= alpha <= {high:.4g}"
+        )
     return alpha
 
 
@@ -171,7 +179,7 @@ def fd_gradient(kind: ObjectiveKind, z, target: int, h: float = 1e-5) -> np.ndar
 
 
 def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER) -> float:
-    """Exact expected score of prediction ``phat`` when tokens follow ``r``."""
+    """Exact expected score of prediction ``phat`` when tokens follow ``r``, at a finite order >= MIN_ORDER."""
     rule = _check_rule(rule)
     r = validate_dist(r)
     q = validate_dist(phat)
@@ -256,12 +264,7 @@ def minimize_risk_rows(rs, alpha: float, rule: str = RULE_PROPER) -> tuple[np.nd
     """
     rule = _check_rule(rule)
     rs = validate_rows(rs)
-    alpha = _check_order(alpha)
-    if not MIN_ORDER <= alpha <= _MAX_ORDER:
-        raise DomainError(
-            f"score order {alpha!r} under- or overflows the score arithmetic; "
-            f"expected {MIN_ORDER:g} <= alpha <= {_MAX_ORDER:.4g}"
-        )
+    alpha = _check_order(alpha, _MAX_ORDER)
     problems, dim = rs.shape
     if dim > _MAX_VOCAB:
         raise DomainError(f"unsupported size: vocabulary {dim} exceeds {_MAX_VOCAB}")
@@ -437,7 +440,7 @@ def surprisal_linearization_residual(kappa: float) -> float:
     visible nonlinearity.
     """
     z = np.logspace(-6, math.log10(0.999), 200)
-    y = np.arctanh(np.array([mobius_alpha(float(v), kappa) for v in z]))
+    y = np.arctanh(mobius_alpha(z, kappa))
     x = np.log(z)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -448,37 +451,30 @@ def surprisal_linearization_residual(kappa: float) -> float:
 
 def _suite_qlog_reports() -> list[PropertyReport]:
     xs = np.linspace(0.1, 10.0, 100)
-    worst_limit = 0.0
-    for q in (1.0 - 1e-7, 1.0 + 1e-7):
-        worst_limit = max(
-            worst_limit, max(abs(q_log(float(x), q) - math.log(x)) for x in xs)
-        )
+    worst_limit = max(float(np.abs(q_log(xs, q) - np.log(xs)).max()) for q in (1.0 - 1e-7, 1.0 + 1e-7))
     reports = [_report("qlog-limit-at-one", worst_limit, 1e-5)]
 
     worst_slope = 0.0
     h = 1e-6
+    xs = np.linspace(0.2, 5.0, 25)
     for q in (-0.5, 0.0, 0.3, 0.7, 1.5, 2.0):
-        for x in np.linspace(0.2, 5.0, 25):
-            fd = (q_log(float(x + h), q) - q_log(float(x - h), q)) / (2.0 * h)
-            exact = float(x) ** (-q)
-            worst_slope = max(worst_slope, abs(fd - exact) / abs(exact))
+        fd = (q_log(xs + h, q) - q_log(xs - h, q)) / (2.0 * h)
+        exact = xs ** (-q)
+        worst_slope = max(worst_slope, float((np.abs(fd - exact) / np.abs(exact)).max()))
     reports.append(_report("qlog-derivative", worst_slope, 1e-6))
     return reports
 
 
 def _suite_deformed_loss_report() -> PropertyReport:
     ps = np.linspace(1e-6, 1.0, 400)
-    worst = 0.0
-    for alpha in (0.0, 1e-9, 0.25, 0.5, 1.0, 2.0):
-        values = np.array([deformed_loss(float(p), alpha) for p in ps])
-        worst = max(worst, float(np.max(np.diff(values))))  # must be nonincreasing
+    worst = max(  # must be nonincreasing
+        float(np.diff(deformed_loss(ps, alpha)).max()) for alpha in (0.0, 1e-9, 0.25, 0.5, 1.0, 2.0)
+    )
     # L_a(p) = -log p - a log^2 p / 2 + a^2 |log p|^3 / 6 + ...: past the second
     # order the gap is at most 1.7e-13 here, so a log-loss switch would show
-    continuity = max(
-        abs(deformed_loss(p, a) + math.log(p) + a * math.log(p) ** 2 / 2.0)
-        for a in (1e-9, 1e-7)
-        for p in (0.01, 0.3, 0.9)
-    )
+    p = np.array([0.01, 0.3, 0.9])
+    a = np.array([[1e-9], [1e-7]])
+    continuity = float(np.abs(deformed_loss(p, a) + np.log(p) + a * np.log(p) ** 2 / 2.0).max())
     return _report(
         "deformed-loss-monotone-and-continuous-at-zero", max(worst, continuity), 1e-12
     )
@@ -488,8 +484,7 @@ def _suite_concentration_reports(rng: np.random.Generator) -> list[PropertyRepor
     worst_range = 0.0
     worst_renyi = 0.0
     for dists, _ in _draw_by_size(rng, 10_000, 2, 65, _random_dist, target=False):
-        dists = validate_rows(dists)
-        c = (dists * dists).sum(axis=1)
+        c = collision_mass(validate_rows(dists))
         size = dists.shape[1]
         worst_range = max(worst_range, float((1.0 / size - c).max()), float((c - 1.0).max()))
         # exp(-H2) with H2 = -log c
@@ -508,26 +503,22 @@ def _suite_concentration_reports(rng: np.random.Generator) -> list[PropertyRepor
 
 def _suite_mobius_reports(cayley_kappa: float) -> list[PropertyReport]:
     zs = np.linspace(0.0, 1.0, 257)
-    worst_inv = 0.0
-    for kappa in (0.0, 0.5, 1.0, 2.0):
-        for z in zs:
-            worst_inv = max(worst_inv, abs(mobius_alpha(mobius_alpha(float(z), kappa), kappa) - z))
+    worst_inv = max(
+        float(np.abs(mobius_alpha(mobius_alpha(zs, kappa), kappa) - zs).max())
+        for kappa in (0.0, 0.5, 1.0, 2.0)
+    )
     reports = [_report("mobius-involution", worst_inv, 1e-12)]
 
     ps = np.concatenate([np.logspace(-6, -0.01, 300), np.linspace(0.01, 0.999, 300)])
-    worst_arc = max(
-        abs(math.atanh(cayley_alpha(float(p))) - (-0.25 * math.log1p(-float(p)))) for p in ps
-    )
+    worst_arc = float(np.abs(np.arctanh(cayley_alpha(ps)) - (-0.25 * np.log1p(-ps))).max())
     reports.append(_report("cayley-arctanh-identity", worst_arc, 1e-9))
 
     # leading-order expansions: (p/4 + O(p^2)) at the open end with constant
     # <= 1, (1 - 2 sqrt(1-p) + O(1-p)) at the sharp end with constant <= 2
     low = np.logspace(-8, -3, 50)
-    worst_low = max(abs(cayley_alpha(float(p)) - p / 4.0) / p**2 for p in low)
+    worst_low = float((np.abs(cayley_alpha(low) - low / 4.0) / low**2).max())
     high = 1.0 - np.logspace(-8, math.log10(1e-3), 50)
-    worst_high = max(
-        abs(cayley_alpha(float(p)) - (1.0 - 2.0 * math.sqrt(1.0 - p))) / (1.0 - p) for p in high
-    )
+    worst_high = float((np.abs(cayley_alpha(high) - (1.0 - 2.0 * np.sqrt(1.0 - high))) / (1.0 - high)).max())
     reports.append(_report("cayley-asymptotics", max(worst_low, worst_high / 2.0), 1.0))
 
     selected = surprisal_linearization_residual(cayley_kappa)
@@ -610,7 +601,7 @@ def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
         p = dists[on_target]
         keep = p < 1.0 - 1e-12
         dists, on_target, p = dists[keep], on_target[keep], p[keep]
-        a = (dists * dists).sum(axis=1)
+        a = focus_per_row(DEFT, dists, targets[keep])
         tail = dists[~on_target].reshape(-1, size - 1) / (1.0 - p)[:, None]
         p2, q2 = p**2, (1.0 - p) ** 2
         identity_gap = np.abs(a - (p2 + q2 * (tail * tail).sum(axis=1)))
@@ -682,9 +673,9 @@ def _suite_duality_reports(rng: np.random.Generator) -> list[PropertyReport]:
 
 def _suite_index_relation_report(rng: np.random.Generator) -> PropertyReport:
     worst = 0.0
+    ps = np.linspace(0.01, 1.0, 50)
     for alpha in (0.25, 0.5, 1.0):
-        for p in np.linspace(0.01, 1.0, 50):
-            worst = max(worst, abs(deformed_loss(float(p), alpha) - (-q_log(float(p), 1.0 - alpha))))
+        worst = max(worst, float(np.abs(deformed_loss(ps, alpha) - (-q_log(ps, 1.0 - alpha))).max()))
         for _ in range(20):
             size = int(rng.integers(2, 6))
             r = _random_dist(rng, size)
@@ -696,10 +687,10 @@ def _suite_index_relation_report(rng: np.random.Generator) -> PropertyReport:
 
 
 def _suite_gate_limit_report() -> PropertyReport:
-    values = [cayley_alpha(p) * abs(math.log(p)) for p in (1e-3, 1e-6, 1e-9)]
-    worst = 0.0
-    for previous, current in zip(values, values[1:]):
-        worst = max(worst, current - previous / 10.0)
+    ps = np.array([1e-3, 1e-6, 1e-9])
+    values = cayley_alpha(ps) * np.abs(np.log(ps))
+    # each thousandfold step toward p = 0 must shrink alpha*|log p| at least tenfold
+    worst = float((values[1:] - values[:-1] / 10.0).max())
     return _report(
         "gate-open-limit",
         max(worst, 0.0),

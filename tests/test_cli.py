@@ -418,6 +418,12 @@ class TestDuality:
         assert err == "error: [Errno 2] No such file or directory: 'nodir/x.json'\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("alpha", ["1e-320", "5e-324"])
+    def test_subnormal_order_exits_two(self, alpha, capsys):
+        code, out, err = run_cli(capsys, "duality", "--r", "0.8,0.2", "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert f"score order {float(alpha)!r} under- or overflows" in err
+
     def test_underflowing_order_exits_two(self, tmp_path, capsys):
         """At order 1e300 every p^a underflows and the risk surface is flat: a usage error."""
         out_path = tmp_path / "d.json"

@@ -1,10 +1,14 @@
-"""Scalar primitive checks: frozen values, limits, and property sweeps."""
+"""Primitive checks: frozen values, limits, property sweeps, and arrays against scalar calls."""
 
 import math
 import sys
 
 import numpy as np
+import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trustgate import (
     DomainError,
@@ -22,7 +26,7 @@ from trustgate import (
     uncertainty_radius,
     validate_dist,
 )
-from trustgate.core_math import validate_rows
+from trustgate.core_math import MIN_ORDER, validate_rows
 
 
 class TestQLog:
@@ -358,3 +362,56 @@ class TestValidation:
     def test_rows_need_a_two_dimensional_stack(self, shape):
         with pytest.raises(DomainError):
             validate_rows(np.full(shape, 0.5))
+
+
+UNIT = st.floats(0.0, 1.0)
+# name: (elementwise function of one argument, its domain, an entry outside it)
+ELEMENTWISE = {
+    "clamp_prob": (clamp_prob, UNIT, 1.5),
+    "cayley_alpha": (cayley_alpha, UNIT, -0.25),
+    "uncertainty_radius": (uncertainty_radius, UNIT, 2.0),
+    "surprisal_alpha": (surprisal_alpha, UNIT, math.nan),
+    "fisher_rao_distance": (fisher_rao_distance, UNIT, math.inf),
+    "mobius_alpha": (lambda z: mobius_alpha(z, 0.5), UNIT, -1e-300),
+    # x^3 overflows past 5.6e102: both forms give inf
+    "q_log": (lambda x: q_log(x, -2.0), st.floats(0.0, 1e300, exclude_min=True), 0.0),
+    "deformed_loss-p": (lambda p: deformed_loss(p, 0.5), UNIT, 1.1),
+    # a log p overflows to -inf past a = 1.5e308: both forms give the limit 1 / a
+    "deformed_loss-alpha": (
+        lambda a: deformed_loss(0.3, a),
+        st.one_of(st.just(0.0), st.floats(MIN_ORDER, 1e308)),
+        1e-320,
+    ),
+}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestArraysAgainstScalarCalls:
+    """Each elementwise function is one array formula: an array gives the bits of one scalar call per entry."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(ELEMENTWISE)), data=st.data())
+    def test_entries_are_scalar_calls(self, name, data):
+        fn, domain, _ = ELEMENTWISE[name]
+        values = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2), elements=domain))
+        scalars = [fn(float(v)) for v in values.ravel()]
+        assert all(type(s) is float for s in scalars)
+        out = fn(values)
+        assert isinstance(out, np.ndarray) and out.shape == values.shape
+        npt.assert_array_equal(_bits(out).ravel(), _bits(scalars))
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(sorted(ELEMENTWISE)), data=st.data())
+    def test_one_bad_entry_is_named_as_its_scalar_call_names_it(self, name, data):
+        fn, domain, bad = ELEMENTWISE[name]
+        values = data.draw(hnp.arrays(np.float64, st.integers(0, 12), elements=domain))
+        values = np.insert(values, data.draw(st.integers(0, values.size)), bad)
+        with pytest.raises(DomainError) as scalar:
+            fn(bad)
+        with pytest.raises(DomainError) as array:
+            fn(values)
+        assert str(array.value) == str(scalar.value)
+        assert str(array.value).endswith(f"got {bad!r}")

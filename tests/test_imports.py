@@ -1,4 +1,4 @@
-"""numpy stays the package's only runtime dependency."""
+"""numpy stays the package's only runtime dependency, and core_math the one home of the formulas."""
 
 import ast
 import sys
@@ -6,8 +6,13 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "trustgate").glob("*.py"))
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trustgate"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "trustgate"}
+# The objective, trainer and landscape modules call core_math for every log,
+# root and clamp; the oracles in verification restate formulas on purpose.
+FORMULA_USERS = ("objectives.py", "trainer.py", "landscape.py")
+FORMULA_UFUNCS = {"log", "log1p", "expm1", "sqrt", "clip"}
 
 
 def _imported_roots(tree: ast.AST) -> set[str]:
@@ -34,3 +39,27 @@ def test_imports_only_stdlib_numpy_and_the_package(path):
 def test_check_catches_a_third_party_import():
     tree = ast.parse("import numpy as np\nfrom scipy import special\nfrom . import core_math\n")
     assert _imported_roots(tree) - ALLOWED == {"scipy"}
+
+
+def _formula_calls(tree: ast.AST) -> set[str]:
+    """Names of the numpy log, root and clip functions a module calls as ``np.<name>`` or ``numpy.<name>``."""
+    return {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+        and node.func.attr in FORMULA_UFUNCS
+    }
+
+
+@pytest.mark.parametrize("name", FORMULA_USERS)
+def test_formulas_come_from_core_math(name):
+    path = PACKAGE / name
+    assert _formula_calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) == set()
+
+
+def test_check_catches_a_formula_copy():
+    tree = ast.parse("import numpy as np\nx = np.sqrt(1.0 - np.clip(p, 0, 1))\ny = np.maximum(p, 1.0)\n")
+    assert _formula_calls(tree) == {"sqrt", "clip"}

@@ -36,6 +36,7 @@ from trustgate import (
 )
 from trustgate.cli import parse_and_run
 from trustgate.landscape import MAX_GRID_ENTRIES, _realize, check_grid_size, write_atomic
+from trustgate.verification import reports_to_json
 
 
 def scalar_construct(p, entropy, vocab):
@@ -410,6 +411,8 @@ class TestEmit:
         assert json.loads(path.read_text()) == [
             {"name": "x", "passed": True, "max_error": 0.0, "detail": "tol=1"}
         ]
+        # the one report serializer, plus a final newline
+        assert path.read_bytes() == (reports_to_json(reports) + "\n").encode()
 
     def test_csv_rejects_non_grid(self, tmp_path):
         with pytest.raises(DomainError):

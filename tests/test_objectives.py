@@ -26,7 +26,7 @@ from trustgate import (
     loss,
     softmax,
 )
-from trustgate.core_math import deformed_loss
+from trustgate.core_math import cayley_alpha, clamp_prob, concentration, deformed_loss, shannon_entropy
 from trustgate.objectives import focus_per_row, frozen_state, gate_per_row, loss_per_row
 from trustgate.verification import fd_gradient
 
@@ -315,15 +315,31 @@ class TestRuleTableProperties:
     @settings(max_examples=150, deadline=None)
     @given(kind=KINDS, stack=logit_stacks())
     def test_loss_matches_scalar_deformed_loss(self, kind, stack):
-        """w * (1 - p^a) / a per row against core_math's scalar loss, including its -log p limit at 0.
-
-        numpy's and the math module's log/expm1 may differ in the last bit, hence 1e-13.
-        """
+        """w * (1 - p^a) / a per row against core_math's scalar loss, including its -log p limit at 0."""
         logits, labels = stack
         probs = _row_probs(logits)
         p, w, a = frozen_state(kind, probs, labels)
         expected = [wi * deformed_loss(float(pi), float(ai)) for pi, wi, ai in zip(p, w, a)]
-        npt.assert_allclose(loss_per_row(kind, probs, labels), expected, rtol=1e-13, atol=0.0)
+        npt.assert_array_equal(_bits(loss_per_row(kind, probs, labels)), _bits(expected))
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=logit_stacks())
+    def test_focus_and_weight_rules_are_the_core_math_formulas(self, stack):
+        """cayley, deft and eaft run core_math's Cayley focus, collision mass and Shannon entropy, bit for bit."""
+        logits, labels = stack
+        probs = _row_probs(logits)
+        p = probs[np.arange(labels.size), labels]
+        npt.assert_array_equal(
+            _bits(focus_per_row(CAYLEY, probs, labels)), _bits([cayley_alpha(clamp_prob(float(v))) for v in p])
+        )
+        npt.assert_array_equal(
+            _bits(focus_per_row(DEFT, probs, labels)), _bits([concentration(row) for row in probs])
+        )
+        log_vocab = math.log(probs.shape[1])
+        npt.assert_array_equal(
+            _bits(frozen_state(EAFT, probs, labels)[1]),
+            _bits([min(shannon_entropy(row) / log_vocab, 1.0) for row in probs]),
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(kind=KINDS, stack=logit_stacks(), shift=st.floats(-100.0, 100.0))

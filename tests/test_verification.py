@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -170,6 +171,17 @@ class TestExpectedScore:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             expected_score([0.5, 0.5], [0.2, 0.3, 0.5], 0.5, RULE_PROPER)
+
+    @pytest.mark.parametrize("alpha", [1e-320, 5e-324])
+    def test_subnormal_orders_rejected(self, alpha):
+        """At 1e-320 the score read 0.693182 for log 2 = 0.693147: a subnormal order keeps too few bits."""
+        with pytest.raises(DomainError, match=re.escape(f"score order {alpha!r} under- or overflows")):
+            expected_score([0.5, 0.5], [0.5, 0.5], alpha, RULE_PROPER)
+
+    def test_smallest_normal_order_is_the_log_score(self):
+        assert expected_score([0.5, 0.5], [0.5, 0.5], sys.float_info.min, RULE_PROPER) == pytest.approx(
+            math.log(2.0), rel=1e-15
+        )
 
     def test_proper_rule_penalizes_any_deviation(self):
         rng = np.random.default_rng(3)
