@@ -5,9 +5,11 @@ token loss it induces, Shannon/Tsallis/collision entropies, and the
 Cayley/Moebius maps that turn a confidence level into a focus exponent.
 Elementwise functions take a scalar or an array as their first argument,
 refuse it naming its first entry outside the domain, and return a Python
-float for a scalar. The Cayley focus, the collision mass and the Shannon row
-entropy are unchecked kernels as well; the objectives and the landscapes call
-them, so the property suite checks the code the trainer and the grids run.
+float for a scalar; distribution functions take one distribution or a
+(rows, V) stack of them, and return a Python float for one distribution. The
+Cayley focus, the collision mass and the Shannon row entropy are unchecked
+kernels as well; the objectives and the landscapes call them, so the property
+suite checks the code the trainer and the grids run.
 No I/O, no mutable state; every function is safe to call concurrently.
 """
 
@@ -65,28 +67,23 @@ def clamp_prob(p):
 def validate_dist(probs) -> np.ndarray:
     """Validate a probability vector: length >= 2, entries >= 0, sum == 1.
 
-    Returns the vector as a float64 ndarray. Raises DomainError on violation.
+    The one-row case of ``validate_rows``: returns the vector as a float64
+    ndarray, raises DomainError on violation.
     """
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise DomainError(
             f"distribution must be a 1-d vector of length >= 2, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("distribution contains non-finite entries")
-    if np.any(arr < 0.0):
-        raise DomainError(f"distribution has negative entries (min {arr.min()!r})")
-    total = float(arr.sum())
-    if abs(total - 1.0) > DIST_SUM_TOL:
-        raise DomainError(f"distribution sums to {total!r}, expected 1 within {DIST_SUM_TOL}")
+    validate_rows(arr[None, :])
     return arr
 
 
 def validate_rows(probs) -> np.ndarray:
-    """Validate a (rows, vocab >= 2) stack of probability vectors row by row.
+    """Validate a (rows, vocab >= 2) stack of probability vectors: the one distribution check.
 
-    Applies every check of ``validate_dist`` to each row and returns the stack
-    as a float64 ndarray. Raises DomainError on the first violation.
+    Every row must be finite, non-negative and sum to 1 within DIST_SUM_TOL.
+    Returns the stack as a float64 ndarray. Raises DomainError on the first violation.
     """
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] < 2:
@@ -97,11 +94,18 @@ def validate_rows(probs) -> np.ndarray:
         return arr
     if not np.isfinite(arr).all():
         raise DomainError("distribution contains non-finite entries")
-    if (arr < 0.0).any():
-        raise DomainError(f"distribution has negative entries (min {arr.min()!r})")
+    negative = (arr < 0.0).any(axis=1)
+    if negative.any():
+        raise DomainError(f"distribution has negative entries (min {float(arr[negative][0].min())!r})")
     totals = arr.sum(axis=1)
     total = float(totals[np.abs(totals - 1.0) > DIST_SUM_TOL][0])
     raise DomainError(f"distribution sums to {total!r}, expected 1 within {DIST_SUM_TOL}")
+
+
+def _dists(probs) -> np.ndarray:
+    """One distribution (``validate_dist``) or a (rows, vocab) stack of them (``validate_rows``)."""
+    arr = np.asarray(probs, dtype=np.float64)
+    return validate_dist(arr) if arr.ndim == 1 else validate_rows(arr)
 
 
 def q_log(x, q: float):
@@ -141,41 +145,41 @@ def deformed_loss(p, alpha):
 def entropy_rows(P: np.ndarray) -> np.ndarray:
     """Shannon entropy of each row (last axis) of ``P``, unchecked: the one kernel.
 
-    Entries below 1e-300 enter the logarithm as 1e-300, so 0*log(0) = 0. One
-    temporary the size of ``P``: the trainer holds one per block in flight.
+    Entries below 1e-300 enter the logarithm as 1e-300, so 0*log(0) = 0; a point
+    mass gives +0.0. One temporary the size of ``P``: the trainer holds one per
+    block in flight.
     """
     terms = np.maximum(P, 1e-300)
     np.log(terms, out=terms)
     terms *= P
-    return -terms.sum(axis=-1)
+    return 0.0 - terms.sum(axis=-1)
 
 
-def shannon_entropy(r) -> float:
-    """Shannon entropy -sum r*log(r) in nats, with 0*log(0) = 0."""
-    return float(entropy_rows(validate_dist(r)))
+def shannon_entropy(r):
+    """Shannon entropy -sum r*log(r) in nats, with 0*log(0) = 0, of a distribution or of each row of a stack."""
+    return _result(entropy_rows(_dists(r)))
 
 
-def tsallis_entropy(r, q: float) -> float:
-    """Generalized entropy (1 - sum r^q) / (q - 1) for q > 0.
+def tsallis_entropy(r, q: float):
+    """Generalized entropy (1 - sum r^q) / (q - 1) for q > 0, of a distribution or of each row of a stack.
 
-    Returns the Shannon entropy at q == 1. Nonnegative and zero exactly on
-    point masses. Summed over r > 0 as w * (1 - r^d) / d with d = |q - 1|,
-    w = r (q > 1) or r^q (q < 1) and 1 - r^d = -expm1(d log r): full
-    precision at every q != 1 (where d is at least 1.1e-16), and no power of
-    r exceeds 1.
+    Equals ``shannon_entropy`` at q == 1. Nonnegative and zero exactly on point
+    masses. Summed as w * (1 - r^d) / d with d = |q - 1|, w = r (q > 1) or
+    r^q (q < 1) and 1 - r^d = -expm1(d log r), where a zero entry's log is
+    taken as log 1, so it adds 0: full precision at every q != 1 (where d is
+    at least 1.1e-16), and no power of r exceeds 1.
     """
     if not math.isfinite(q) or q <= 0.0:
         raise DomainError(f"entropy order must be > 0, got {q!r}")
-    arr = validate_dist(r)
-    # "0.0 +" and "0.0 -" keep a point mass at +0.0
     if q == 1.0:
-        return 0.0 + float(entropy_rows(arr))
-    nz = arr[arr > 0.0]
-    log_r = np.log(nz)
+        return shannon_entropy(r)
+    arr = _dists(r)
+    log_r = np.log(np.where(arr > 0.0, arr, 1.0))
     d = abs(q - 1.0)
-    weight = nz if q > 1.0 else np.exp(q * log_r)
+    weight = arr if q > 1.0 else np.exp(q * log_r)
     with np.errstate(over="ignore"):  # d log r overflows to -inf for huge q; expm1 gives -1
-        return 0.0 - float((weight * np.expm1(d * log_r)).sum()) / d
+        # "0.0 -" keeps a point mass at +0.0
+        return _result(0.0 - (weight * np.expm1(d * log_r)).sum(axis=-1) / d)
 
 
 def collision_mass(P: np.ndarray) -> np.ndarray:
@@ -183,17 +187,17 @@ def collision_mass(P: np.ndarray) -> np.ndarray:
     return (P * P).sum(axis=-1)
 
 
-def renyi2_entropy(P) -> float:
-    """Order-2 (collision) entropy H2 = -log(sum P^2)."""
-    return float(-np.log(collision_mass(validate_dist(P))))
+def renyi2_entropy(P):
+    """Order-2 (collision) entropy H2 = -log(sum P^2) of a distribution or of each row of a stack."""
+    return _result(0.0 - np.log(collision_mass(_dists(P))))
 
 
-def concentration(P) -> float:
-    """Collision mass sum_v P(v)^2 = exp(-H2); lies in [1/|V|, 1].
+def concentration(P):
+    """Collision mass sum_v P(v)^2 = exp(-H2) of a distribution or of each row of a stack; lies in [1/|V|, 1].
 
     Equals 1/|V| exactly on the uniform distribution and 1 on point masses.
     """
-    return float(collision_mass(validate_dist(P)))
+    return _result(collision_mass(_dists(P)))
 
 
 def uncertainty_radius(p):

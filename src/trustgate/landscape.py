@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core_math import DomainError, clamp_prob, entropy_rows, validate_rows
+from .core_math import DomainError, clamp_prob, entropy_rows
 from .objectives import ObjectiveKind, gate_per_row
 from .trainer import RunRecord
 from .verification import PropertyReport, reports_to_json
@@ -61,11 +61,6 @@ def _family_rows(p: np.ndarray, mix, vocab: int) -> np.ndarray:
     return rows
 
 
-def _row_entropy(rows: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each validated row, with 0*log(0) = 0."""
-    return entropy_rows(validate_rows(rows))
-
-
 def _blocks(count: int, vocab: int):
     step = max(1, _BLOCK_ENTRIES // vocab)
     return (slice(start, start + step) for start in range(0, count, step))
@@ -89,8 +84,8 @@ def _entropy_bounds(p: np.ndarray, vocab: int) -> tuple[np.ndarray, np.ndarray]:
     """Attainable entropy interval [low, high] for each target mass in p."""
     low, high = np.empty(p.size), np.empty(p.size)
     for block in _blocks(p.size, vocab):
-        low[block] = _row_entropy(_family_rows(p[block], 0.0, vocab))
-        high[block] = _row_entropy(_family_rows(p[block], 1.0, vocab))
+        low[block] = entropy_rows(_family_rows(p[block], 0.0, vocab))
+        high[block] = entropy_rows(_family_rows(p[block], 1.0, vocab))
     return low, high
 
 
@@ -113,7 +108,7 @@ def _realize(p, entropy, low, high, vocab: int) -> np.ndarray:
         if cell.size == 0:
             break
         mid = 0.5 * (lo + hi)
-        value = _row_entropy(_family_rows(cell_p, mid, vocab))
+        value = entropy_rows(_family_rows(cell_p, mid, vocab))
         below = value < cell_target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
@@ -152,13 +147,18 @@ def construct_distribution_rows(p, entropy, vocab: int) -> np.ndarray:
 
     All pairs are realized by one batched bisection of the spike-to-tail
     mixing weight (entropy is strictly increasing in it), each to tolerance
-    1e-6 within 200 iterations and independently of the others. Raises
-    FeasibilityError, naming the attainable interval of the first pair that
-    cannot be realized.
+    1e-6 within 200 iterations and independently of the others. ``entropy``
+    is one value for every pair or one per pair. Raises FeasibilityError,
+    naming the attainable interval of the first pair that cannot be realized.
     """
     low, high = feasible_entropy_rows(p, vocab)
     p = np.asarray(p, dtype=np.float64)
-    entropy = np.broadcast_to(np.asarray(entropy, dtype=np.float64), p.shape)
+    entropy = np.asarray(entropy, dtype=np.float64)
+    if entropy.shape not in ((), p.shape):
+        raise DomainError(
+            f"entropies of shape {entropy.shape} do not match target probabilities of shape {p.shape}"
+        )
+    entropy = np.broadcast_to(entropy, p.shape)
     infeasible = ~((entropy >= low - _BISECTION_TOL) & (entropy <= high + _BISECTION_TOL))
     if infeasible.any():
         i = int(np.flatnonzero(infeasible)[0])

@@ -21,8 +21,8 @@ from .core_math import (
     MIN_ORDER,
     PROB_FLOOR,
     DomainError,
+    _dists,
     cayley_alpha,
-    collision_mass,
     concentration,
     deformed_loss,
     mobius_alpha,
@@ -121,11 +121,10 @@ def softmax_jacobian(z) -> np.ndarray:
     return np.diag(P) - np.outer(P, P)
 
 
-def _frozen_loss_derivative(kind: ObjectiveKind, P0: np.ndarray, target: int) -> Callable[[float], float]:
-    """d/dp of the frozen-state token loss, -w0 p^(a0 - 1), written apart from the gate."""
-    _, w, a = frozen_state(kind, P0[None, :], np.array([target]))
-    w0, a0 = float(w[0]), float(a[0])
-    return lambda p: -w0 * p ** (a0 - 1.0)
+def _frozen_loss_derivative(kind: ObjectiveKind, P0: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """d/dp of each row's frozen-state token loss at its target, -w0 p^(a0 - 1), written apart from the gate."""
+    p, w0, a0 = frozen_state(kind, P0, targets)
+    return -w0 * p ** (a0 - 1.0)
 
 
 def fd_gradient_rows(kind: ObjectiveKind, Z, targets, h: float = 1e-5) -> np.ndarray:
@@ -178,16 +177,21 @@ def fd_gradient(kind: ObjectiveKind, z, target: int, h: float = 1e-5) -> np.ndar
     return fd_gradient_rows(kind, _logit_row(z), [int(target)], h)[0]
 
 
-def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER) -> float:
-    """Exact expected score of prediction ``phat`` when tokens follow ``r``, at a finite order >= MIN_ORDER."""
+def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER):
+    """Exact expected score of prediction ``phat`` when tokens follow ``r``, at a finite order >= MIN_ORDER.
+
+    ``r`` and ``phat`` are two distributions, or two (rows, vocab) stacks
+    scored row by row; a pair of distributions gives a Python float.
+    """
     rule = _check_rule(rule)
-    r = validate_dist(r)
-    q = validate_dist(phat)
-    if r.size != q.size:
-        raise DomainError(f"length mismatch: r has {r.size} entries, phat has {q.size}")
+    r = _dists(r)
+    q = _dists(phat)
+    if r.shape != q.shape:
+        raise DomainError(f"shape mismatch: r has shape {r.shape}, phat has shape {q.shape}")
     alpha = _check_order(alpha)
     with np.errstate(over="ignore"):  # a log q overflows to -inf for huge a; expm1 gives -1
-        return float(_risk_rows(q, r, alpha, rule))
+        risk = _risk_rows(q, r, alpha, rule)
+    return float(risk) if r.ndim == 1 else risk
 
 
 def _score_terms(rows: np.ndarray, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray]:
@@ -322,6 +326,8 @@ def gradient_flow_ordering(
     """
     if regime not in _REGIMES:
         raise DomainError(f"unknown regime {regime!r}, expected one of {_REGIMES}")
+    if num_contexts < 1:
+        raise DomainError(f"need at least one context, got {num_contexts!r}")
     for kind in pair:
         if kind.is_dynamic or kind.name == "eaft":
             raise DomainError(
@@ -329,47 +335,38 @@ def gradient_flow_ordering(
                 "risk-flow ordering is defined for fixed losses only"
             )
     first, second = pair
-    # static members ignore the state their loss is frozen at
-    d_first, d_second = (_frozen_loss_derivative(kind, np.array([0.5, 0.5]), 0) for kind in pair)
 
     vocab = 10
     rng = np.random.default_rng(seed)
-    formula_total = 0.0
-    direct_total = 0.0
-    for _ in range(num_contexts):
-        if regime == "strong":
-            y_true = int(rng.integers(vocab))
-            base = np.zeros(vocab)
-            base[y_true] = 0.9
-            tail = 0.1 * rng.dirichlet(np.ones(vocab - 1))
-            base[np.arange(vocab) != y_true] = tail
-            y_sup = y_true
-        else:
-            base = np.full(vocab, 1.0 / vocab)
-            y_true = int(rng.integers(vocab))
-            y_sup = int(rng.integers(vocab - 1))
-            if y_sup >= y_true:
-                y_sup += 1
-        e_true = np.zeros(vocab)
-        e_true[y_true] = 1.0
-        e_sup = np.zeros(vocab)
-        e_sup[y_sup] = 1.0
+    y_true = rng.integers(vocab, size=num_contexts)
+    if regime == "strong":
+        tail = 0.1 * rng.dirichlet(np.ones(vocab - 1), num_contexts)
+        base = np.full((num_contexts, vocab), 0.9)
+        base[np.arange(vocab) != y_true[:, None]] = tail.ravel()
+        y_sup = y_true
+    else:
+        base = np.full((num_contexts, vocab), 1.0 / vocab)
+        y_sup = rng.integers(vocab - 1, size=num_contexts)
+        y_sup += y_sup >= y_true
+    to_true, to_sup = np.eye(vocab)[y_true] - base, np.eye(vocab)[y_sup] - base
+    rows = np.arange(num_contexts)
+    p_true, q_sup = base[rows, y_true], base[rows, y_sup]
+    # each member's loss slope at the supervised token; static members ignore the state
+    d_first, d_second = (_frozen_loss_derivative(kind, base, y_sup) for kind in pair)
 
-        q_sup = float(base[y_sup])
-        inner = float((e_true - base) @ (e_sup - base))
-        formula_total += float(base[y_true]) * q_sup * (d_first(q_sup) - d_second(q_sup)) * inner
+    inner = (to_true * to_sup).sum(axis=1)
+    delta_formula = float((p_true * q_sup * (d_first - d_second) * inner).mean())
 
-        risk_dir = float(base[y_true]) * (e_true - base)
-        grad_first = q_sup * d_first(q_sup) * (e_sup - base)
-        grad_second = q_sup * d_second(q_sup) * (e_sup - base)
-        direct_total += float(risk_dir @ grad_first) - float(risk_dir @ grad_second)
-
-    delta_formula = formula_total / num_contexts
-    delta_direct = direct_total / num_contexts
+    risk_dir = p_true[:, None] * to_true
+    grad_first = (q_sup * d_first)[:, None] * to_sup
+    grad_second = (q_sup * d_second)[:, None] * to_sup
+    delta_direct = float(((risk_dir * grad_first).sum(axis=1) - (risk_dir * grad_second).sum(axis=1)).mean())
     route_error = abs(delta_formula - delta_direct)
 
     reference_p = 0.9 if regime == "strong" else 0.1
-    gate_gap = d_first(reference_p) - d_second(reference_p)
+    reference = np.array([[reference_p, 1.0 - reference_p]])
+    ref_first, ref_second = (_frozen_loss_derivative(kind, reference, np.zeros(1, np.intp)) for kind in pair)
+    gate_gap = float(ref_first[0] - ref_second[0])
     regime_sign = 1 if regime == "strong" else -1
     expected = 0 if abs(gate_gap) < 1e-15 else regime_sign * (1 if gate_gap > 0 else -1)
     observed = 0 if abs(delta_formula) < 1e-15 else (1 if delta_formula > 0 else -1)
@@ -484,7 +481,7 @@ def _suite_concentration_reports(rng: np.random.Generator) -> list[PropertyRepor
     worst_range = 0.0
     worst_renyi = 0.0
     for dists, _ in _draw_by_size(rng, 10_000, 2, 65, _random_dist, target=False):
-        c = collision_mass(validate_rows(dists))
+        c = concentration(dists)
         size = dists.shape[1]
         worst_range = max(worst_range, float((1.0 / size - c).max()), float((c - 1.0).max()))
         # exp(-H2) with H2 = -log c
@@ -629,9 +626,7 @@ def _suite_jacobian_report(rng: np.random.Generator) -> PropertyReport:
         diagonal[rows, targets] = p
         jac = diagonal - p[:, None] * P0
         for kind in default_kinds(0.5):
-            # d/dp of the frozen loss, -w0 p^(a0 - 1)
-            q, w0, a0 = frozen_state(kind, P0, targets)
-            chain = (-w0 * q ** (a0 - 1.0))[:, None] * jac
+            chain = _frozen_loss_derivative(kind, P0, targets)[:, None] * jac
             analytic = logit_gradient_rows(kind, logits, targets)
             worst = max(worst, float(np.abs(analytic - chain).max()))
     return _report("jacobian-chain-consistency", worst, 1e-10)
@@ -647,9 +642,9 @@ def _suite_duality_reports(rng: np.random.Generator) -> list[PropertyReport]:
         rs = np.array(truths[size - 2 :: 2])
         for alpha in (0.25, 0.5, 1.0):
             minimizers, risks = _descend(np.full((len(rs), 1, size), 1.0 / size), rs, alpha, RULE_PROPER)
-            for r, minimizer, risk in zip(rs, minimizers[:, 0], risks[:, 0]):
-                worst_risk = max(worst_risk, abs(float(risk) - tsallis_entropy(r, 1.0 + alpha)))
-                worst_min = max(worst_min, float(np.abs(minimizer - r).max()))
+            gap = risks[:, 0] - tsallis_entropy(rs, 1.0 + alpha)
+            worst_risk = max(worst_risk, float(np.abs(gap).max()))
+            worst_min = max(worst_min, float(np.abs(minimizers[:, 0] - rs).max()))
     reports = [
         _report("duality-proper-risk", worst_risk, 1e-12),
         _report("duality-proper-minimizer", worst_min, 1e-6),
@@ -676,13 +671,9 @@ def _suite_index_relation_report(rng: np.random.Generator) -> PropertyReport:
     ps = np.linspace(0.01, 1.0, 50)
     for alpha in (0.25, 0.5, 1.0):
         worst = max(worst, float(np.abs(deformed_loss(ps, alpha) - (-q_log(ps, 1.0 - alpha))).max()))
-        for _ in range(20):
-            size = int(rng.integers(2, 6))
-            r = _random_dist(rng, size)
-            worst = max(
-                worst,
-                abs(expected_score(r, r, alpha, RULE_PROPER) - tsallis_entropy(r, 1.0 + alpha)),
-            )
+        for rs, _ in _draw_by_size(rng, 20, 2, 6, _random_dist, target=False):
+            gap = expected_score(rs, rs, alpha, RULE_PROPER) - tsallis_entropy(rs, 1.0 + alpha)
+            worst = max(worst, float(np.abs(gap).max()))
     return _report("loss-entropy-index-relation", worst, 1e-12)
 
 
@@ -725,18 +716,17 @@ def _suite_landscape_reports(rng: np.random.Generator) -> list[PropertyReport]:
     h_grid = np.linspace(0.2, math.log(8.0), 5)
     grid = gradient_landscape(NLL, p_grid, h_grid, 8)
     cells = grid.cells
-    finite = cells[np.isfinite(cells)]
-    norm_err = max(abs(float(finite.max()) - 1.0), max(0.0, -float(finite.min())))
-    row_spread = 0.0
-    for row in cells:
-        vals = row[np.isfinite(row)]
-        if vals.size:
-            row_spread = max(row_spread, float(vals.max() - vals.min()))
+    finite = np.isfinite(cells)
+    norm_err = max(abs(float(cells[finite].max()) - 1.0), max(0.0, -float(cells[finite].min())))
+    # a row with no finite cell spreads -inf - inf = -inf
+    spread = cells.max(axis=1, where=finite, initial=-np.inf) - cells.min(axis=1, where=finite, initial=np.inf)
+    row_spread = float(spread.max(initial=0.0))
     reports = [_report("landscape-nll-entropy-independent", max(norm_err, row_spread), 1e-9)]
 
     # rng.uniform(low, high) is low + (high - low) * rng.random() bit for bit, so
     # the pairs can be drawn before their entropy intervals are known
-    p, fraction = np.array([(rng.uniform(0.05, 0.95), rng.random()) for _ in range(50)]).T
+    draws = rng.random((50, 2))
+    p, fraction = 0.05 + (0.95 - 0.05) * draws[:, 0], draws[:, 1]
     low, high = feasible_entropy_rows(p, 8)
     target_h = low + (high - low) * fraction
     dists = validate_rows(construct_distribution_rows(p, target_h, 8))

@@ -1,6 +1,8 @@
 """Primitive checks: frozen values, limits, property sweeps, and arrays against scalar calls."""
 
+import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -16,6 +18,7 @@ from trustgate import (
     clamp_prob,
     concentration,
     deformed_loss,
+    expected_score,
     fisher_rao_distance,
     mobius_alpha,
     q_log,
@@ -27,6 +30,7 @@ from trustgate import (
     validate_dist,
 )
 from trustgate.core_math import MIN_ORDER, validate_rows
+from trustgate.verification import RULE_MAIN, RULE_PROPER
 
 
 class TestQLog:
@@ -118,8 +122,15 @@ class TestEntropies:
 
     def test_tsallis_point_mass_is_zero(self):
         assert tsallis_entropy([1.0, 0.0], 2.0) == 0.0
-        for q in (0.5, 1.0, 1.0 + 1e-12, 2.0):
-            assert math.copysign(1.0, tsallis_entropy([0.0, 1.0], q)) == 1.0
+
+    @pytest.mark.parametrize(
+        "entropy",
+        [shannon_entropy, renyi2_entropy]
+        + [functools.partial(tsallis_entropy, q=q) for q in (0.5, 1.0, 1.0 + 1e-12, 2.0)],
+    )
+    def test_point_mass_entropy_is_positive_zero(self, entropy):
+        assert math.copysign(1.0, entropy([0.0, 1.0])) == 1.0
+        npt.assert_array_equal(np.copysign(1.0, entropy([[0.0, 1.0], [1.0, 0.0]])), [1.0, 1.0])
 
     def test_tsallis_skewed_pair(self):
         assert tsallis_entropy([0.9, 0.1], 2.0) == pytest.approx(0.18, abs=1e-12)
@@ -310,6 +321,15 @@ class TestFisherRaoDistance:
             fisher_rao_distance(1.5)
 
 
+BAD_ROWS = [
+    [0.5, 0.4, 0.0],
+    [1.1, -0.1, 0.0],
+    [float("nan"), 0.5, 0.5],
+    [float("inf"), 0.5, 0.0],
+    [float("inf"), -float("inf"), 0.0],
+]
+
+
 class TestValidation:
     def test_clamp_floor(self):
         assert clamp_prob(0.0) == 1e-12
@@ -336,16 +356,7 @@ class TestValidation:
         with pytest.raises(DomainError):
             validate_dist([entry, 0.5])
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [0.5, 0.4, 0.0],
-            [1.1, -0.1, 0.0],
-            [float("nan"), 0.5, 0.5],
-            [float("inf"), 0.5, 0.0],
-            [float("inf"), -float("inf"), 0.0],
-        ],
-    )
+    @pytest.mark.parametrize("bad", BAD_ROWS)
     def test_rows_fail_as_their_bad_row_does(self, bad):
         good = [0.2, 0.3, 0.5]
         with pytest.raises(DomainError) as scalar:
@@ -353,6 +364,10 @@ class TestValidation:
         with pytest.raises(DomainError) as rows:
             validate_rows([good, bad, good])
         assert str(rows.value) == str(scalar.value)
+
+    def test_rows_name_the_first_negative_row_as_a_float(self):
+        with pytest.raises(DomainError, match=re.escape("negative entries (min -0.1)")):
+            validate_rows([[0.2, 0.3, 0.5], [1.1, -0.1, 0.0], [1.5, -0.5, 0.0]])
 
     def test_rows_accept_valid_stack(self):
         stack = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
@@ -415,3 +430,76 @@ class TestArraysAgainstScalarCalls:
             fn(values)
         assert str(array.value) == str(scalar.value)
         assert str(array.value).endswith(f"got {bad!r}")
+
+
+# name: function of one distribution or of a (rows, V) stack of them
+DISTRIBUTION = {
+    "shannon_entropy": shannon_entropy,
+    "tsallis_entropy-0.5": lambda r: tsallis_entropy(r, 0.5),
+    "tsallis_entropy-1": lambda r: tsallis_entropy(r, 1.0),
+    "tsallis_entropy-2": lambda r: tsallis_entropy(r, 2.0),
+    "renyi2_entropy": renyi2_entropy,
+    "concentration": concentration,
+}
+STACK_SHAPES = st.tuples(st.integers(1, 6), st.integers(2, 12))
+
+
+def _normalized(weights):
+    weights[:, 0] += weights.sum(axis=1) == 0.0  # no all-zero row
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def _dist_stacks(shape):
+    """Stacks of distributions of ``shape``; rows often hold exact zeros, and may be point masses."""
+    weights = hnp.arrays(np.float64, shape, elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    return weights.map(_normalized)
+
+
+class TestStacksAgainstVectorCalls:
+    """Each distribution function is one stack formula: a stack gives the bits of one vector call per row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(DISTRIBUTION)), data=st.data())
+    def test_rows_are_vector_calls(self, name, data):
+        fn = DISTRIBUTION[name]
+        stack = data.draw(_dist_stacks(data.draw(STACK_SHAPES)))
+        vectors = [fn(row) for row in stack]
+        assert all(type(v) is float for v in vectors)
+        out = fn(stack)
+        assert isinstance(out, np.ndarray) and out.shape == stack.shape[:1]
+        npt.assert_array_equal(_bits(out), _bits(vectors))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rule=st.sampled_from([RULE_MAIN, RULE_PROPER]),
+        alpha=st.sampled_from([0.25, 1.0, 2.5]),
+        data=st.data(),
+    )
+    def test_expected_score_rows_are_vector_calls(self, rule, alpha, data):
+        shape = data.draw(STACK_SHAPES)
+        r, phat = data.draw(_dist_stacks(shape)), data.draw(_dist_stacks(shape))
+        vectors = [expected_score(r_row, q_row, alpha, rule) for r_row, q_row in zip(r, phat)]
+        assert all(type(v) is float for v in vectors)
+        out = expected_score(r, phat, alpha, rule)
+        assert isinstance(out, np.ndarray) and out.shape == shape[:1]
+        npt.assert_array_equal(_bits(out), _bits(vectors))
+
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTION) + ["expected_score-r", "expected_score-phat"])
+    @pytest.mark.parametrize("bad", BAD_ROWS)
+    def test_one_bad_row_fails_as_validate_dist(self, name, bad):
+        good = [0.2, 0.3, 0.5]
+        stack = [good, bad, good]
+        fn = {
+            **DISTRIBUTION,
+            "expected_score-r": lambda r: expected_score(r, [good] * 3, 0.5),
+            "expected_score-phat": lambda phat: expected_score([good] * 3, phat, 0.5),
+        }[name]
+        with pytest.raises(DomainError) as vector:
+            validate_dist(bad)
+        with pytest.raises(DomainError) as rows:
+            fn(stack)
+        assert str(rows.value) == str(vector.value)
+
+    def test_expected_score_refuses_unequal_shapes(self):
+        with pytest.raises(DomainError, match=re.escape("r has shape (2, 2), phat has shape (1, 2)")):
+            expected_score([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5]], 0.5)

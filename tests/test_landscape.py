@@ -159,6 +159,13 @@ class TestRowForms:
         with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
             feasible_entropy_range(bad, 8)
 
+    def test_entropies_must_broadcast_to_the_target_masses(self):
+        message = "entropies of shape (3,) do not match target probabilities of shape (2,)"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            construct_distribution_rows([0.5, 0.4], [1.0, 1.0, 1.0], 8)
+        scalar = construct_distribution_rows([0.5, 0.4], 1.0, 8)
+        npt.assert_array_equal(scalar, construct_distribution_rows([0.5, 0.4], [1.0, 1.0], 8))
+
     def test_rejects_stack_of_target_masses(self):
         with pytest.raises(DomainError, match="1-d vector"):
             feasible_entropy_rows([[0.5, 0.2]], 8)
