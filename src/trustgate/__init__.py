@@ -6,14 +6,10 @@ from .core_math import (
     clamp_prob,
     concentration,
     deformed_loss,
-    fisher_rao_distance,
     mobius_alpha,
     q_log,
-    renyi2_entropy,
     shannon_entropy,
-    surprisal_alpha,
     tsallis_entropy,
-    uncertainty_radius,
     validate_dist,
 )
 from .objectives import (
@@ -29,10 +25,8 @@ from .objectives import (
     focus_index,
     gate,
     logit_gradient,
-    logit_gradient_rows,
     loss,
     softmax,
-    softmax_rows,
 )
 from .verification import (
     RULE_MAIN,
@@ -40,10 +34,8 @@ from .verification import (
     PropertyReport,
     expected_score,
     fd_gradient,
-    fd_gradient_rows,
     gradient_flow_ordering,
     minimize_risk,
-    minimize_risk_rows,
     peak_location,
     run_property_suite,
     softmax_jacobian,
@@ -66,10 +58,8 @@ from .landscape import (
     FeasibilityError,
     LandscapeGrid,
     construct_distribution,
-    construct_distribution_rows,
     emit,
     feasible_entropy_range,
-    feasible_entropy_rows,
     gradient_landscape,
 )
 

@@ -1,15 +1,16 @@
 """The formulas of the objective family, each written once as float64 array code.
 
 Everything here is pure float64 math: the generalized logarithm, the deformed
-token loss it induces, Shannon/Tsallis/collision entropies, and the
+token loss it induces, Shannon/Tsallis entropies, the collision mass, and the
 Cayley/Moebius maps that turn a confidence level into a focus exponent.
 Elementwise functions take a scalar or an array as their first argument,
 refuse it naming its first entry outside the domain, and return a Python
 float for a scalar; distribution functions take one distribution or a
 (rows, V) stack of them, and return a Python float for one distribution. The
-Cayley focus, the collision mass and the Shannon row entropy are unchecked
-kernels as well; the objectives and the landscapes call them, so the property
-suite checks the code the trainer and the grids run.
+row functions of the other modules follow the same rule through
+``_one_or_stack``. The Cayley focus, the collision mass and the Shannon row
+entropy are unchecked kernels as well; the objectives and the landscapes call
+them, so the property suite checks the code the trainer and the grids run.
 No I/O, no mutable state; every function is safe to call concurrently.
 """
 
@@ -108,6 +109,22 @@ def _dists(probs) -> np.ndarray:
     return validate_dist(arr) if arr.ndim == 1 else validate_rows(arr)
 
 
+def _one_or_stack(row, *per_row, row_ndim: int = 1):
+    """Tell one row from a stack of rows: the one place that does.
+
+    ``row`` is one row when it has ``row_ndim`` axes, else a stack of them.
+    Returns ``row`` and each ``per_row`` argument (what goes with each row,
+    such as its target) as arrays, each with a leading axis of length 1 added
+    for one row, followed by ``back``, which gives a stack's result in the
+    input's form: for one row its row 0, a Python float where that is 0-d; for
+    a stack the result itself.
+    """
+    arrays = [np.asarray(values) for values in (row, *per_row)]
+    if arrays[0].ndim != row_ndim:
+        return (*arrays, lambda result: result)
+    return (*(arr[None] for arr in arrays), lambda result: _result(result[0]))
+
+
 def q_log(x, q: float):
     """Generalized logarithm ln_q(x) = (x^(1-q) - 1) / (1 - q) for x > 0.
 
@@ -187,22 +204,12 @@ def collision_mass(P: np.ndarray) -> np.ndarray:
     return (P * P).sum(axis=-1)
 
 
-def renyi2_entropy(P):
-    """Order-2 (collision) entropy H2 = -log(sum P^2) of a distribution or of each row of a stack."""
-    return _result(0.0 - np.log(collision_mass(_dists(P))))
-
-
 def concentration(P):
     """Collision mass sum_v P(v)^2 = exp(-H2) of a distribution or of each row of a stack; lies in [1/|V|, 1].
 
     Equals 1/|V| exactly on the uniform distribution and 1 on point masses.
     """
     return _result(collision_mass(_dists(P)))
-
-
-def uncertainty_radius(p):
-    """Radius z = sqrt(1 - p), a monotone rescaling of distance-to-certainty."""
-    return _result(np.sqrt(1.0 - _unit_interval(p)))
 
 
 def cayley_focus(p):
@@ -232,23 +239,3 @@ def mobius_alpha(z, kappa: float):
         raise DomainError(f"map parameter must be > -1, got {kappa!r}")
     z = _unit_interval(z, "radius")
     return _result((1.0 - z) / (1.0 + kappa * z))
-
-
-def surprisal_alpha(p):
-    """Focus exponent tanh(I_err / 4) with error surprisal I_err = -log(1-p).
-
-    Identical to ``cayley_alpha`` on [0, 1); at p == 1, where the surprisal
-    diverges, tanh(inf) gives exactly 1.0.
-    """
-    p = _unit_interval(p)
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf
-        return _result(np.tanh(-np.log1p(-p) / 4.0))
-
-
-def fisher_rao_distance(p):
-    """Geodesic distance 2*arccos(sqrt(p)) from Bernoulli(p) to certainty.
-
-    Satisfies sin(d/2) = sqrt(1 - p), so ``uncertainty_radius`` is a monotone
-    reparameterization of this distance.
-    """
-    return _result(2.0 * np.arccos(np.sqrt(_unit_interval(p))))

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core_math import DomainError, clamp_prob, entropy_rows
+from .core_math import DomainError, _one_or_stack, clamp_prob, entropy_rows
 from .objectives import ObjectiveKind, gate_per_row
 from .trainer import RunRecord
 from .verification import PropertyReport, reports_to_json
@@ -121,39 +121,37 @@ def _realize(p, entropy, low, high, vocab: int) -> np.ndarray:
     return _family_rows(p, mix, vocab)
 
 
-def feasible_entropy_rows(p, vocab: int) -> tuple[np.ndarray, np.ndarray]:
-    """Attainable Shannon-entropy interval [low, high] for each target mass in p."""
+def feasible_entropy_range(p, vocab: int):
+    """Attainable Shannon-entropy interval [low, high] for target mass p in this family.
+
+    A scalar p gives a pair of floats; a vector of target masses gives one
+    interval per entry, as two arrays.
+    """
     _check_vocab(vocab)
-    p = np.asarray(p, dtype=np.float64)
+    p, back = _one_or_stack(np.asarray(p, dtype=np.float64), row_ndim=0)
     if p.ndim != 1:
-        raise DomainError(f"target probabilities must be a 1-d vector, got shape {p.shape}")
+        raise DomainError(f"target probabilities must be a scalar or a 1-d vector, got shape {p.shape}")
     outside = ~((0.0 < p) & (p < 1.0))
     if outside.any():
         raise DomainError(f"target probability must lie in (0, 1), got {p[outside][0].tolist()!r}")
-    return _entropy_bounds(p, vocab)
+    low, high = _entropy_bounds(p, vocab)
+    return back(low), back(high)
 
 
-def feasible_entropy_range(p: float, vocab: int) -> tuple[float, float]:
-    """Attainable Shannon-entropy interval for target mass p in this family.
+def construct_distribution(p, entropy, vocab: int) -> np.ndarray:
+    """Distribution with target entry exactly p and Shannon entropy ~ ``entropy``.
 
-    The one-row call of ``feasible_entropy_rows``.
-    """
-    low, high = feasible_entropy_rows([p], vocab)
-    return float(low[0]), float(high[0])
-
-
-def construct_distribution_rows(p, entropy, vocab: int) -> np.ndarray:
-    """One distribution per (p, entropy) pair: target entry exactly p, Shannon entropy ~ entropy.
-
-    All pairs are realized by one batched bisection of the spike-to-tail
-    mixing weight (entropy is strictly increasing in it), each to tolerance
-    1e-6 within 200 iterations and independently of the others. ``entropy``
-    is one value for every pair or one per pair. Raises FeasibilityError,
+    The mixing weight from spike to tail is found by bisection (entropy is
+    strictly increasing in it) to tolerance 1e-6 within 200 iterations. A
+    vector of target masses gives one distribution per entry, all realized by
+    one batched bisection, each independently of the others; ``entropy`` is
+    then one value for every entry or one per entry. Raises FeasibilityError,
     naming the attainable interval of the first pair that cannot be realized.
     """
-    low, high = feasible_entropy_rows(p, vocab)
-    p = np.asarray(p, dtype=np.float64)
-    entropy = np.asarray(entropy, dtype=np.float64)
+    p, entropy, back = _one_or_stack(
+        np.asarray(p, dtype=np.float64), np.asarray(entropy, dtype=np.float64), row_ndim=0
+    )
+    low, high = feasible_entropy_range(p, vocab)
     if entropy.shape not in ((), p.shape):
         raise DomainError(
             f"entropies of shape {entropy.shape} do not match target probabilities of shape {p.shape}"
@@ -166,16 +164,7 @@ def construct_distribution_rows(p, entropy, vocab: int) -> np.ndarray:
             f"entropy {float(entropy[i])!r} unattainable for p={float(p[i])!r}, vocab={vocab}: "
             f"feasible interval is [{low[i]:.6f}, {high[i]:.6f}]"
         )
-    return _realize(p, entropy, low, high, vocab)
-
-
-def construct_distribution(p: float, entropy: float, vocab: int) -> np.ndarray:
-    """Distribution with target entry exactly p and Shannon entropy ~ ``entropy``.
-
-    The one-row call of ``construct_distribution_rows``, and the one-cell case
-    of the bisection ``gradient_landscape`` runs per grid.
-    """
-    return construct_distribution_rows([p], [entropy], vocab)[0]
+    return back(_realize(p, entropy, low, high, vocab))
 
 
 def _check_grid(values: np.ndarray, what: str) -> None:

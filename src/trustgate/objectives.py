@@ -27,6 +27,7 @@ from .core_math import (
     MIN_ORDER,
     PROB_FLOOR,
     DomainError,
+    _one_or_stack,
     cayley_focus,
     collision_mass,
     deformed_loss,
@@ -155,24 +156,6 @@ class GateError:
     signal: float
 
 
-def _logit_row(z) -> np.ndarray:
-    """One logit vector (length >= 2) as a one-row stack."""
-    arr = np.asarray(z, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise DomainError(f"logits must be a 1-d vector of length >= 2, got shape {arr.shape}")
-    return arr[None, :]
-
-
-def softmax_rows(Z) -> np.ndarray:
-    """Numerically stable softmax of each row of a (rows, vocab >= 2) stack of finite logits."""
-    arr = np.asarray(Z, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise DomainError(f"logits must be a (rows, >= 2) array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DomainError("logits contain non-finite entries")
-    return softmax_into(arr, np.empty_like(arr))
-
-
 def softmax_into(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Row-wise softmax of ``logits`` into ``out`` (may be ``logits``): the one kernel, unchecked.
 
@@ -185,13 +168,23 @@ def softmax_into(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def softmax(z) -> np.ndarray:
-    """Numerically stable softmax of a finite logit vector (length >= 2); one-row ``softmax_rows``."""
-    return softmax_rows(_logit_row(z))[0]
+    """Numerically stable softmax of a finite logit vector (length >= 2), or of each row of a (rows, vocab) stack."""
+    arr = np.asarray(z, dtype=np.float64)
+    if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
+        raise DomainError(
+            f"logits must be a vector of length >= 2 or a (rows, >= 2) stack of them, got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise DomainError("logits contain non-finite entries")
+    Z, back = _one_or_stack(arr)
+    return back(softmax_into(Z, np.empty_like(Z)))
 
 
 def _check_targets(P: np.ndarray, targets) -> np.ndarray:
-    """Targets of a (rows, vocab) stack as an index vector, each in range."""
+    """Targets of a (rows, vocab) stack as an index vector, each an integer in range: the one targets check."""
     targets = np.asarray(targets)
+    if targets.dtype.kind not in "iu" and targets.size:
+        raise DomainError(f"target indices must be integers, got {targets.ravel().tolist()[0]!r}")
     if targets.shape != P.shape[:1]:
         raise DomainError(f"expected {P.shape[0]} target indices, got shape {targets.shape}")
     bad = (targets < 0) | (targets >= P.shape[1])
@@ -205,7 +198,7 @@ def _check_targets(P: np.ndarray, targets) -> np.ndarray:
 def _one_row(P, target: int) -> tuple[np.ndarray, np.ndarray]:
     """Validate one distribution and its target; return them as a one-row stack."""
     P = validate_dist(P)[None, :]
-    return P, _check_targets(P, [int(target)])
+    return P, _check_targets(P, [target])
 
 
 def focus_index(kind: ObjectiveKind, P, target: int) -> float:
@@ -288,25 +281,17 @@ def gate_error_into(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, 
     return probs
 
 
-def logit_gradient_rows(kind: ObjectiveKind, Z, targets) -> np.ndarray:
-    """Exact logit gradient of each row of a (rows, vocab) logit stack at its target.
-
-    Row ``i`` is gate_i * (P_i - onehot(targets[i])) with P = softmax_rows(Z);
-    each row's result depends on that row alone.
-    """
-    P = softmax_rows(Z)
-    targets = _check_targets(P, targets)
-    # P holds distributions by construction: gate them without validating again
-    return gate_error_into(kind, P, targets, focus_per_row(kind, P, targets))
-
-
-def logit_gradient(kind: ObjectiveKind, z, target: int) -> np.ndarray:
+def logit_gradient(kind: ObjectiveKind, z, target):
     """Exact gradient of the token loss with respect to the logits.
 
     Returns gate * (P - onehot(target)) with P = softmax(z); entries sum to
     zero and the target entry is nonpositive. For ``cayley`` and ``deft`` the
     focus exponent is frozen at the current state (no differentiation through
-    it) -- this is the family's update rule by construction. The one-row call
-    of ``logit_gradient_rows``.
+    it) -- this is the family's update rule by construction. A (rows, vocab)
+    stack of logits with one target per row gives one gradient per row, each
+    depending on its own row alone.
     """
-    return logit_gradient_rows(kind, _logit_row(z), [int(target)])[0]
+    P, targets, back = _one_or_stack(softmax(z), target)
+    targets = _check_targets(P, targets)
+    # P holds distributions by construction: gate them without validating again
+    return back(gate_error_into(kind, P, targets, focus_per_row(kind, P, targets)))

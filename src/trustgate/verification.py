@@ -22,13 +22,13 @@ from .core_math import (
     PROB_FLOOR,
     DomainError,
     _dists,
+    _one_or_stack,
     cayley_alpha,
     concentration,
     deformed_loss,
     mobius_alpha,
     q_log,
     tsallis_entropy,
-    validate_dist,
     validate_rows,
 )
 from .objectives import (
@@ -39,16 +39,14 @@ from .objectives import (
     NLL,
     ObjectiveKind,
     _check_targets,
-    _logit_row,
     default_kinds,
     fixed_alpha,
     focus_per_row,
     frozen_state,
     gate,
     gate_per_row,
-    logit_gradient_rows,
+    logit_gradient,
     softmax,
-    softmax_rows,
 )
 
 # Scoring-rule variants for the risk-minimization oracle. The "main" rule
@@ -115,10 +113,14 @@ def _check_order(alpha: float, high: float = math.inf) -> float:
 def softmax_jacobian(z) -> np.ndarray:
     """Jacobian of softmax: J[i, j] = P_i * (delta_ij - P_j).
 
-    Symmetric with zero row sums.
+    A logit vector gives its (V, V) Jacobian and a (rows, V) stack one per row,
+    (rows, V, V). Symmetric with zero row sums.
     """
-    P = softmax(z)
-    return np.diag(P) - np.outer(P, P)
+    P, back = _one_or_stack(softmax(z))
+    jac = -(P[:, :, None] * P[:, None, :])
+    diagonal = np.arange(P.shape[1])
+    jac[:, diagonal, diagonal] += P
+    return back(jac)
 
 
 def _frozen_loss_derivative(kind: ObjectiveKind, P0: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -127,18 +129,17 @@ def _frozen_loss_derivative(kind: ObjectiveKind, P0: np.ndarray, targets: np.nda
     return -w0 * p ** (a0 - 1.0)
 
 
-def fd_gradient_rows(kind: ObjectiveKind, Z, targets, h: float = 1e-5) -> np.ndarray:
-    """Central-difference logit gradient of the frozen-state token loss, row by row.
+def fd_gradient(kind: ObjectiveKind, z, target, h: float = 1e-5) -> np.ndarray:
+    """Central-difference logit gradient of the frozen-state token loss.
 
-    Row ``i`` differences the loss of row ``i`` of the (rows, vocab) logit
-    stack at ``targets[i]``; each row's result depends on that row alone.
-    Oracle counterpart of ``objectives.logit_gradient_rows``; the step must lie
-    in [1e-8, 1e-3]. Temporaries hold rows x vocab x vocab entries.
+    Oracle counterpart of ``objectives.logit_gradient``: a (rows, vocab) logit
+    stack with one target per row gives one gradient per row, each depending
+    on its own row alone. The step must lie in [1e-8, 1e-3]. Temporaries hold
+    rows x vocab x vocab entries.
     """
     if not (isinstance(h, (int, float)) and 1e-8 <= h <= 1e-3):
         raise DomainError(f"finite-difference step must lie in [1e-8, 1e-3], got {h!r}")
-    P0 = softmax_rows(Z)
-    Z = np.asarray(Z, dtype=np.float64)
+    P0, Z, targets, back = _one_or_stack(softmax(z), np.asarray(z, dtype=np.float64), target)
     rows, size = Z.shape
     targets = _check_targets(P0, targets)
     _, w0, a0 = (column[:, None] for column in frozen_state(kind, P0, targets))
@@ -165,16 +166,7 @@ def fd_gradient_rows(kind: ObjectiveKind, Z, targets, h: float = 1e-5) -> np.nda
     difference = np.where(zero, -w0 * log_ratio, deformed)
     if not np.all(np.isfinite(difference)):
         raise DomainError("non-finite loss differences in finite differences")
-    return difference / (2.0 * h)
-
-
-def fd_gradient(kind: ObjectiveKind, z, target: int, h: float = 1e-5) -> np.ndarray:
-    """Central-difference logit gradient of the frozen-state token loss.
-
-    Oracle counterpart of ``objectives.logit_gradient``; the step must lie in
-    [1e-8, 1e-3]. The one-row call of ``fd_gradient_rows``.
-    """
-    return fd_gradient_rows(kind, _logit_row(z), [int(target)], h)[0]
+    return back(difference / (2.0 * h))
 
 
 def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER):
@@ -254,20 +246,22 @@ def _descend(points: np.ndarray, rs: np.ndarray, alpha: float, rule: str) -> tup
     return points, risk
 
 
-def minimize_risk_rows(rs, alpha: float, rule: str = RULE_PROPER) -> tuple[np.ndarray, np.ndarray]:
-    """Search oracle for the expected-score minimizer of each row of a (problems, dim) stack.
+def minimize_risk(r, alpha: float, rule: str = RULE_PROPER):
+    """Search oracle for the expected-score minimizer of ``r``, and its risk.
 
-    The uniform start and 16 fixed random restarts each run a pair-move search
-    (``_descend``) that moves mass along the simplex edges and reads only the
-    risk, so every dimension from 2 to 6 takes the same path. The search never
-    starts from ``r`` itself, so recovering ``r`` is a finding, not an input.
-    All problems search together, but each start keeps its own step and stop
-    test, so a row's result does not depend on the others. Returns the
-    (problems, dim) minimizers and their risks. Orders outside
-    [2.2e-308, 24.6], where the score arithmetic underflows, are rejected.
+    ``r`` is one distribution, which gives its minimizer and a Python float
+    risk, or a (problems, dim) stack of them, which gives one minimizer and
+    one risk per row. The uniform start and 16 fixed random restarts each run
+    a pair-move search (``_descend``) that moves mass along the simplex edges
+    and reads only the risk, so every dimension from 2 to 6 takes the same
+    path. The search never starts from ``r`` itself, so recovering ``r`` is a
+    finding, not an input. All problems search together, but each start keeps
+    its own step and stop test, so a row's result does not depend on the
+    others. Orders outside [2.2e-308, 24.6], where the score arithmetic
+    underflows, are rejected.
     """
     rule = _check_rule(rule)
-    rs = validate_rows(rs)
+    rs, back = _one_or_stack(_dists(r))
     alpha = _check_order(alpha, _MAX_ORDER)
     problems, dim = rs.shape
     if dim > _MAX_VOCAB:
@@ -277,16 +271,7 @@ def minimize_risk_rows(rs, alpha: float, rule: str = RULE_PROPER) -> tuple[np.nd
     starts = np.concatenate([np.full((1, dim), 1.0 / dim), restarts])
     points, risk = _descend(np.broadcast_to(starts, (problems, *starts.shape)), rs, alpha, rule)
     index, best = np.arange(problems), np.argmin(risk, axis=1)
-    return points[index, best], risk[index, best]
-
-
-def minimize_risk(r, alpha: float, rule: str = RULE_PROPER) -> tuple[np.ndarray, float]:
-    """Search oracle for the expected-score minimizer of one distribution ``r``.
-
-    The one-row call of ``minimize_risk_rows``; returns the minimizer and its risk.
-    """
-    minimizers, risks = minimize_risk_rows(validate_dist(r)[None, :], alpha, rule)
-    return minimizers[0], float(risks[0])
+    return back(points[index, best]), back(risk[index, best])
 
 
 def peak_location(f: Callable[[np.ndarray], np.ndarray], num_points: int = 10_000) -> float:
@@ -538,7 +523,7 @@ def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list
     worst_sum = 0.0
     for logits, targets in _draw_by_size(rng, 1000, 2, 33, _random_logits):
         for kind in kinds:
-            sums = np.abs(logit_gradient_rows(kind, logits, targets).sum(axis=1))
+            sums = np.abs(logit_gradient(kind, logits, targets).sum(axis=1))
             worst_sum = max(worst_sum, float(sums.max()))
     reports = [_report("gradient-sum-zero", worst_sum, 1e-12)]
 
@@ -552,8 +537,8 @@ def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list
         worst = 0.0
         for logits, targets in _draw_by_size(rng, 200, 2, 33, _random_logits):
             for kind in group:
-                analytic = logit_gradient_rows(kind, logits, targets)
-                numeric = fd_gradient_rows(kind, logits, targets, 1e-5)
+                analytic = logit_gradient(kind, logits, targets)
+                numeric = fd_gradient(kind, logits, targets, 1e-5)
                 scale = np.maximum(np.abs(analytic).max(axis=1), 1e-300)
                 worst = max(worst, float((np.abs(analytic - numeric).max(axis=1) / scale).max()))
         reports.append(_report(f"fd-gradient-{label}", worst, fd_rel_tol))
@@ -618,16 +603,12 @@ def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
 def _suite_jacobian_report(rng: np.random.Generator) -> PropertyReport:
     worst = 0.0
     for logits, targets in _draw_by_size(rng, 200, 2, 17, _random_logits):
-        P0 = softmax_rows(logits)
-        rows = np.arange(targets.size)
-        p = P0[rows, targets]
-        # row ``target`` of softmax_jacobian: P_t * (delta_tj - P_j)
-        diagonal = np.zeros_like(P0)
-        diagonal[rows, targets] = p
-        jac = diagonal - p[:, None] * P0
+        P0 = softmax(logits)
+        # row ``target`` of each Jacobian: P_t * (delta_tj - P_j)
+        jac = softmax_jacobian(logits)[np.arange(targets.size), targets]
         for kind in default_kinds(0.5):
             chain = _frozen_loss_derivative(kind, P0, targets)[:, None] * jac
-            analytic = logit_gradient_rows(kind, logits, targets)
+            analytic = logit_gradient(kind, logits, targets)
             worst = max(worst, float(np.abs(analytic - chain).max()))
     return _report("jacobian-chain-consistency", worst, 1e-10)
 
@@ -710,7 +691,7 @@ def _suite_peak_reports() -> list[PropertyReport]:
 
 
 def _suite_landscape_reports(rng: np.random.Generator) -> list[PropertyReport]:
-    from .landscape import construct_distribution_rows, feasible_entropy_rows, gradient_landscape
+    from .landscape import construct_distribution, feasible_entropy_range, gradient_landscape
 
     p_grid = np.linspace(0.1, 0.9, 5)
     h_grid = np.linspace(0.2, math.log(8.0), 5)
@@ -727,9 +708,9 @@ def _suite_landscape_reports(rng: np.random.Generator) -> list[PropertyReport]:
     # the pairs can be drawn before their entropy intervals are known
     draws = rng.random((50, 2))
     p, fraction = 0.05 + (0.95 - 0.05) * draws[:, 0], draws[:, 1]
-    low, high = feasible_entropy_rows(p, 8)
+    low, high = feasible_entropy_range(p, 8)
     target_h = low + (high - low) * fraction
-    dists = validate_rows(construct_distribution_rows(p, target_h, 8))
+    dists = validate_rows(construct_distribution(p, target_h, 8))
     entropy = -(dists * np.log(np.where(dists > 0.0, dists, 1.0))).sum(axis=1)
     worst_entropy = max(
         float(np.abs(entropy - target_h).max()), float(np.abs(dists[:, 0] - p).max())

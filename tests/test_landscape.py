@@ -23,11 +23,9 @@ from trustgate import (
     TrainConfig,
     build_task,
     construct_distribution,
-    construct_distribution_rows,
     default_kinds,
     emit,
     feasible_entropy_range,
-    feasible_entropy_rows,
     finetune,
     fixed_alpha,
     gate,
@@ -127,48 +125,34 @@ class TestConstructDistribution:
 
 
 class TestRowForms:
-    """construct_distribution_rows and feasible_entropy_rows against their one-row calls."""
-
-    def test_rows_equal_one_row_calls(self):
-        rng = np.random.default_rng(8)
-        for vocab in (3, 8, 57):
-            ps = rng.uniform(0.01, 0.99, 40)
-            low, high = feasible_entropy_rows(ps, vocab)
-            picks = rng.integers(0, 5, ps.size)
-            entropy = np.choose(
-                picks, [low, high, low - 1e-6, high + 1e-6, low + (high - low) * rng.random(ps.size)]
-            )
-            dists = construct_distribution_rows(ps, entropy, vocab)
-            for p, h, lo, hi, dist in zip(ps.tolist(), entropy.tolist(), low, high, dists):
-                assert (lo, hi) == feasible_entropy_range(p, vocab)
-                assert np.array_equal(dist, construct_distribution(p, h, vocab))
+    """construct_distribution and feasible_entropy_range on vectors of target masses."""
 
     def test_names_first_infeasible_pair(self):
         ps = np.array([0.3, 0.5, 0.7])
-        low, high = feasible_entropy_rows(ps, 4)
+        low, high = feasible_entropy_range(ps, 4)
         entropy = np.array([low[0], high[1] + 0.5, high[2] + 0.5])
         with pytest.raises(FeasibilityError) as err:
-            construct_distribution_rows(ps, entropy, 4)
+            construct_distribution(ps, entropy, 4)
         assert f"entropy {float(entropy[1])!r} unattainable for p=0.5, vocab=4" in str(err.value)
         assert f"[{low[1]:.6f}, {high[1]:.6f}]" in str(err.value)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, float("nan")])
     def test_names_target_mass_outside_open_interval(self, bad):
         with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
-            feasible_entropy_rows([0.5, bad, 0.2], 8)
+            feasible_entropy_range([0.5, bad, 0.2], 8)
         with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
             feasible_entropy_range(bad, 8)
 
     def test_entropies_must_broadcast_to_the_target_masses(self):
         message = "entropies of shape (3,) do not match target probabilities of shape (2,)"
         with pytest.raises(DomainError, match=re.escape(message)):
-            construct_distribution_rows([0.5, 0.4], [1.0, 1.0, 1.0], 8)
-        scalar = construct_distribution_rows([0.5, 0.4], 1.0, 8)
-        npt.assert_array_equal(scalar, construct_distribution_rows([0.5, 0.4], [1.0, 1.0], 8))
+            construct_distribution([0.5, 0.4], [1.0, 1.0, 1.0], 8)
+        scalar = construct_distribution([0.5, 0.4], 1.0, 8)
+        npt.assert_array_equal(scalar, construct_distribution([0.5, 0.4], [1.0, 1.0], 8))
 
     def test_rejects_stack_of_target_masses(self):
         with pytest.raises(DomainError, match="1-d vector"):
-            feasible_entropy_rows([[0.5, 0.2]], 8)
+            feasible_entropy_range([[0.5, 0.2]], 8)
 
 
 class TestGridSizeBound:

@@ -1,6 +1,8 @@
 """Objective-family checks: encodings, gates, losses, and exact gradients."""
 
+import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -17,6 +19,7 @@ from trustgate import (
     LINEAR,
     NLL,
     DomainError,
+    GateError,
     ObjectiveKind,
     default_kinds,
     fixed_alpha,
@@ -86,6 +89,32 @@ class TestFocusIndex:
     def test_target_out_of_range(self):
         with pytest.raises(DomainError):
             focus_index(NLL, [0.5, 0.5], 2)
+
+
+# Each function of one prediction and one target index; the prediction is read
+# as a distribution by the first three and as logits by the last two.
+TARGET_CALLS = [gate, loss, focus_index, logit_gradient, fd_gradient]
+
+
+def _as_array(result):
+    return np.asarray(dataclasses.astuple(result) if isinstance(result, GateError) else result)
+
+
+class TestTargetIndices:
+    @pytest.mark.parametrize("call", TARGET_CALLS, ids=lambda call: call.__name__)
+    @pytest.mark.parametrize("target", [1.7, 0.9, True], ids=["1.7", "0.9", "True"])
+    def test_non_integer_target_refused(self, call, target):
+        """A float or bool index is named, not truncated to an integer."""
+        with pytest.raises(DomainError, match=re.escape(f"target indices must be integers, got {target!r}")):
+            call(CAYLEY, [0.2, 0.3, 0.5], target)
+
+    @pytest.mark.parametrize("call", TARGET_CALLS, ids=lambda call: call.__name__)
+    @pytest.mark.parametrize("target", [1, np.int64(1)], ids=["int", "int64"])
+    def test_integer_target_accepted(self, call, target):
+        result = _as_array(call(CAYLEY, [0.2, 0.3, 0.5], target))
+        # index 1 itself, not a neighbour
+        assert not np.array_equal(result, _as_array(call(CAYLEY, [0.2, 0.3, 0.5], 0)))
+        assert not np.array_equal(result, _as_array(call(CAYLEY, [0.2, 0.3, 0.5], 2)))
 
 
 class TestGate:

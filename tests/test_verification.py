@@ -27,13 +27,10 @@ from trustgate import (
     default_kinds,
     expected_score,
     fd_gradient,
-    fd_gradient_rows,
     fixed_alpha,
     gradient_flow_ordering,
     logit_gradient,
-    logit_gradient_rows,
     minimize_risk,
-    minimize_risk_rows,
     peak_location,
     run_property_suite,
     shannon_entropy,
@@ -135,8 +132,8 @@ class TestFiniteDifferenceGradient:
             1.8474721778722727, 3.312214985348075,
         ])
         assert softmax(z)[14] == pytest.approx(3.909e-6, rel=1e-3)
-        analytic = logit_gradient_rows(CAYLEY, z[None, :], [14])
-        numeric = fd_gradient_rows(CAYLEY, z[None, :], [14], 1e-5)
+        analytic = logit_gradient(CAYLEY, z[None, :], [14])
+        numeric = fd_gradient(CAYLEY, z[None, :], [14], 1e-5)
         assert float(np.abs(analytic - numeric).max()) / float(np.abs(analytic).max()) <= 1e-6
 
 
@@ -288,20 +285,18 @@ def _truths(rng, count, dim):
 
 
 class TestMinimizeRiskRows:
-    """The batched search equals the scalar loop and the one-row call, row by row, bit for bit."""
+    """The batched search equals the scalar loop, row by row, bit for bit."""
 
     @pytest.mark.parametrize("rule", [RULE_PROPER, RULE_MAIN])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_rows_match_scalar_search(self, dim, rule):
         rs = _truths(np.random.default_rng(dim), 3, dim)
         for alpha in (0.1, 0.25, 0.5, 1.0, 2.0):
-            minimizers, risks = minimize_risk_rows(rs, alpha, rule)
+            minimizers, risks = minimize_risk(rs, alpha, rule)
             assert minimizers.shape == rs.shape and risks.shape == (rs.shape[0],)
             for r, minimizer, risk in zip(rs, minimizers, risks):
                 expected, expected_risk = _reference_minimize_risk(r, alpha, rule)
                 assert np.array_equal(minimizer, expected) and risk == expected_risk
-                one, one_risk = minimize_risk(r, alpha, rule)
-                assert np.array_equal(one, minimizer) and one_risk == risk
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -313,7 +308,7 @@ class TestMinimizeRiskRows:
     )
     def test_problem_inside_batch_matches_scalar_search(self, dim, problems, seed, alpha, rule):
         rs = np.random.default_rng(seed).dirichlet(np.ones(dim), size=problems)
-        minimizers, risks = minimize_risk_rows(rs, alpha, rule)
+        minimizers, risks = minimize_risk(rs, alpha, rule)
         for r, minimizer, risk in zip(rs, minimizers, risks):
             expected, expected_risk = _reference_minimize_risk(r, alpha, rule)
             assert np.array_equal(minimizer, expected) and risk == expected_risk
@@ -322,27 +317,27 @@ class TestMinimizeRiskRows:
         """Problems still descending when the iterations run out keep their last state."""
         monkeypatch.setattr(verification, "_MAX_ITERS", 9)
         rs = _truths(np.random.default_rng(11), 4, 3)
-        minimizers, risks = minimize_risk_rows(rs, 0.5, RULE_PROPER)
+        minimizers, risks = minimize_risk(rs, 0.5, RULE_PROPER)
         for r, minimizer, risk in zip(rs, minimizers, risks):
             expected, expected_risk = _reference_minimize_risk(r, 0.5, RULE_PROPER, max_iters=9)
             assert np.array_equal(minimizer, expected) and risk == expected_risk
 
     def test_empty_stack(self):
-        minimizers, risks = minimize_risk_rows(np.empty((0, 3)), 0.5, RULE_PROPER)
+        minimizers, risks = minimize_risk(np.empty((0, 3)), 0.5, RULE_PROPER)
         assert minimizers.shape == (0, 3) and risks.shape == (0,)
 
-    def test_rejects_one_dimensional_stack(self):
-        with pytest.raises(DomainError):
-            minimize_risk_rows([0.5, 0.5], 0.5, RULE_PROPER)
+    def test_accepts_one_distribution(self):
+        minimizer, risk = minimize_risk([0.5, 0.5], 0.5, RULE_PROPER)
+        assert minimizer.shape == (2,) and type(risk) is float
 
     def test_rejects_invalid_row(self):
         with pytest.raises(DomainError, match="sums to"):
-            minimize_risk_rows([[0.5, 0.5], [0.5, 0.6]], 0.5, RULE_PROPER)
+            minimize_risk([[0.5, 0.5], [0.5, 0.6]], 0.5, RULE_PROPER)
 
     def test_rejects_row_of_opposite_infinities(self):
         """A row holding +inf and -inf is named as non-finite, without a RuntimeWarning."""
         with pytest.raises(DomainError, match="non-finite"):
-            minimize_risk_rows(np.array([[np.inf, -np.inf]]), 0.5)
+            minimize_risk(np.array([[np.inf, -np.inf]]), 0.5)
 
     @pytest.mark.parametrize("alpha", [1e300, 30.0, 1e-309])
     def test_orders_outside_score_range_rejected(self, alpha):
@@ -382,13 +377,13 @@ class TestMinimizeRiskRows:
         rng = np.random.default_rng(100 + dim)
         rs = np.vstack([rng.dirichlet(np.full(dim, c), size=2) for c in (0.2, 0.7, 5.0)])
         for alpha in (1e-300, 1e-8, 0.05, 0.25, 0.5, 0.9):
-            minimizers, risks = minimize_risk_rows(rs, alpha, RULE_PROPER)
+            minimizers, risks = minimize_risk(rs, alpha, RULE_PROPER)
             assert float(np.abs(minimizers - rs).max()) <= 1e-6
             for r, risk in zip(rs, risks):
                 assert abs(risk - expected_score(r, r, alpha, RULE_PROPER)) <= 1e-12
             escort = rs ** (1.0 / (1.0 - alpha))
             escort /= escort.sum(axis=1, keepdims=True)
-            minimizers, _ = minimize_risk_rows(rs, alpha, RULE_MAIN)
+            minimizers, _ = minimize_risk(rs, alpha, RULE_MAIN)
             assert float(np.abs(minimizers - escort).max()) <= 1e-6
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
@@ -397,10 +392,10 @@ class TestMinimizeRiskRows:
         rng = np.random.default_rng(200 + dim)
         rs = np.vstack([rng.dirichlet(np.full(dim, c), size=2) for c in (0.2, 0.7, 5.0)])
         for alpha in (1.0, 1.5, 2.0, 4.0, 8.0, 16.0, 24.0):
-            _, risks = minimize_risk_rows(rs, alpha, RULE_PROPER)
+            _, risks = minimize_risk(rs, alpha, RULE_PROPER)
             for r, risk in zip(rs, risks):
                 assert risk <= tsallis_entropy(r, 1.0 + alpha) + 1e-12
-            _, risks = minimize_risk_rows(rs, alpha, RULE_MAIN)
+            _, risks = minimize_risk(rs, alpha, RULE_MAIN)
             for r, risk in zip(rs, risks):
                 vertex = np.zeros(dim)
                 vertex[np.argmax(r)] = 1.0
@@ -412,7 +407,7 @@ class TestMinimizeRiskRows:
         """Every try is divided by its sum, so no entry of a minimizer ends above 1."""
         rs = _truths(np.random.default_rng(dim), 3, dim)
         for alpha in (1e-300, 0.5, 2.0, 24.0):
-            for minimizer in minimize_risk_rows(rs, alpha, rule)[0]:
+            for minimizer in minimize_risk(rs, alpha, rule)[0]:
                 validate_dist(minimizer)
                 assert minimizer.max() <= 1.0 and minimizer.min() >= 0.0
 
@@ -425,7 +420,7 @@ class TestMinimizeRiskRows:
         for alpha in (0.25, 0.5, 1.0):
             uniform = np.full((rs.shape[0], 1, dim), 1.0 / dim)
             _, one_start = verification._descend(uniform, rs, alpha, rule)
-            _, risks = minimize_risk_rows(rs, alpha, rule)
+            _, risks = minimize_risk(rs, alpha, rule)
             assert float(np.abs(one_start[:, 0] - risks).max()) <= 1e-15
 
     def test_largest_accepted_order_still_recovers_truth(self):
@@ -705,19 +700,88 @@ def _logit_stacks(draw):
 _MEMBERS = default_kinds(0.5) + [fixed_alpha(1.0), fixed_alpha(2.0), fixed_alpha(0.3)]
 
 
-class TestGradientRowForms:
-    @pytest.mark.parametrize("kind", _MEMBERS, ids=lambda kind: kind.encode())
-    @settings(max_examples=40, deadline=None)
-    @given(stack=_logit_stacks())
-    def test_rows_equal_one_row_calls(self, kind, stack):
-        logits, targets = stack
-        analytic = logit_gradient_rows(kind, logits, targets)
-        numeric = fd_gradient_rows(kind, logits, targets, 1e-5)
-        for z, target, analytic_row, numeric_row in zip(logits, targets, analytic, numeric):
-            npt.assert_array_equal(_bits(analytic_row), _bits(logit_gradient(kind, z, target)))
-            npt.assert_array_equal(_bits(numeric_row), _bits(fd_gradient(kind, z, target, 1e-5)))
+def _logit_case(data, with_kind=False):
+    """Logits as a stack and one row at a time; with ``with_kind``, a member first and the targets after."""
+    logits, targets = data.draw(_logit_stacks())
+    if not with_kind:
+        return (logits,), [(z,) for z in logits]
+    kind = data.draw(st.sampled_from(_MEMBERS))
+    return (kind, logits, targets), [(kind, z, target) for z, target in zip(logits, targets)]
 
-    @pytest.mark.parametrize("rows_fn", [logit_gradient_rows, fd_gradient_rows])
+
+def _fd_case(data):
+    stack, rows = _logit_case(data, with_kind=True)
+    return (*stack, 1e-5), [(*row, 1e-5) for row in rows]
+
+
+def _risk_case(data):
+    dim = data.draw(st.integers(2, 6))
+    rs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).dirichlet(
+        np.ones(dim), size=data.draw(st.integers(1, 3))
+    )
+    tail = (data.draw(st.sampled_from([0.25, 1.0, 2.5])), data.draw(st.sampled_from([RULE_PROPER, RULE_MAIN])))
+    return (rs, *tail), [(r, *tail) for r in rs]
+
+
+def _target_masses(data):
+    rows = data.draw(st.integers(1, 8))
+    ps = data.draw(hnp.arrays(np.float64, rows, elements=st.floats(0.01, 0.99)))
+    return ps, data.draw(st.integers(3, 64))
+
+
+def _feasible_case(data):
+    ps, vocab = _target_masses(data)
+    return (ps, vocab), [(p, vocab) for p in ps.tolist()]
+
+
+def _construct_case(data):
+    """Entropies at either end of each interval, 1e-6 past it, or inside it."""
+    ps, vocab = _target_masses(data)
+    low, high = feasible_entropy_range(ps, vocab)
+    picks = data.draw(hnp.arrays(np.int64, ps.size, elements=st.integers(0, 4)))
+    inside = low + (high - low) * data.draw(hnp.arrays(np.float64, ps.size, elements=st.floats(0.0, 1.0)))
+    entropy = np.choose(picks, [low, high, low - 1e-6, high + 1e-6, inside])
+    return (ps, entropy, vocab), [(p, h, vocab) for p, h in zip(ps.tolist(), entropy.tolist())]
+
+
+# name: (function, draw of its stack arguments and of the arguments of each one-row call)
+_ONE_OR_STACK = {
+    "softmax": (softmax, _logit_case),
+    "softmax_jacobian": (softmax_jacobian, _logit_case),
+    "logit_gradient": (logit_gradient, functools.partial(_logit_case, with_kind=True)),
+    "fd_gradient": (fd_gradient, _fd_case),
+    "minimize_risk": (minimize_risk, _risk_case),
+    "feasible_entropy_range": (feasible_entropy_range, _feasible_case),
+    "construct_distribution": (construct_distribution, _construct_case),
+}
+
+
+class TestOneRowOrStack:
+    """Each folded function takes one row or a stack: row ``i`` of a stack call is the one-row call on row ``i``."""
+
+    @pytest.mark.parametrize("name", sorted(_ONE_OR_STACK))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_stack_rows_are_one_row_calls(self, name, data):
+        fn, draw = _ONE_OR_STACK[name]
+        stack_args, row_args = draw(data)
+        stacked = fn(*stack_args)
+        stacked = stacked if isinstance(stacked, tuple) else (stacked,)
+        for i, args in enumerate(row_args):
+            one = fn(*args)
+            one = one if isinstance(one, tuple) else (one,)
+            assert len(one) == len(stacked)
+            for part, stack_part in zip(one, stacked):
+                if stack_part.ndim == 1:
+                    # one value per row: a Python float for one row
+                    assert type(part) is float
+                else:
+                    assert isinstance(part, np.ndarray) and part.shape == stack_part.shape[1:]
+                npt.assert_array_equal(_bits(part), _bits(stack_part[i]))
+
+
+class TestGradientRowForms:
+    @pytest.mark.parametrize("rows_fn", [logit_gradient, fd_gradient])
     def test_reject_bad_targets_and_logits(self, rows_fn):
         logits = np.zeros((3, 4))
         with pytest.raises(DomainError, match="target index 4 out of range"):
@@ -728,4 +792,6 @@ class TestGradientRowForms:
         with pytest.raises(DomainError, match="non-finite"):
             rows_fn(DEFT, logits, [0, 1, 2])
         with pytest.raises(DomainError, match="logits must be"):
+            rows_fn(DEFT, np.zeros((3, 1, 4)), [0, 1, 2])
+        with pytest.raises(DomainError, match="expected 1 target indices"):
             rows_fn(DEFT, np.zeros(4), [0])
