@@ -51,7 +51,6 @@ from .trainer import (
     TrainingError,
     build_task,
     finetune,
-    probability_histogram,
     quadrant_stats,
 )
 from .landscape import (

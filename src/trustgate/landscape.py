@@ -66,11 +66,6 @@ def _blocks(count: int, vocab: int):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def _check_vocab(vocab: int) -> None:
-    if vocab < 3:
-        raise DomainError(f"vocabulary must have >= 3 tokens, got {vocab}")
-
-
 def check_grid_size(p_steps: int, h_steps: int, vocab: int) -> None:
     """Refuse a grid of more than MAX_GRID_ENTRIES p steps x entropy steps x vocabulary entries."""
     if p_steps * h_steps * vocab > MAX_GRID_ENTRIES:
@@ -127,7 +122,8 @@ def feasible_entropy_range(p, vocab: int):
     A scalar p gives a pair of floats; a vector of target masses gives one
     interval per entry, as two arrays.
     """
-    _check_vocab(vocab)
+    if vocab < 3:
+        raise DomainError(f"vocabulary must have >= 3 tokens, got {vocab}")
     p, back = _one_or_stack(np.asarray(p, dtype=np.float64), row_ndim=0)
     if p.ndim != 1:
         raise DomainError(f"target probabilities must be a scalar or a 1-d vector, got shape {p.shape}")
@@ -189,12 +185,9 @@ def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> Lands
     h_grid = np.asarray(h_grid, dtype=np.float64)
     _check_grid(p_grid, "p")
     _check_grid(h_grid, "entropy")
-    if np.any(p_grid <= 0.0) or np.any(p_grid >= 1.0):
-        raise DomainError("p grid values must lie strictly inside (0, 1)")
-    _check_vocab(vocab)
     check_grid_size(p_grid.size, h_grid.size, vocab)
 
-    low, high = _entropy_bounds(p_grid, vocab)
+    low, high = feasible_entropy_range(p_grid, vocab)
     row, col = np.nonzero(
         (h_grid >= low[:, None] - _BISECTION_TOL) & (h_grid <= high[:, None] + _BISECTION_TOL)
     )

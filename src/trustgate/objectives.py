@@ -142,9 +142,9 @@ def fixed_alpha(alpha: float) -> ObjectiveKind:
     return ObjectiveKind("alpha", float(alpha))
 
 
-def default_kinds(alpha: float = 0.5) -> list[ObjectiveKind]:
-    """All six members, with the fixed-exponent member instantiated at alpha."""
-    return [NLL, LINEAR, fixed_alpha(alpha), CAYLEY, DEFT, EAFT]
+def default_kinds() -> list[ObjectiveKind]:
+    """All six members, with the fixed-exponent member at alpha 0.5."""
+    return [NLL, LINEAR, fixed_alpha(0.5), CAYLEY, DEFT, EAFT]
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import PROB_FLOOR, DomainError, clamp_prob
-from .objectives import ObjectiveKind, focus_per_row, gate_error_into, loss_per_row, softmax_into
+from .core_math import DomainError
+from .objectives import ObjectiveKind, _check_targets, focus_per_row, gate_error_into, loss_per_row, softmax_into
 
 REGIMES = ("strong", "intermediate", "weak")
 CONFLICT_POLICIES = ("confident_only", "uniform")
@@ -136,26 +136,6 @@ class ToyModel:
     def num_contexts(self) -> int:
         return self.logit_table.shape[0]
 
-    @property
-    def vocab_size(self) -> int:
-        return self.logit_table.shape[1]
-
-    def probs(self) -> np.ndarray:
-        """Row-wise softmax of the logit table."""
-        return _softmax_table(self.logit_table)
-
-    def target_probs(self, labels: np.ndarray) -> np.ndarray:
-        """Probability each context assigns to its label, one block of rows at a time."""
-        labels = np.asarray(labels)
-        out = np.empty(self.num_contexts)
-        blocks = _row_blocks(*self.logit_table.shape)
-        buffer = np.empty_like(self.logit_table[blocks[0]])  # a table has >= 1 row
-        for block in blocks:
-            logits = self.logit_table[block]
-            probs = softmax_into(logits, buffer[: logits.shape[0]])
-            out[block] = probs[np.arange(logits.shape[0]), labels[block]]
-        return out
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -206,13 +186,8 @@ class SyntheticTask:
     labels: np.ndarray
     clean_labels: np.ndarray
     conflict_mask: np.ndarray
-    spec: RegimeSpec
     pretrain_steps: int
     pretrain_mean_p: float
-
-    @property
-    def num_conflicts(self) -> int:
-        return int(self.conflict_mask.sum())
 
 
 @dataclass
@@ -421,15 +396,15 @@ def build_task(spec: RegimeSpec, seed: int) -> SyntheticTask:
     mask = _inject_conflicts(probs, labels, spec, rng)
     return SyntheticTask(
         model=ToyModel(table), labels=labels, clean_labels=clean_labels, conflict_mask=mask,
-        spec=spec, pretrain_steps=steps, pretrain_mean_p=mean_p
+        pretrain_steps=steps, pretrain_mean_p=mean_p
     )
 
 
-def quadrant_stats(deltas: TokenDeltas, min_change: float = MIN_COUNTED_CHANGE) -> dict:
+def quadrant_stats(deltas: TokenDeltas) -> dict:
     """Learning/forgetting proportions, split by prior confidence.
 
     A token counts as learning (forgetting) when it sits in Q4 (Q2) and its
-    probability moved by at least ``min_change``. ``*_high``/``*_low`` are
+    probability moved by at least MIN_COUNTED_CHANGE. ``*_high``/``*_low`` are
     proportions of the whole population; ``*_high_share`` is the
     high-confidence fraction within the quadrant (0 when the quadrant is
     empty). Proportions sum to at most 1; the remainder sits in Q1/Q3 or
@@ -440,7 +415,7 @@ def quadrant_stats(deltas: TokenDeltas, min_change: float = MIN_COUNTED_CHANGE) 
         raise DomainError("quadrant_stats requires at least one token delta")
     delta_p = deltas.p_after - deltas.p_before
     delta_loss = deltas.loss_after - deltas.loss_before
-    moved = np.abs(delta_p) >= min_change
+    moved = np.abs(delta_p) >= MIN_COUNTED_CHANGE
     learning = (delta_p > 0.0) & (delta_loss < 0.0) & moved
     forgetting = (delta_p < 0.0) & (delta_loss > 0.0) & moved
     high = deltas.p_before >= HIGH_CONFIDENCE_THRESHOLD
@@ -459,17 +434,6 @@ def quadrant_stats(deltas: TokenDeltas, min_change: float = MIN_COUNTED_CHANGE) 
     }
 
 
-def probability_histogram(model: ToyModel, labels: np.ndarray, bins) -> np.ndarray:
-    """Counts of label probabilities, clamped to [PROB_FLOOR, 1], per bin; counts sum to the context count."""
-    edges = np.asarray(bins, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
-        raise DomainError("bin edges must be a strictly ascending vector of length >= 2")
-    if edges[0] > PROB_FLOOR or edges[-1] < 1.0:
-        raise DomainError(f"bin edges must cover (0, 1], got [{edges[0]}, {edges[-1]}]")
-    counts, _ = np.histogram(clamp_prob(model.target_probs(np.asarray(labels))), bins=edges)
-    return counts
-
-
 def _histogram_snapshot(step: int, target_p: np.ndarray) -> dict:
     counts, _ = np.histogram(target_p, bins=DEFAULT_HISTOGRAM_EDGES)
     return {
@@ -480,14 +444,11 @@ def _histogram_snapshot(step: int, target_p: np.ndarray) -> dict:
 
 
 def _check_labels(name: str, labels, model: ToyModel) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (model.num_contexts,):
-        raise DomainError(
-            f"{name} shape {labels.shape} does not match {model.num_contexts} contexts"
-        )
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= model.vocab_size:
-        raise DomainError(f"{name} contain out-of-range token indices")
-    return labels
+    """One label per context, checked as objective targets are, the message prefixed with ``name``."""
+    try:
+        return _check_targets(model.logit_table, labels)
+    except DomainError as exc:
+        raise DomainError(f"{name}: {exc}") from None
 
 
 def _label_state(

@@ -68,6 +68,11 @@ _MAX_ITERS = 4000
 # Score orders the minimizer accepts: MIN_ORDER to _MAX_ORDER. The search scores
 # probabilities down to PROB_FLOOR; above _MAX_ORDER, p^(1+a) underflows there.
 _MAX_ORDER = math.log(MIN_ORDER) / math.log(PROB_FLOOR) - 1.0
+# Central-difference step of fd_gradient, grid points of peak_location, and
+# contexts of the risk-flow geometry.
+_FD_STEP = 1e-5
+_PEAK_POINTS = 10_000
+_FLOW_CONTEXTS = 32
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,11 @@ class PropertyReport:
 def reports_to_json(reports: Sequence[PropertyReport]) -> str:
     """Serialize reports as a JSON array (stable field and report order)."""
     return json.dumps([r.to_dict() for r in reports], indent=2)
+
+
+def _report(name: str, max_error: float, tol: float, detail: str = "") -> PropertyReport:
+    text = f"tol={tol:g}" if not detail else f"{detail} tol={tol:g}"
+    return PropertyReport(name=name, passed=bool(max_error <= tol), max_error=float(max_error), detail=text)
 
 
 def _check_rule(rule: str) -> str:
@@ -129,23 +139,20 @@ def _frozen_loss_derivative(kind: ObjectiveKind, P0: np.ndarray, targets: np.nda
     return -w0 * p ** (a0 - 1.0)
 
 
-def fd_gradient(kind: ObjectiveKind, z, target, h: float = 1e-5) -> np.ndarray:
-    """Central-difference logit gradient of the frozen-state token loss.
+def fd_gradient(kind: ObjectiveKind, z, target) -> np.ndarray:
+    """Central-difference logit gradient of the frozen-state token loss, at a step of _FD_STEP.
 
     Oracle counterpart of ``objectives.logit_gradient``: a (rows, vocab) logit
     stack with one target per row gives one gradient per row, each depending
-    on its own row alone. The step must lie in [1e-8, 1e-3]. Temporaries hold
-    rows x vocab x vocab entries.
+    on its own row alone. Temporaries hold rows x vocab x vocab entries.
     """
-    if not (isinstance(h, (int, float)) and 1e-8 <= h <= 1e-3):
-        raise DomainError(f"finite-difference step must lie in [1e-8, 1e-3], got {h!r}")
     P0, Z, targets, back = _one_or_stack(softmax(z), np.asarray(z, dtype=np.float64), target)
     rows, size = Z.shape
     targets = _check_targets(P0, targets)
     _, w0, a0 = (column[:, None] for column in frozen_state(kind, P0, targets))
 
     # (rows, size, size): every row with each of its logits nudged in turn
-    offsets = np.eye(size) * h
+    offsets = np.eye(size) * _FD_STEP
 
     def target_probs(logit_rows: np.ndarray) -> np.ndarray:
         shifted = logit_rows - logit_rows.max(axis=2, keepdims=True)
@@ -166,7 +173,7 @@ def fd_gradient(kind: ObjectiveKind, z, target, h: float = 1e-5) -> np.ndarray:
     difference = np.where(zero, -w0 * log_ratio, deformed)
     if not np.all(np.isfinite(difference)):
         raise DomainError("non-finite loss differences in finite differences")
-    return back(difference / (2.0 * h))
+    return back(difference / (2.0 * _FD_STEP))
 
 
 def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER):
@@ -274,14 +281,14 @@ def minimize_risk(r, alpha: float, rule: str = RULE_PROPER):
     return back(points[index, best]), back(risk[index, best])
 
 
-def peak_location(f: Callable[[np.ndarray], np.ndarray], num_points: int = 10_000) -> float:
-    """Grid argmax of the learning signal W_f(p) = -f'(p) * p * (1 - p).
+def peak_location(f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Argmax of the learning signal W_f(p) = -f'(p) * p * (1 - p) on a grid of _PEAK_POINTS midpoints.
 
     ``f`` must be a differentiable, nonincreasing scalar loss accepting numpy
     arrays; its derivative is taken by central differences, keeping this
     routine independent of any analytic gate formula.
     """
-    p = (np.arange(num_points, dtype=np.float64) + 0.5) / num_points
+    p = (np.arange(_PEAK_POINTS, dtype=np.float64) + 0.5) / _PEAK_POINTS
     h = np.minimum(1e-6, 0.5 * np.minimum(p, 1.0 - p))
     slope = (np.asarray(f(p + h), dtype=np.float64) - np.asarray(f(p - h), dtype=np.float64)) / (
         2.0 * h
@@ -293,26 +300,20 @@ def peak_location(f: Callable[[np.ndarray], np.ndarray], num_points: int = 10_00
 _REGIMES = ("strong", "weak")
 
 
-def gradient_flow_ordering(
-    regime: str,
-    pair: tuple[ObjectiveKind, ObjectiveKind],
-    seed: int = 0,
-    num_contexts: int = 32,
-) -> PropertyReport:
+def gradient_flow_ordering(regime: str, pair: tuple[ObjectiveKind, ObjectiveKind], seed: int = 0) -> PropertyReport:
     """Check the regime-dependent ordering of initial risk-improvement rates.
 
-    Builds the identity-feature, one-hot-target geometry with a 10-token
-    vocabulary. In the strong regime the base distribution puts 0.9 on the
-    supervised (and true) token; in the weak regime the base is uniform and
-    the supervised token differs from the true one. The rate difference is
-    computed both from its closed form and from explicit inner products of
-    the per-context gradient vectors; the report fails if the two routes
-    disagree or the sign does not flip between regimes as predicted.
+    Builds the identity-feature, one-hot-target geometry with _FLOW_CONTEXTS
+    contexts and a 10-token vocabulary. In the strong regime the base
+    distribution puts 0.9 on the supervised (and true) token; in the weak
+    regime the base is uniform and the supervised token differs from the
+    true one. The rate difference is computed both from its closed form and
+    from explicit inner products of the per-context gradient vectors; the
+    report fails if the two routes disagree or the sign does not flip
+    between regimes as predicted.
     """
     if regime not in _REGIMES:
         raise DomainError(f"unknown regime {regime!r}, expected one of {_REGIMES}")
-    if num_contexts < 1:
-        raise DomainError(f"need at least one context, got {num_contexts!r}")
     for kind in pair:
         if kind.is_dynamic or kind.name == "eaft":
             raise DomainError(
@@ -321,7 +322,7 @@ def gradient_flow_ordering(
             )
     first, second = pair
 
-    vocab = 10
+    vocab, num_contexts = 10, _FLOW_CONTEXTS
     rng = np.random.default_rng(seed)
     y_true = rng.integers(vocab, size=num_contexts)
     if regime == "strong":
@@ -357,28 +358,21 @@ def gradient_flow_ordering(
     observed = 0 if abs(delta_formula) < 1e-15 else (1 if delta_formula > 0 else -1)
 
     max_error = route_error if observed == expected else max(route_error, 1.0)
-    tol = 1e-9
-    detail = (
-        f"regime={regime} pair=({first.encode()},{second.encode()}) "
-        f"rate_difference={delta_formula:.6e} sign={observed:+d} expected={expected:+d} "
-        f"route_disagreement={route_error:.3e} tol={tol}"
-    )
-    return PropertyReport(
-        name=f"risk-flow-{regime}-{first.encode()}-vs-{second.encode()}",
-        passed=max_error <= tol,
-        max_error=max_error,
-        detail=detail,
+    return _report(
+        f"risk-flow-{regime}-{first.encode()}-vs-{second.encode()}",
+        max_error,
+        1e-9,
+        detail=(
+            f"regime={regime} pair=({first.encode()},{second.encode()}) "
+            f"rate_difference={delta_formula:.6e} sign={observed:+d} expected={expected:+d} "
+            f"route_disagreement={route_error:.3e}"
+        ),
     )
 
 
 # ----------------------------------------------------------------------------
 # Bundled property suite
 # ----------------------------------------------------------------------------
-
-
-def _report(name: str, max_error: float, tol: float, detail: str = "") -> PropertyReport:
-    text = f"tol={tol:g}" if not detail else f"{detail} tol={tol:g}"
-    return PropertyReport(name=name, passed=bool(max_error <= tol), max_error=float(max_error), detail=text)
 
 
 def _random_dist(rng: np.random.Generator, size: int, rows: int | None = None) -> np.ndarray:
@@ -519,7 +513,7 @@ def _suite_mobius_reports(cayley_kappa: float) -> list[PropertyReport]:
 
 
 def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list[PropertyReport]:
-    kinds = default_kinds(0.5)
+    kinds = default_kinds()
     worst_sum = 0.0
     for logits, targets in _draw_by_size(rng, 1000, 2, 33, _random_logits):
         for kind in kinds:
@@ -538,7 +532,7 @@ def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list
         for logits, targets in _draw_by_size(rng, 200, 2, 33, _random_logits):
             for kind in group:
                 analytic = logit_gradient(kind, logits, targets)
-                numeric = fd_gradient(kind, logits, targets, 1e-5)
+                numeric = fd_gradient(kind, logits, targets)
                 scale = np.maximum(np.abs(analytic).max(axis=1), 1e-300)
                 worst = max(worst, float((np.abs(analytic - numeric).max(axis=1) / scale).max()))
         reports.append(_report(f"fd-gradient-{label}", worst, fd_rel_tol))
@@ -606,7 +600,7 @@ def _suite_jacobian_report(rng: np.random.Generator) -> PropertyReport:
         P0 = softmax(logits)
         # row ``target`` of each Jacobian: P_t * (delta_tj - P_j)
         jac = softmax_jacobian(logits)[np.arange(targets.size), targets]
-        for kind in default_kinds(0.5):
+        for kind in default_kinds():
             chain = _frozen_loss_derivative(kind, P0, targets)[:, None] * jac
             analytic = logit_gradient(kind, logits, targets)
             worst = max(worst, float(np.abs(analytic - chain).max()))

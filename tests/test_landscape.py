@@ -242,7 +242,7 @@ class TestGradientLandscape:
         """Batched grid against construct_distribution plus the scalar gate, cell by cell."""
         p_grid = np.linspace(0.03, 0.97, 9)
         h_grid = np.linspace(0.0, math.log(vocab), 11)
-        for kind in default_kinds(0.5) + [fixed_alpha(1.37)]:
+        for kind in default_kinds() + [fixed_alpha(1.37)]:
             grid = gradient_landscape(kind, p_grid, h_grid, vocab)
             reference = np.full(grid.cells.shape, np.nan)
             for i, p in enumerate(p_grid):
@@ -270,6 +270,16 @@ class TestGradientLandscape:
     def test_rejects_bad_grids(self, p_grid, h_grid):
         with pytest.raises(DomainError):
             gradient_landscape(NLL, np.array(p_grid), np.array(h_grid), 8)
+
+    @pytest.mark.parametrize("p_grid, bad", [([0.0, 0.5], 0.0), ([-0.5, 0.2, 1.0], -0.5), ([0.5, 1.0, 1.5], 1.0)])
+    def test_p_grid_outside_open_interval_names_first_bad_entry(self, p_grid, bad):
+        """The grid takes the target-mass rule of feasible_entropy_range, message included."""
+        with pytest.raises(DomainError, match=re.escape(f"target probability must lie in (0, 1), got {bad!r}")):
+            gradient_landscape(NLL, p_grid, [0.5, 1.0], 8)
+
+    def test_requires_three_tokens(self):
+        with pytest.raises(DomainError, match="vocabulary must have >= 3 tokens, got 2"):
+            gradient_landscape(NLL, [0.5], [0.5], 2)
 
     def test_infeasible_cells_absent(self):
         # entropy 0 is unattainable whenever the target holds less than full mass

@@ -33,8 +33,8 @@ from trustgate import (
     finetune,
     fixed_alpha,
     gate,
-    probability_histogram,
     quadrant_stats,
+    softmax,
 )
 from trustgate import objectives, trainer
 from trustgate.cli import parse_and_run
@@ -46,6 +46,11 @@ def final_probs(record):
     table = record.final_table
     expd = np.exp(table - table.max(axis=1, keepdims=True))
     return expd / expd.sum(axis=1, keepdims=True)
+
+
+def label_probs(model, labels):
+    """The probability each context of the model assigns to its label."""
+    return softmax(model.logit_table)[np.arange(model.num_contexts), labels]
 
 
 def clean_retention(record, task):
@@ -64,28 +69,28 @@ def _step_tables(model, labels, cfg, clean_labels=None):
 class TestBuildTask:
     def test_strong_regime_clears_pretraining_bar(self):
         task = build_task(RegimeSpec(regime="strong"), 7)
-        assert float(task.model.target_probs(task.labels).mean()) >= 0.6
+        assert float(label_probs(task.model, task.labels).mean()) >= 0.6
 
     def test_weak_regime_starts_near_uniform(self):
         task = build_task(RegimeSpec(regime="weak", vocab_size=32), 7)
-        assert float(task.model.target_probs(task.labels).mean()) == pytest.approx(
+        assert float(label_probs(task.model, task.labels).mean()) == pytest.approx(
             1.0 / 32.0, abs=0.01
         )
 
     def test_intermediate_regime_lands_in_band(self):
         task = build_task(RegimeSpec(regime="intermediate"), 7)
-        mean_p = float(task.model.target_probs(task.labels).mean())
+        mean_p = float(label_probs(task.model, task.labels).mean())
         assert 0.25 <= mean_p <= 0.45
 
     def test_confident_conflicts_count_and_eligibility(self):
         spec = RegimeSpec(regime="strong", conflict_fraction=0.1, conflict_policy="confident_only")
         task = build_task(spec, 7)
-        assert task.num_conflicts == int(0.1 * spec.num_contexts)
+        assert task.conflict_mask.sum() == int(0.1 * spec.num_contexts)
         # pre-injection model state: rebuild without injection from the same seed
         pristine = build_task(RegimeSpec(regime="strong"), 7)
-        peak = pristine.model.probs().max(axis=1)
-        assert bool((peak[task.conflict_mask] >= 0.5).all())
-        argmax = pristine.model.probs().argmax(axis=1)
+        probs = softmax(pristine.model.logit_table)
+        assert bool((probs.max(axis=1)[task.conflict_mask] >= 0.5).all())
+        argmax = probs.argmax(axis=1)
         assert bool((task.labels[task.conflict_mask] != argmax[task.conflict_mask]).all())
         npt.assert_array_equal(task.labels[~task.conflict_mask], task.clean_labels[~task.conflict_mask])
 
@@ -99,7 +104,7 @@ class TestBuildTask:
         for fraction in (0.0, 0.003):
             spec = RegimeSpec(regime="weak", conflict_fraction=fraction, conflict_policy="confident_only")
             assert spec.num_conflicts == 0
-            assert build_task(spec, 7).num_conflicts == 0
+            assert build_task(spec, 7).conflict_mask.sum() == 0
 
     def test_confident_conflicts_scarce_on_intermediate_prior(self):
         """Eligibility that depends on the pretrained model still fails at build time."""
@@ -110,7 +115,7 @@ class TestBuildTask:
     def test_uniform_conflicts_on_weak_prior(self):
         spec = RegimeSpec(regime="weak", conflict_fraction=0.25, conflict_policy="uniform")
         task = build_task(spec, 7)
-        assert task.num_conflicts == int(0.25 * spec.num_contexts)
+        assert task.conflict_mask.sum() == int(0.25 * spec.num_contexts)
 
     def test_deterministic_given_seed(self):
         spec = RegimeSpec(regime="strong", conflict_fraction=0.1)
@@ -127,11 +132,11 @@ class TestBuildTask:
         assert intermediate.pretrain_steps > 0
         assert 0.25 <= intermediate.pretrain_mean_p <= 0.45
         assert intermediate.pretrain_mean_p == float(
-            intermediate.model.target_probs(intermediate.clean_labels).mean()
+            label_probs(intermediate.model, intermediate.clean_labels).mean()
         )
         weak = build_task(RegimeSpec(regime="weak"), 7)
         assert weak.pretrain_steps == 0
-        assert weak.pretrain_mean_p == float(weak.model.target_probs(weak.clean_labels).mean())
+        assert weak.pretrain_mean_p == float(label_probs(weak.model, weak.clean_labels).mean())
 
     def test_table_size_bounded_before_allocation(self):
         """A spec is checked on its sizes alone: building one allocates no table."""
@@ -151,6 +156,16 @@ class TestBuildTask:
             RegimeSpec(conflict_fraction=1.0)
         with pytest.raises(DomainError):
             RegimeSpec(conflict_policy="always")
+
+
+LABEL_ARGUMENTS = ["labels", "clean_labels"]
+
+
+def _finetune_labels(task, argument, value):
+    """A 3-step DEFT run on the task's labels and clean labels, with ``argument`` replaced by ``value``."""
+    labels = {"labels": task.labels, "clean_labels": task.clean_labels, argument: value}
+    cfg = TrainConfig(objective=DEFT, steps=3, seed=0)
+    return finetune(task.model, labels["labels"], cfg, clean_labels=labels["clean_labels"])
 
 
 class TestFinetune:
@@ -194,7 +209,7 @@ class TestFinetune:
         tables = _step_tables(task.model, task.labels, cfg, clean_labels=task.clean_labels)
         assert len(tables) == 25
         for table in tables:
-            probs = ToyModel(table).probs()
+            probs = softmax(table)
             assert np.all(np.isfinite(probs))
             npt.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         record = finetune(task.model, task.labels, cfg, clean_labels=task.clean_labels)
@@ -207,7 +222,7 @@ class TestFinetune:
         samples = rng.integers(0, task.model.num_contexts, size=100)
         cfg = TrainConfig(objective=DEFT, steps=20, seed=0)
         for table in _step_tables(task.model, task.labels, cfg):
-            probs = ToyModel(table).probs()
+            probs = softmax(table)
             for context in samples[:10]:
                 dist = probs[context]
                 target = int(task.labels[context])
@@ -239,17 +254,40 @@ class TestFinetune:
         # 8 batches of 64 over 256 contexts = 2 epochs; every row moved
         assert not np.any(np.all(record.final_table == task.model.logit_table, axis=1))
 
-    def test_label_shape_mismatch(self):
+    @pytest.mark.parametrize("argument", LABEL_ARGUMENTS)
+    def test_label_shape_mismatch(self, argument):
         task = build_task(RegimeSpec(regime="weak"), 1)
-        with pytest.raises(DomainError):
-            finetune(task.model, task.labels[:-1], TrainConfig(objective=NLL, steps=1, seed=0))
+        with pytest.raises(DomainError, match=f"^{argument}: expected 256 target indices, got shape \\(255,\\)$"):
+            _finetune_labels(task, argument, task.labels[:-1])
 
-    @pytest.mark.parametrize("bad", [np.full(256, -1), np.full(256, 32), np.zeros(255, dtype=int)])
-    def test_clean_labels_checked_like_labels(self, bad):
+    @pytest.mark.parametrize("argument", LABEL_ARGUMENTS)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.full(256, -1), "target index -1 out of range"),
+            (np.full(256, 32), "target index 32 out of range"),
+            (np.full(256, 1.7), "target indices must be integers, got 1.7"),
+            (np.full(256, 0.9), "target indices must be integers, got 0.9"),
+            (np.full(256, True), "target indices must be integers, got True"),
+            ([0.9, 1.7, 2.2, True] * 64, "target indices must be integers, got 0.9"),
+        ],
+        ids=["negative", "past-vocab", "1.7", "0.9", "True", "mixed-list"],
+    )
+    def test_clean_labels_checked_like_labels(self, argument, bad, message):
+        """Each argument is refused with its own name, not truncated to integers."""
         task = build_task(RegimeSpec(regime="weak"), 1)
-        with pytest.raises(DomainError, match="clean_labels"):
-            cfg = TrainConfig(objective=NLL, steps=1, seed=0)
-            finetune(task.model, task.labels, cfg, clean_labels=bad)
+        with pytest.raises(DomainError, match=f"^{argument}: {message}"):
+            _finetune_labels(task, argument, bad)
+
+    @pytest.mark.parametrize("argument", LABEL_ARGUMENTS)
+    @pytest.mark.parametrize("convert", [list, lambda labels: labels.astype(np.int32)], ids=["int-list", "int32"])
+    def test_integer_labels_of_any_width_accepted(self, argument, convert):
+        task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.25), 1)
+        assert task.labels.dtype == np.int64
+        expected = _finetune_labels(task, argument, getattr(task, argument))
+        record = _finetune_labels(task, argument, convert(getattr(task, argument)))
+        assert record.to_dict() == expected.to_dict()
+        assert record.final_table.tobytes() == expected.final_table.tobytes()
 
 
 def _deltas(*tokens):
@@ -258,11 +296,11 @@ def _deltas(*tokens):
     return TokenDeltas(*columns)
 
 
-def _quadrant_stats_per_token(deltas, min_change=0.05):
+def _quadrant_stats_per_token(deltas):
     """Reference: the per-token classification into quadrants, one context at a time."""
     learning, forgetting, learn_high, forget_high = 0, 0, 0, 0
     for pb, pa, lb, la in zip(deltas.p_before, deltas.p_after, deltas.loss_before, deltas.loss_after):
-        moved = abs(pa - pb) >= min_change
+        moved = abs(pa - pb) >= 0.05
         high = pb >= 0.5
         if pa - pb > 0.0 and la - lb < 0.0 and moved:
             learning += 1
@@ -322,7 +360,7 @@ class TestQuadrantStats:
         record = finetune(task.model, task.labels, TrainConfig(objective=DEFT, steps=5, seed=6),
                           clean_labels=task.clean_labels)
         final = final_probs(record)
-        start = task.model.probs()
+        start = softmax(task.model.logit_table)
         for context in (0, 17, 255):
             label = int(task.clean_labels[context])
             assert record.deltas.p_before[context] == start[context, label]
@@ -343,19 +381,24 @@ class TestQuadrantStats:
         assert 0.0 <= stats["learning"] + stats["forgetting"] <= 1.0
 
 
+def _start_histogram(model, labels):
+    """The run record's step-0 histogram of the label probabilities."""
+    return finetune(model, labels, TrainConfig(objective=NLL, steps=0, seed=0)).histograms[0]
+
+
 class TestProbabilityHistogram:
     def test_confident_model_fills_top_bin(self):
         table = np.zeros((64, 8))
         table[:, 0] = 40.0
-        model = ToyModel(table)
-        labels = np.zeros(64, dtype=np.int64)
-        counts = probability_histogram(model, labels, DEFAULT_HISTOGRAM_EDGES)
-        assert counts[-1] == 64
-        assert counts.sum() == 64
+        snapshot = _start_histogram(ToyModel(table), np.zeros(64, dtype=np.int64))
+        assert snapshot["step"] == 0
+        assert snapshot["edges"] == DEFAULT_HISTOGRAM_EDGES.tolist()
+        assert snapshot["counts"][-1] == 64
+        assert sum(snapshot["counts"]) == 64
 
     def test_weak_model_mass_sits_at_one_over_vocab(self):
         task = build_task(RegimeSpec(regime="weak", vocab_size=32), 7)
-        counts = probability_histogram(task.model, task.labels, DEFAULT_HISTOGRAM_EDGES)
+        counts = _start_histogram(task.model, task.labels)["counts"]
         bin_of_uniform = int(np.digitize(1.0 / 32.0, DEFAULT_HISTOGRAM_EDGES)) - 1
         assert counts[bin_of_uniform] == task.model.num_contexts
 
@@ -365,19 +408,6 @@ class TestProbabilityHistogram:
         before = record.histograms[0]["counts"]
         after = record.histograms[-1]["counts"]
         assert after[-1] >= before[-1]
-
-    def test_probabilities_below_the_first_edge_are_counted(self):
-        """A label probability below a first edge of PROB_FLOOR is clamped into the first bin."""
-        model = ToyModel([[0.0, 40.0], [0.0, 0.0]])
-        counts = probability_histogram(model, [0, 0], [1e-12, 0.5, 1.0])
-        assert counts.tolist() == [1, 1]
-
-    def test_malformed_edges_rejected(self):
-        task = build_task(RegimeSpec(regime="weak"), 1)
-        with pytest.raises(DomainError):
-            probability_histogram(task.model, task.labels, [0.0, 0.5, 0.4, 1.0])
-        with pytest.raises(DomainError):
-            probability_histogram(task.model, task.labels, [0.2, 0.5, 1.0])
 
 
 class TestRegimeContrasts:
@@ -605,35 +635,6 @@ def test_traces_match_fresh_softmax_of_each_state(kind, batch_size, block_entrie
     assert record.deltas.p_after.tobytes() == final[rows, task.clean_labels].tobytes()
     expected_loss = loss_per_row(kind, final, task.clean_labels)
     assert record.deltas.loss_after.tobytes() == expected_loss.tobytes()
-
-
-@pytest.mark.parametrize("block_entries", [trainer._BLOCK_ENTRIES, 7 * 37])
-def test_target_probs_match_whole_table_softmax(block_entries, monkeypatch):
-    """The blocked gather equals a gather from the whole softmaxed table, bit for bit.
-
-    7-row blocks leave a short last one.
-    """
-    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", block_entries)
-    rng = np.random.default_rng(9)
-    model = ToyModel(rng.normal(0.0, 3.0, (1000, 37)))
-    labels = rng.integers(0, 37, 1000)
-    expected = _reference_softmax(model.logit_table)[np.arange(1000), labels]
-    assert model.target_probs(labels).tobytes() == expected.tobytes()
-    assert model.target_probs(list(labels)).tobytes() == expected.tobytes()
-
-
-def test_target_probs_peak_memory_well_below_a_table():
-    """One block buffer and the output vector, not a softmaxed copy of the table (here 16 MiB)."""
-    rng = np.random.default_rng(2)
-    model = ToyModel(rng.normal(0.0, 2.0, (2048, 1024)))
-    labels = rng.integers(0, 1024, 2048)
-    tracemalloc.start()
-    try:
-        model.target_probs(labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / model.logit_table.nbytes <= 0.1
 
 
 def test_full_batch_step_evaluates_the_focus_once_per_row(monkeypatch):
