@@ -57,7 +57,6 @@ from .landscape import (
     FeasibilityError,
     LandscapeGrid,
     construct_distribution,
-    emit,
     feasible_entropy_range,
     gradient_landscape,
 )

@@ -8,9 +8,12 @@ there are no environment variables.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 import time
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import trainer
 from .core_math import DomainError, tsallis_entropy
-from .landscape import check_grid_size, check_target, emit, gradient_landscape, write_atomic
+from .landscape import check_grid_size, gradient_landscape
 from .objectives import ObjectiveKind
 from .trainer import BuildError, RegimeSpec, TrainConfig, build_task, finetune
 from .verification import RULE_MAIN, RULE_PROPER, minimize_risk, reports_to_json, run_property_suite
@@ -26,6 +29,46 @@ from .verification import RULE_MAIN, RULE_PROPER, minimize_risk, reports_to_json
 
 class ConfigError(ValueError):
     """A config file or flag value violates the expected schema."""
+
+
+def check_target(path) -> None:
+    """Refuse an output path that cannot be written, naming the path as given.
+
+    A directory target raises IsADirectoryError; a target whose parent is
+    missing raises FileNotFoundError, or NotADirectoryError when the parent
+    is a file.
+    """
+    path = os.fspath(path)
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
+def write_atomic(path, text: str) -> None:
+    """Write UTF-8 text with LF endings to ``path`` all at once or not at all.
+
+    The text goes to a new temporary file in the target's directory, which
+    then replaces the target with ``os.replace``. If anything fails, the
+    target keeps its old contents and the temporary file is removed. A
+    target that ``check_target`` refuses is refused before any file is made.
+    """
+    check_target(path)
+    directory, name = os.path.split(os.fspath(path))
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    handle = open(temp, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -49,7 +92,10 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
     else:
         h_grid = np.linspace(0.0, max_h, args.h_steps)
     grid = gradient_landscape(kind, p_grid, h_grid, args.vocab)
-    emit(grid, args.out, args.format)
+    if args.format == "csv":
+        write_atomic(args.out, grid.to_csv())
+    else:
+        write_atomic(args.out, json.dumps(grid.to_dict(), indent=2) + "\n")
     print(json.dumps({"out": args.out, "format": args.format, "objective": kind.encode()}))
     return 0
 
@@ -114,7 +160,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     record = finetune(task.model, task.labels, train_cfg, clean_labels=task.clean_labels)
     record.config["regime"] = spec.regime
     tuned = time.perf_counter()
-    emit(record, args.out, "json")
+    write_atomic(args.out, json.dumps(record.to_dict(), indent=2) + "\n")
     if args.timings:
         timings = {
             "build_s": built - started,
@@ -139,8 +185,7 @@ def _cmd_duality(args: argparse.Namespace) -> int:
         r = np.array([float(part) for part in args.r.split(",")])
     except ValueError as exc:
         raise ConfigError(f"malformed distribution {args.r!r}") from exc
-    rule = {"proper": RULE_PROPER, "main": RULE_MAIN}[args.rule]
-    minimizer, risk = minimize_risk(r, args.alpha, rule)
+    minimizer, risk = minimize_risk(r, args.alpha, args.rule)
     body = {
         "r": [float(v) for v in r],
         "alpha": args.alpha,
@@ -209,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual = sub.add_parser("duality", help="search the expected-score minimizer over the simplex")
     p_dual.add_argument("--r", required=True, help="comma-separated probabilities, e.g. 0.8,0.2")
     p_dual.add_argument("--alpha", type=float, required=True)
-    p_dual.add_argument("--rule", choices=("proper", "main"), default="proper")
+    p_dual.add_argument("--rule", choices=(RULE_PROPER, RULE_MAIN), default=RULE_PROPER)
     p_dual.add_argument("--out", default=None)
     p_dual.set_defaults(func=_cmd_duality)
     return parser

@@ -5,24 +5,17 @@ the target, and the remaining mass split between a secondary spike and a
 uniform tail, with the mixing weight found by bisection on the Shannon
 entropy. Cells whose entropy is unattainable for their p are left absent.
 Grids normalize to their own maximum (per-grid, recorded in the JSON
-metadata), and ``emit`` writes byte-deterministic CSV/JSON artifacts.
+metadata), and render themselves as byte-deterministic CSV or JSON text.
 """
 
 from __future__ import annotations
 
-import contextlib
-import errno
-import json
-import os
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
 from .core_math import DomainError, _one_or_stack, clamp_prob, entropy_rows
 from .objectives import ObjectiveKind, gate_per_row
-from .trainer import RunRecord
-from .verification import PropertyReport, reports_to_json
 
 _BISECTION_TOL = 1e-6
 _BISECTION_MAX_ITERS = 200
@@ -48,6 +41,30 @@ class LandscapeGrid:
     cells: np.ndarray
     vocab_size: int
     objective: str
+
+    def to_csv(self) -> str:
+        """Header ``p,entropy,magnitude``, then one line per feasible cell.
+
+        Lines are sorted by (p, entropy), with 9 significant digits and LF
+        endings, so identical grids give identical bytes.
+        """
+        row, col = np.nonzero(np.isfinite(self.cells))
+        cells = zip(self.p_grid[row].tolist(), self.h_grid[col].tolist(), self.cells[row, col].tolist())
+        lines = ["p,entropy,magnitude", *(f"{p:.9g},{h:.9g},{m:.9g}" for p, h, m in cells)]
+        return "\n".join(lines) + "\n"
+
+    def to_dict(self) -> dict:
+        """The grid's JSON body; infeasible cells are ``None``."""
+        cells = self.cells.astype(object)
+        cells[~np.isfinite(self.cells)] = None
+        return {
+            "objective": self.objective,
+            "vocab_size": self.vocab_size,
+            "normalization": "per-grid",
+            "p_grid": self.p_grid.tolist(),
+            "h_grid": self.h_grid.tolist(),
+            "cells": cells.tolist(),
+        }
 
 
 def _family_rows(p: np.ndarray, mix, vocab: int) -> np.ndarray:
@@ -209,96 +226,3 @@ def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> Lands
     return LandscapeGrid(
         p_grid=p_grid, h_grid=h_grid, cells=cells, vocab_size=vocab, objective=kind.encode()
     )
-
-
-Artifact = Union[LandscapeGrid, RunRecord, Sequence[PropertyReport]]
-
-
-def _grid_rows(grid: LandscapeGrid):
-    row, col = np.nonzero(np.isfinite(grid.cells))
-    return zip(grid.p_grid[row].tolist(), grid.h_grid[col].tolist(), grid.cells[row, col].tolist())
-
-
-def _grid_to_dict(grid: LandscapeGrid) -> dict:
-    cells = grid.cells.astype(object)
-    cells[~np.isfinite(grid.cells)] = None
-    return {
-        "objective": grid.objective,
-        "vocab_size": grid.vocab_size,
-        "normalization": "per-grid",
-        "p_grid": grid.p_grid.tolist(),
-        "h_grid": grid.h_grid.tolist(),
-        "cells": cells.tolist(),
-    }
-
-
-def check_target(path) -> None:
-    """Refuse an output path that cannot be written, naming the path as given.
-
-    A directory target raises IsADirectoryError; a target whose parent is
-    missing raises FileNotFoundError, or NotADirectoryError when the parent
-    is a file.
-    """
-    path = os.fspath(path)
-    parent = os.path.dirname(path) or os.curdir
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-    else:
-        return
-    raise OSError(code, os.strerror(code), path)
-
-
-def write_atomic(path, text: str) -> None:
-    """Write UTF-8 text with LF endings to ``path`` all at once or not at all.
-
-    The text goes to a new temporary file in the target's directory, which
-    then replaces the target with ``os.replace``. If anything fails, the
-    target keeps its old contents and the temporary file is removed. A
-    target that ``check_target`` refuses is refused before any file is made.
-    """
-    check_target(path)
-    directory, name = os.path.split(os.fspath(path))
-    temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    handle = open(temp, "x", encoding="utf-8", newline="\n")
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(temp)
-        raise
-
-
-def emit(artifact: Artifact, path, fmt: str = "csv") -> None:
-    """Write an artifact to disk; identical inputs produce identical bytes.
-
-    CSV applies to landscape grids only: header ``p,entropy,magnitude``, one
-    row per feasible cell sorted by (p, entropy), 9 significant digits, LF
-    line endings. JSON applies to grids, run records, and property-report
-    lists, using each record's documented schema.
-    """
-    if fmt == "csv":
-        if not isinstance(artifact, LandscapeGrid):
-            raise DomainError("csv output is defined for landscape grids only")
-        lines = ["p,entropy,magnitude"]
-        lines.extend(f"{p:.9g},{h:.9g},{m:.9g}" for p, h, m in _grid_rows(artifact))
-        payload = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        if isinstance(artifact, LandscapeGrid):
-            text = json.dumps(_grid_to_dict(artifact), indent=2)
-        elif isinstance(artifact, RunRecord):
-            text = json.dumps(artifact.to_dict(), indent=2)
-        elif isinstance(artifact, Sequence) and all(
-            isinstance(item, PropertyReport) for item in artifact
-        ):
-            text = reports_to_json(artifact)
-        else:
-            raise DomainError(f"cannot serialize {type(artifact).__name__} to json")
-        payload = text + "\n"
-    else:
-        raise DomainError(f"unknown format {fmt!r}, expected 'csv' or 'json'")
-
-    write_atomic(path, payload)

@@ -180,9 +180,19 @@ def softmax(z) -> np.ndarray:
     return back(softmax_into(Z, np.empty_like(Z)))
 
 
+def _indices(targets) -> np.ndarray:
+    """Targets as an array, refusing a bool in a sequence of integers, which numpy reads as 0 or 1."""
+    array = np.asarray(targets)
+    if array.ndim == 1 and array.dtype.kind in "iu" and not isinstance(targets, np.ndarray):
+        flag = next((t for t in targets if isinstance(t, (bool, np.bool_))), None)
+        if flag is not None:
+            raise DomainError(f"target indices must be integers, got {bool(flag)!r}")
+    return array
+
+
 def _check_targets(P: np.ndarray, targets) -> np.ndarray:
     """Targets of a (rows, vocab) stack as an index vector, each an integer in range: the one targets check."""
-    targets = np.asarray(targets)
+    targets = _indices(targets)
     if targets.dtype.kind not in "iu" and targets.size:
         raise DomainError(f"target indices must be integers, got {targets.ravel().tolist()[0]!r}")
     if targets.shape != P.shape[:1]:
@@ -291,7 +301,7 @@ def logit_gradient(kind: ObjectiveKind, z, target):
     stack of logits with one target per row gives one gradient per row, each
     depending on its own row alone.
     """
-    P, targets, back = _one_or_stack(softmax(z), target)
+    P, targets, back = _one_or_stack(softmax(z), _indices(target))
     targets = _check_targets(P, targets)
     # P holds distributions by construction: gate them without validating again
     return back(gate_error_into(kind, P, targets, focus_per_row(kind, P, targets)))

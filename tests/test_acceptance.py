@@ -34,8 +34,8 @@ from trustgate import (
     peak_location,
     tsallis_entropy,
 )
-from trustgate.cli import parse_and_run
-from trustgate.landscape import emit, feasible_entropy_range
+from trustgate.cli import parse_and_run, write_atomic
+from trustgate.landscape import feasible_entropy_range
 from trustgate.verification import surprisal_linearization_residual
 
 
@@ -285,8 +285,8 @@ def test_10_landscape_sanity(tmp_path):
 
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    emit(nll_grid, first, "csv")
-    emit(nll_grid, second, "csv")
+    write_atomic(first, nll_grid.to_csv())
+    write_atomic(second, nll_grid.to_csv())
     deterministic = first.read_bytes() == second.read_bytes()
     _criterion(
         10,

@@ -1,4 +1,4 @@
-"""Landscape realization, grid construction, and artifact emission."""
+"""Landscape realization, grid construction, and artifact text and writing."""
 
 import hashlib
 import json
@@ -18,13 +18,11 @@ from trustgate import (
     NLL,
     DomainError,
     FeasibilityError,
-    PropertyReport,
     RegimeSpec,
     TrainConfig,
     build_task,
     construct_distribution,
     default_kinds,
-    emit,
     feasible_entropy_range,
     finetune,
     fixed_alpha,
@@ -32,9 +30,8 @@ from trustgate import (
     gradient_landscape,
     shannon_entropy,
 )
-from trustgate.cli import parse_and_run
-from trustgate.landscape import MAX_GRID_ENTRIES, _realize, check_grid_size, write_atomic
-from trustgate.verification import reports_to_json
+from trustgate.cli import parse_and_run, write_atomic
+from trustgate.landscape import MAX_GRID_ENTRIES, _realize, check_grid_size
 
 
 def scalar_construct(p, entropy, vocab):
@@ -356,70 +353,42 @@ class TestWriteAtomic:
         assert os.listdir(tmp_path) == ["out.txt"]
 
 
-class TestEmit:
-    def test_csv_schema_and_row_count(self, tmp_path):
+class TestArtifactText:
+    def test_csv_schema_and_row_count(self):
         grid = gradient_landscape(NLL, np.array([0.4, 0.6]), np.array([0.8, 1.1]), 8)
-        path = tmp_path / "grid.csv"
-        emit(grid, path, "csv")
-        lines = path.read_text().splitlines()
+        lines = grid.to_csv().splitlines()
         assert lines[0] == "p,entropy,magnitude"
         feasible = int(np.isfinite(grid.cells).sum())
         assert len(lines) == 1 + feasible
 
-    def test_csv_rows_sorted(self, tmp_path):
+    def test_csv_rows_sorted(self):
         grid = gradient_landscape(DEFT, np.linspace(0.2, 0.8, 4), np.linspace(0.6, 1.6, 4), 8)
-        path = tmp_path / "grid.csv"
-        emit(grid, path, "csv")
-        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        rows = [line.split(",") for line in grid.to_csv().splitlines()[1:]]
         keys = [(float(a), float(b)) for a, b, _ in rows]
         assert keys == sorted(keys)
 
-    def test_csv_byte_deterministic(self, tmp_path):
-        grid = gradient_landscape(DEFT, np.linspace(0.2, 0.8, 4), np.linspace(0.6, 1.6, 4), 8)
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        emit(grid, first, "csv")
-        emit(grid, second, "csv")
-        assert first.read_bytes() == second.read_bytes()
+    def test_csv_byte_deterministic(self):
+        def grid():
+            return gradient_landscape(DEFT, np.linspace(0.2, 0.8, 4), np.linspace(0.6, 1.6, 4), 8)
 
-    def test_csv_skips_infeasible_cells(self, tmp_path):
+        text = grid().to_csv()
+        assert text == grid().to_csv()
+        assert text.endswith("\n") and "\r" not in text
+
+    def test_csv_skips_infeasible_cells(self):
         grid = gradient_landscape(NLL, np.array([0.5]), np.array([1e-6, 0.8]), 8)
-        path = tmp_path / "grid.csv"
-        emit(grid, path, "csv")
-        assert len(path.read_text().splitlines()) == 2  # header + 1 feasible cell
+        assert len(grid.to_csv().splitlines()) == 2  # header + 1 feasible cell
 
-    def test_grid_json_metadata(self, tmp_path):
-        grid = gradient_landscape(NLL, np.array([0.5]), np.array([0.8]), 8)
-        path = tmp_path / "grid.json"
-        emit(grid, path, "json")
-        body = json.loads(path.read_text())
+    def test_grid_json_metadata(self):
+        grid = gradient_landscape(NLL, np.array([0.5]), np.array([1e-6, 0.8]), 8)
+        body = json.loads(json.dumps(grid.to_dict()))
         assert body["normalization"] == "per-grid"
         assert body["objective"] == "nll"
+        assert body["cells"][0][0] is None  # the infeasible cell
 
-    def test_run_record_json_schema(self, tmp_path):
+    def test_run_record_json_schema(self):
         task = build_task(RegimeSpec(regime="weak"), 0)
         record = finetune(task.model, task.labels, TrainConfig(objective=DEFT, steps=5, seed=0))
-        path = tmp_path / "run.json"
-        emit(record, path, "json")
-        body = json.loads(path.read_text())
+        body = json.loads(json.dumps(record.to_dict()))
         assert set(body) == {"config", "mean_target_p", "mean_alpha", "quadrants", "histograms"}
         assert len(body["mean_target_p"]) == 5
-
-    def test_report_list_json(self, tmp_path):
-        reports = [PropertyReport(name="x", passed=True, max_error=0.0, detail="tol=1")]
-        path = tmp_path / "reports.json"
-        emit(reports, path, "json")
-        assert json.loads(path.read_text()) == [
-            {"name": "x", "passed": True, "max_error": 0.0, "detail": "tol=1"}
-        ]
-        # the one report serializer, plus a final newline
-        assert path.read_bytes() == (reports_to_json(reports) + "\n").encode()
-
-    def test_csv_rejects_non_grid(self, tmp_path):
-        with pytest.raises(DomainError):
-            emit([PropertyReport("x", True, 0.0, "")], tmp_path / "x.csv", "csv")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        grid = gradient_landscape(NLL, np.array([0.5]), np.array([0.8]), 8)
-        with pytest.raises(DomainError):
-            emit(grid, tmp_path / "x.yaml", "yaml")

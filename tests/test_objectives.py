@@ -116,6 +116,14 @@ class TestTargetIndices:
         assert not np.array_equal(result, _as_array(call(CAYLEY, [0.2, 0.3, 0.5], 0)))
         assert not np.array_equal(result, _as_array(call(CAYLEY, [0.2, 0.3, 0.5], 2)))
 
+    @pytest.mark.parametrize("call", [logit_gradient, fd_gradient], ids=lambda call: call.__name__)
+    @pytest.mark.parametrize("targets", [[1, True, 2], (1, np.True_, 2)], ids=["list", "tuple"])
+    def test_bool_among_integer_targets_refused(self, call, targets):
+        """NumPy reads the bool in a sequence of ints as 1; it is named instead."""
+        logits = np.log([[0.2, 0.3, 0.5]] * 3)
+        with pytest.raises(DomainError, match=re.escape("target indices must be integers, got True")):
+            call(CAYLEY, logits, targets)
+
 
 class TestGate:
     def test_log_loss_gate_is_open(self):

@@ -270,8 +270,9 @@ class TestFinetune:
             (np.full(256, 0.9), "target indices must be integers, got 0.9"),
             (np.full(256, True), "target indices must be integers, got True"),
             ([0.9, 1.7, 2.2, True] * 64, "target indices must be integers, got 0.9"),
+            ([0, 1, 2, True] * 64, "target indices must be integers, got True"),
         ],
-        ids=["negative", "past-vocab", "1.7", "0.9", "True", "mixed-list"],
+        ids=["negative", "past-vocab", "1.7", "0.9", "True", "mixed-list", "bool-among-ints"],
     )
     def test_clean_labels_checked_like_labels(self, argument, bad, message):
         """Each argument is refused with its own name, not truncated to integers."""
