@@ -144,18 +144,14 @@ def _frozen_loss_derivative(kind: ObjectiveKind, P0: np.ndarray, targets: np.nda
     return -w0 * p ** (a0 - 1.0)
 
 
-def fd_gradient(kind: ObjectiveKind, z, target) -> np.ndarray:
-    """Central-difference logit gradient of the frozen-state token loss, at a step of _FD_STEP.
+def _nudged_target_probs(Z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Target probabilities with each logit nudged down, and their log ratio to the nudged-up ones.
 
-    Oracle counterpart of ``objectives.logit_gradient``: a (rows, vocab) logit
-    stack with one target per row gives one gradient per row, each depending
-    on its own row alone. Temporaries hold rows x vocab x vocab entries.
+    For a (rows, size) logit stack, both are (rows, size): entry [n, j] comes
+    from row n with logit j moved by -/+ _FD_STEP. They do not depend on the
+    objective, so one pair serves every member.
     """
-    P0, Z, targets, back = _one_or_stack(softmax(z), np.asarray(z, dtype=np.float64), _indices(target))
     rows, size = Z.shape
-    targets = _check_targets(P0, targets)
-    _, w0, a0 = (column[:, None] for column in frozen_state(kind, P0, targets))
-
     # (rows, size, size): every row with each of its logits nudged in turn
     offsets = np.eye(size) * _FD_STEP
 
@@ -165,7 +161,14 @@ def fd_gradient(kind: ObjectiveKind, z, target) -> np.ndarray:
         return np.maximum(expd[np.arange(rows), :, targets] / expd.sum(axis=2), PROB_FLOOR)
 
     lower = target_probs(Z[:, None, :] - offsets)
-    log_ratio = np.log(target_probs(Z[:, None, :] + offsets) / lower)
+    return lower, np.log(target_probs(Z[:, None, :] + offsets) / lower)
+
+
+def _fd_difference(
+    kind: ObjectiveKind, P0: np.ndarray, targets: np.ndarray, lower: np.ndarray, log_ratio: np.ndarray
+) -> np.ndarray:
+    """``fd_gradient`` of one member, from the softmax ``P0`` and ``_nudged_target_probs``."""
+    _, w0, a0 = (column[:, None] for column in frozen_state(kind, P0, targets))
     # f(p+) - f(p-) with the loss's constant term cancelled exactly: differencing
     # two values of 1 - p^a0 next to 1 leaves ~eps/2h of absolute noise, which
     # swamps gradients of order p at small p. The expm1 form is exact at every
@@ -174,11 +177,23 @@ def fd_gradient(kind: ObjectiveKind, z, target) -> np.ndarray:
     a0 = np.where(zero, 1.0, a0)
     # The exponent as a full array: NumPy takes a single exponent of 0.5 or 2 as
     # sqrt or square, which would make a row's last bit depend on its stack.
-    deformed = -w0 * lower ** np.repeat(a0, size, axis=1) * np.expm1(a0 * log_ratio) / a0
+    deformed = -w0 * lower ** np.repeat(a0, lower.shape[1], axis=1) * np.expm1(a0 * log_ratio) / a0
     difference = np.where(zero, -w0 * log_ratio, deformed)
     if not np.all(np.isfinite(difference)):
         raise DomainError("non-finite loss differences in finite differences")
-    return back(difference / (2.0 * _FD_STEP))
+    return difference / (2.0 * _FD_STEP)
+
+
+def fd_gradient(kind: ObjectiveKind, z, target) -> np.ndarray:
+    """Central-difference logit gradient of the frozen-state token loss, at a step of _FD_STEP.
+
+    Oracle counterpart of ``objectives.logit_gradient``: a (rows, vocab) logit
+    stack with one target per row gives one gradient per row, each depending
+    on its own row alone. Temporaries hold rows x vocab x vocab entries.
+    """
+    P0, Z, targets, back = _one_or_stack(softmax(z), np.asarray(z, dtype=np.float64), _indices(target))
+    targets = _check_targets(P0, targets)
+    return back(_fd_difference(kind, P0, targets, *_nudged_target_probs(Z, targets)))
 
 
 def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER):
@@ -198,7 +213,7 @@ def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER):
     return float(risk) if r.ndim == 1 else risk
 
 
-def _score_terms(rows: np.ndarray, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray]:
+def _score_terms(rows: np.ndarray, alpha: float | np.ndarray, rule: str) -> tuple[np.ndarray, np.ndarray]:
     """Entry terms (weighted, free) of the score: the risk under r is sum r*weighted + sum free.
 
     With L_a(q) = -expm1(a log q) / a and q^a = 1 + expm1(a log q), q clamped to PROB_FLOOR,
@@ -217,26 +232,31 @@ def _score_terms(rows: np.ndarray, alpha: float, rule: str) -> tuple[np.ndarray,
     return loss, qa
 
 
-def _risk_rows(rows: np.ndarray, r: np.ndarray, alpha: float, rule: str) -> np.ndarray:
+def _risk_rows(rows: np.ndarray, r: np.ndarray, alpha: float | np.ndarray, rule: str) -> np.ndarray:
     """Expected score of each row (last axis) of ``rows`` under ``r``, broadcast against them."""
     weighted, free = _score_terms(rows, alpha, rule)
     return (r * weighted).sum(axis=-1) + free.sum(axis=-1)
 
 
-def _descend(points: np.ndarray, rs: np.ndarray, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray]:
+def _descend(
+    points: np.ndarray, rs: np.ndarray, alpha: float | np.ndarray, rule: str
+) -> tuple[np.ndarray, np.ndarray]:
     """Pair-move search from a (problems, starts, dim) stack of starts, on the risk alone.
 
-    Each iteration tries, for every ordered pair (giver j, taker i), moving
-    min(step, q_j) of mass from entry j to entry i, each try divided by its sum.
-    A start takes its best try when that lowers its risk and halves its own step
-    otherwise; it stops once its step is below _MIN_STEP. Every start's moves
-    depend on its own state alone. Returns the final points and their risks.
+    ``alpha`` is one score order for every problem, or a (problems,) vector of
+    one order per problem. Each iteration tries, for every ordered pair (giver
+    j, taker i), moving min(step, q_j) of mass from entry j to entry i, each
+    try divided by its sum. A start takes its best try when that lowers its
+    risk and halves its own step otherwise; it stops once its step is below
+    _MIN_STEP. Every start's moves depend on its own state and order alone.
+    Returns the final points and their risks.
     """
+    order = np.reshape(alpha, (-1, 1, 1))  # (problems, 1, 1) against the points
     dim = points.shape[-1]
     giver, taker = np.nonzero(~np.eye(dim, dtype=bool))
     moves = np.arange(giver.size)
     r = rs[:, None, None, :]
-    risk = _risk_rows(points, rs[:, None, :], alpha, rule)
+    risk = _risk_rows(points, rs[:, None, :], order, rule)
     step = np.full(risk.shape, _FIRST_STEP)
     for _ in range(_MAX_ITERS):
         going = step >= _MIN_STEP
@@ -247,7 +267,7 @@ def _descend(points: np.ndarray, rs: np.ndarray, alpha: float, rule: str) -> tup
         tries[..., moves, giver] -= mass
         tries[..., moves, taker] += mass
         tries /= tries.sum(axis=-1, keepdims=True)
-        try_risk = _risk_rows(tries, r, alpha, rule)
+        try_risk = _risk_rows(tries, r, order[..., None], rule)
         best = np.argmin(try_risk, axis=-1)[..., None]
         best_risk = np.take_along_axis(try_risk, best, axis=-1)[..., 0]
         take = going & (best_risk < risk)
@@ -535,9 +555,10 @@ def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list
     for label, group in (("static", static), ("dynamic", dynamic)):
         worst = 0.0
         for logits, targets in _draw_by_size(rng, 200, 2, 33, _random_logits):
+            P0, nudged = softmax(logits), _nudged_target_probs(logits, targets)
             for kind in group:
                 analytic = logit_gradient(kind, logits, targets)
-                numeric = fd_gradient(kind, logits, targets)
+                numeric = _fd_difference(kind, P0, targets, *nudged)
                 scale = np.maximum(np.abs(analytic).max(axis=1), 1e-300)
                 worst = max(worst, float((np.abs(analytic - numeric).max(axis=1) / scale).max()))
         reports.append(_report(f"fd-gradient-{label}", worst, fd_rel_tol))
@@ -613,18 +634,20 @@ def _suite_jacobian_report(rng: np.random.Generator) -> PropertyReport:
 
 
 def _suite_duality_reports(rng: np.random.Generator) -> list[PropertyReport]:
-    # each (size, order) pair is one search from the uniform start alone: at orders <= 1
-    # both rules give a convex risk in q (q^a is concave, q^(1+a) convex), so restarts cannot do better
+    # each size is one search from the uniform start alone, with one order per problem: at orders
+    # <= 1 both rules give a convex risk in q (q^a is concave, q^(1+a) convex), so restarts cannot do better
     truths = [_random_dist(rng, 2 + index % 2) for index in range(50)]
+    orders = (0.25, 0.5, 1.0)
     worst_risk = 0.0
     worst_min = 0.0
     for size in (2, 3):
         rs = np.array(truths[size - 2 :: 2])
-        for alpha in (0.25, 0.5, 1.0):
-            minimizers, risks = _descend(np.full((len(rs), 1, size), 1.0 / size), rs, alpha, RULE_PROPER)
-            gap = risks[:, 0] - tsallis_entropy(rs, 1.0 + alpha)
-            worst_risk = max(worst_risk, float(np.abs(gap).max()))
-            worst_min = max(worst_min, float(np.abs(minimizers[:, 0] - rs).max()))
+        stacked = np.tile(rs, (len(orders), 1))
+        starts = np.full((len(stacked), 1, size), 1.0 / size)
+        minimizers, risks = _descend(starts, stacked, np.repeat(orders, len(rs)), RULE_PROPER)
+        entropy = np.concatenate([tsallis_entropy(rs, 1.0 + alpha) for alpha in orders])
+        worst_risk = max(worst_risk, float(np.abs(risks[:, 0] - entropy).max()))
+        worst_min = max(worst_min, float(np.abs(minimizers[:, 0] - stacked).max()))
     reports = [
         _report("duality-proper-risk", worst_risk, 1e-12),
         _report("duality-proper-minimizer", worst_min, 1e-6),
@@ -727,8 +750,8 @@ def run_property_suite(
     ``cayley_kappa`` substitutes a different member of the endpoint-swapping
     map family into the linearization check (any value other than 1 must make
     that report fail); ``fd_rel_tol`` overrides the finite-difference
-    tolerance. Failures are reported, never raised. Reports are returned
-    sorted by name.
+    tolerance. A failed check is reported, not raised; an exception means a
+    fault in the library the checks call. Reports are returned sorted by name.
     """
     children = np.random.SeedSequence(seed).spawn(7)
     rngs = [np.random.default_rng(c) for c in children]

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from trustgate import RegimeSpec, build_task, cli, trainer, tsallis_entropy
+from trustgate import RegimeSpec, build_task, cli, trainer, tsallis_entropy, verification
 from trustgate.cli import parse_and_run
 
 
@@ -24,6 +24,14 @@ class TestVerify:
         assert reports and all(r["passed"] for r in reports)
         assert all(set(r) == {"name", "passed", "max_error", "detail"} for r in reports)
 
+
+    def test_library_fault_in_suite_exits_one(self, monkeypatch, capsys):
+        """A domain error raised inside the suite is a runtime failure, not a usage error."""
+        mobius_alpha = verification.mobius_alpha
+        monkeypatch.setattr(verification, "mobius_alpha", lambda z, kappa: mobius_alpha(z, kappa) * (1.0 + 1e-3))
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 1 and out == ""
+        assert err.startswith("error: property suite raised: radius must lie in [0, 1]")
 
     def test_negative_seed_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--seed", "-1")

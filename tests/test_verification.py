@@ -129,6 +129,18 @@ class TestFiniteDifferenceGradient:
         assert float(np.abs(analytic - numeric).max()) / float(np.abs(analytic).max()) <= 1e-6
 
 
+    def test_shared_nudged_probabilities_match_each_member(self):
+        """One nudged softmax per stack, combined with each member's frozen state, is fd_gradient bit for bit."""
+        rng = np.random.default_rng(5)
+        for size in range(2, 33):
+            z = rng.normal(0.0, 2.0, (4, size))
+            targets = rng.integers(0, size, 4)
+            P0, nudged = softmax(z), verification._nudged_target_probs(z, targets)
+            for kind in (*default_kinds(), fixed_alpha(1.0)):
+                shared = verification._fd_difference(kind, P0, targets, *nudged)
+                assert np.array_equal(shared, fd_gradient(kind, z, targets))
+
+
 class TestExpectedScore:
     def test_perfect_deterministic_prediction(self):
         one_hot = [1.0, 0.0]
@@ -304,6 +316,24 @@ class TestMinimizeRiskRows:
         for r, minimizer, risk in zip(rs, minimizers, risks):
             expected, expected_risk = _reference_minimize_risk(r, alpha, rule)
             assert np.array_equal(minimizer, expected) and risk == expected_risk
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        alphas=st.lists(st.floats(0.05, 4.0), min_size=2, max_size=5),
+        rule=st.sampled_from([RULE_PROPER, RULE_MAIN]),
+    )
+    def test_one_order_per_problem_matches_one_order_searches(self, dim, seed, alphas, rule):
+        """A stack searched with one order per problem gives each row what its own order gives it alone."""
+        rng = np.random.default_rng(seed)
+        rs = rng.dirichlet(np.ones(dim), size=len(alphas))
+        starts = np.vstack([np.full(dim, 1.0 / dim), rng.dirichlet(np.ones(dim), size=2)])
+        points = np.broadcast_to(starts, (len(alphas), *starts.shape))
+        mixed, mixed_risks = verification._descend(points, rs, np.array(alphas), rule)
+        for row, alpha in enumerate(alphas):
+            alone, risks = verification._descend(points[row : row + 1], rs[row : row + 1], alpha, rule)
+            assert np.array_equal(mixed[row], alone[0]) and np.all(mixed_risks[row] == risks[0])
 
     def test_iteration_cap_matches_scalar_search(self, monkeypatch):
         """Problems still descending when the iterations run out keep their last state."""
