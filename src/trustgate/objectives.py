@@ -284,10 +284,17 @@ def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> 
 
 
 def gate_error_into(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, focus: np.ndarray) -> np.ndarray:
-    """Overwrite a checked (rows, vocab) stack with gate * (P - onehot) at each row's focus: the one kernel."""
+    """Overwrite a checked (rows, vocab) stack with gate * (P - onehot) at each row's focus: the one kernel.
+
+    A unit gate (weight 1, focus 0: ``nll``) gives P - onehot unscaled, the same bits, and ignores ``focus``.
+    """
+    rows = np.arange(probs.shape[0])
+    if _RULES[kind.name] == (_unit, _zero):
+        probs[rows, labels] -= 1.0
+        return probs
     g = _gate(kind, probs, labels, focus)
     probs *= g[:, None]
-    probs[np.arange(probs.shape[0]), labels] -= g
+    probs[rows, labels] -= g
     return probs
 
 

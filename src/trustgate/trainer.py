@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_math import DomainError
-from .objectives import ObjectiveKind, _check_targets, focus_per_row, gate_error_into, loss_per_row, softmax_into
+from .objectives import NLL, ObjectiveKind, _check_targets, focus_per_row, gate_error_into, loss_per_row, softmax_into
 
 REGIMES = ("strong", "intermediate", "weak")
 CONFLICT_POLICIES = ("confident_only", "uniform")
@@ -295,47 +295,40 @@ def _by_blocks(rule, kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray)
     return out
 
 
-def _nll_pretrain(
-    table: np.ndarray, labels: np.ndarray, stop_at: float, ceiling: float | None
-) -> tuple[np.ndarray, int, float]:
+def _nll_pretrain(table: np.ndarray, labels: np.ndarray, stop_at: float) -> tuple[np.ndarray, int, float]:
     """Full-batch NLL ascent of the label probabilities, in place.
 
     As soon as the mean label probability reaches ``stop_at``, returns the
     softmax of the final table, the number of steps taken and that mean;
-    raises BuildError if the budget runs out or ``ceiling`` is overshot. One
+    raises BuildError if the state after _PRETRAIN_MAX_STEPS updates has not. One
     table-sized buffer holds the probabilities; a step takes the table block by
-    block, forming each block's update in its probabilities and then their
-    softmax after the update, with the blocks spread over the workers.
+    block, forming each block's update in its probabilities through
+    ``gate_error_into`` and then their softmax after the update, with the
+    blocks spread over the workers. The mean is read on the calling thread.
     """
     probs = _softmax_table(table)
-    target_p = probs[np.arange(table.shape[0]), labels]
+    rows = np.arange(table.shape[0])
+    focus = focus_per_row(NLL, probs, labels)
 
     def update(block: slice) -> None:
-        # the update lr * (P - onehot), formed over the block's probabilities,
-        # then the softmax of the updated rows in their place
-        block_probs, block_labels = probs[block], labels[block]
-        block_rows = np.arange(block_probs.shape[0])
-        block_probs[block_rows, block_labels] -= 1.0
+        # the update lr * (P - onehot), then the softmax of the updated rows in its place
+        block_probs = gate_error_into(NLL, probs[block], labels[block], focus[block])
         block_probs *= _PRETRAIN_LEARNING_RATE
         block_table = table[block]
         block_table -= block_probs
         softmax_into(block_table, block_probs)
-        target_p[block] = block_probs[block_rows, block_labels]
 
     blocks = _row_blocks(*table.shape)
-    for step in range(_PRETRAIN_MAX_STEPS):
-        mean_p = float(target_p.mean())
+    for step in itertools.count():
+        mean_p = float(probs[rows, labels].mean())
         if mean_p >= stop_at:
-            if ceiling is not None and mean_p > ceiling:
-                raise BuildError(
-                    f"pretraining overshot: mean target probability {mean_p:.3f} > {ceiling}"
-                )
             return probs, step, mean_p
+        if step == _PRETRAIN_MAX_STEPS:
+            raise BuildError(
+                f"pretraining did not reach mean target probability {stop_at} "
+                f"within {_PRETRAIN_MAX_STEPS} steps"
+            )
         _each_block(update, blocks)
-    raise BuildError(
-        f"pretraining did not reach mean target probability {stop_at} "
-        f"within {_PRETRAIN_MAX_STEPS} steps"
-    )
 
 
 def _inject_conflicts(
@@ -383,12 +376,12 @@ def build_task(spec: RegimeSpec, seed: int) -> SyntheticTask:
     if spec.regime == "weak":
         # fresh mapping, independent of the (unused) pretraining draw
         labels = rng.integers(0, spec.vocab_size, size=spec.num_contexts).astype(np.int64)
-        stop_at, ceiling = 0.0, None
+        stop_at = 0.0
     elif spec.regime == "strong":
-        stop_at, ceiling = STRONG_PRETRAIN_TARGET, None
+        stop_at = STRONG_PRETRAIN_TARGET
     else:
-        stop_at, ceiling = _INTERMEDIATE_STOP, high
-    probs, steps, mean_p = _nll_pretrain(table, labels, stop_at, ceiling)
+        stop_at = _INTERMEDIATE_STOP
+    probs, steps, mean_p = _nll_pretrain(table, labels, stop_at)
     if spec.regime == "intermediate" and not low <= mean_p <= high:
         raise BuildError(f"intermediate pretraining landed at {mean_p:.3f}, outside [{low}, {high}]")
 

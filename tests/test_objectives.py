@@ -30,7 +30,8 @@ from trustgate import (
     softmax,
 )
 from trustgate.core_math import cayley_alpha, clamp_prob, concentration, deformed_loss, shannon_entropy
-from trustgate.objectives import focus_per_row, frozen_state, gate_per_row, loss_per_row
+from trustgate import objectives
+from trustgate.objectives import focus_per_row, frozen_state, gate_error_into, gate_per_row, loss_per_row
 from trustgate.verification import fd_gradient
 
 
@@ -394,3 +395,47 @@ class TestRuleTableProperties:
             npt.assert_allclose(
                 row_fn(kind, shifted, labels), row_fn(kind, probs, labels), rtol=1e-10, atol=1e-12
             )
+
+
+@st.composite
+def unit_gate_cases(draw):
+    """(rows, V) stacks with V in [2, 300] and entries in [0, 1], zero and subnormal ones included; labels; any focus."""
+    vocab = draw(st.integers(2, 300))
+    rows = draw(st.integers(1, 8))
+    entries = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1.0))
+    probs = draw(hnp.arrays(np.float64, (rows, vocab), elements=entries))
+    labels = draw(hnp.arrays(np.int64, rows, elements=st.integers(0, vocab - 1)))
+    focus = draw(hnp.arrays(np.float64, rows, elements=st.floats(allow_nan=True, allow_infinity=True)))
+    return probs, labels, focus
+
+
+class TestUnitGateKernel:
+    """``gate_error_into`` skips the gate and the row scale of a member whose gate is identically 1."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=unit_gate_cases())
+    def test_nll_kernel_is_the_error_alone_and_the_general_formula(self, case):
+        probs, labels, focus = case
+        rows = np.arange(labels.size)
+        error = probs.copy()
+        error[rows, labels] -= 1.0
+        g = objectives._gate(NLL, probs, labels, focus_per_row(NLL, probs, labels))
+        general = probs * g[:, None]
+        general[rows, labels] -= g
+        out = gate_error_into(NLL, probs.copy(), labels, focus)
+        assert out.tobytes() == error.tobytes()
+        assert out.tobytes() == general.tobytes()
+
+    def test_skip_follows_the_rule_table(self, monkeypatch):
+        """A weight fault in the nll entry takes the general path, and a unit-gate entry skips for any name."""
+        probs = softmax(np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -2.0]]))
+        labels = np.array([2, 1])
+        error = probs.copy()
+        error[np.arange(2), labels] -= 1.0
+        def half(kind, P, targets):
+            return np.full(P.shape[0], 0.5)
+
+        monkeypatch.setitem(objectives._RULES, "nll", (half, objectives._zero))
+        npt.assert_array_equal(gate_error_into(NLL, probs.copy(), labels, np.zeros(2)), 0.5 * error)
+        monkeypatch.setitem(objectives._RULES, "eaft", (objectives._unit, objectives._zero))
+        assert gate_error_into(EAFT, probs.copy(), labels, np.full(2, 7.0)).tobytes() == error.tobytes()

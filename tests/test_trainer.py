@@ -138,6 +138,25 @@ class TestBuildTask:
         assert weak.pretrain_steps == 0
         assert weak.pretrain_mean_p == float(label_probs(weak.model, weak.clean_labels).mean())
 
+    @pytest.mark.parametrize("regime", ["strong", "intermediate"])
+    def test_pretraining_budget_covers_its_last_update(self, regime, monkeypatch):
+        """A budget of exactly the steps taken builds the same task; one step fewer raises."""
+        spec = RegimeSpec(regime=regime)
+        task = build_task(spec, 0)
+        monkeypatch.setattr(trainer, "_PRETRAIN_MAX_STEPS", task.pretrain_steps)
+        assert _task_digest(build_task(spec, 0)) == _task_digest(task)
+        monkeypatch.setattr(trainer, "_PRETRAIN_MAX_STEPS", task.pretrain_steps - 1)
+        with pytest.raises(BuildError, match=f"within {task.pretrain_steps - 1} steps"):
+            build_task(spec, 0)
+
+    def test_intermediate_pretraining_past_its_band_raises(self, monkeypatch):
+        """The first state past the intermediate stop lies above a band that ends at the stop."""
+        spec = RegimeSpec(regime="intermediate")
+        assert build_task(spec, 0).pretrain_mean_p > trainer._INTERMEDIATE_STOP
+        monkeypatch.setattr(trainer, "INTERMEDIATE_PRETRAIN_BAND", (0.25, trainer._INTERMEDIATE_STOP))
+        with pytest.raises(BuildError, match=r"intermediate pretraining landed at 0\.\d+, outside \[0\.25, 0\.35\]"):
+            build_task(spec, 0)
+
     def test_table_size_bounded_before_allocation(self):
         """A spec is checked on its sizes alone: building one allocates no table."""
         RegimeSpec(vocab_size=MAX_TABLE_ENTRIES // 4096, num_contexts=4096)
@@ -541,7 +560,10 @@ def _build_spec(regime):
 
 
 def _build_digest(regime):
-    task = build_task(_build_spec(regime), 1)
+    return _task_digest(build_task(_build_spec(regime), 1))
+
+
+def _task_digest(task):
     digest = hashlib.sha256()
     for array in (task.model.logit_table, task.labels, task.clean_labels, task.conflict_mask):
         digest.update(np.ascontiguousarray(array).tobytes())
