@@ -66,47 +66,30 @@ def clamp_prob(p):
 
 
 def validate_dist(probs) -> np.ndarray:
-    """Validate a probability vector: length >= 2, entries >= 0, sum == 1.
+    """Validate one probability vector or a (rows, V) stack of them: the one distribution check.
 
-    The one-row case of ``validate_rows``: returns the vector as a float64
-    ndarray, raises DomainError on violation.
+    Every row must have V >= 2 entries, finite and non-negative, that sum to 1
+    within DIST_SUM_TOL; a bad row in a stack gives the message it gives alone.
+    Returns the input as a float64 ndarray. Raises DomainError on the first violation.
     """
     arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
+    if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
         raise DomainError(
-            f"distribution must be a 1-d vector of length >= 2, got shape {arr.shape}"
+            f"distributions must be a vector of length >= 2 or a (rows, >= 2) stack of them, got shape {arr.shape}"
         )
-    validate_rows(arr[None, :])
-    return arr
-
-
-def validate_rows(probs) -> np.ndarray:
-    """Validate a (rows, vocab >= 2) stack of probability vectors: the one distribution check.
-
-    Every row must be finite, non-negative and sum to 1 within DIST_SUM_TOL.
-    Returns the stack as a float64 ndarray. Raises DomainError on the first violation.
-    """
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise DomainError(f"distributions must be a (rows, >= 2) array, got shape {arr.shape}")
+    rows = arr.reshape(-1, arr.shape[-1])
     # Only non-negative stacks are summed, so +inf + -inf never warns; NaN fails
     # >= 0, +inf makes its row sum inf, and the checks below name the violation.
-    if (arr >= 0.0).all() and (np.abs(arr.sum(axis=1) - 1.0) <= DIST_SUM_TOL).all():
+    if (rows >= 0.0).all() and (np.abs(rows.sum(axis=1) - 1.0) <= DIST_SUM_TOL).all():
         return arr
-    if not np.isfinite(arr).all():
+    if not np.isfinite(rows).all():
         raise DomainError("distribution contains non-finite entries")
-    negative = (arr < 0.0).any(axis=1)
+    negative = (rows < 0.0).any(axis=1)
     if negative.any():
-        raise DomainError(f"distribution has negative entries (min {float(arr[negative][0].min())!r})")
-    totals = arr.sum(axis=1)
+        raise DomainError(f"distribution has negative entries (min {float(rows[negative][0].min())!r})")
+    totals = rows.sum(axis=1)
     total = float(totals[np.abs(totals - 1.0) > DIST_SUM_TOL][0])
     raise DomainError(f"distribution sums to {total!r}, expected 1 within {DIST_SUM_TOL}")
-
-
-def _dists(probs) -> np.ndarray:
-    """One distribution (``validate_dist``) or a (rows, vocab) stack of them (``validate_rows``)."""
-    arr = np.asarray(probs, dtype=np.float64)
-    return validate_dist(arr) if arr.ndim == 1 else validate_rows(arr)
 
 
 def _one_or_stack(row, *per_row, row_ndim: int = 1):
@@ -129,8 +112,10 @@ def q_log(x, q: float):
     """Generalized logarithm ln_q(x) = (x^(1-q) - 1) / (1 - q) for x > 0.
 
     Recovers the natural logarithm at q == 1, and tends to it as q -> 1.
-    Strictly increasing in x with derivative x^(-q).
+    Strictly increasing in x with derivative x^(-q). Any finite order q is valid.
     """
+    if not math.isfinite(q):
+        raise DomainError(f"q_log order must be finite, got {q!r}")
     arr = np.asarray(x, dtype=np.float64)
     _refuse_first(arr, ~((arr > 0.0) & (arr < math.inf)), "q_log requires x > 0")
     if q == 1.0:
@@ -174,7 +159,7 @@ def entropy_rows(P: np.ndarray) -> np.ndarray:
 
 def shannon_entropy(r):
     """Shannon entropy -sum r*log(r) in nats, with 0*log(0) = 0, of a distribution or of each row of a stack."""
-    return _result(entropy_rows(_dists(r)))
+    return _result(entropy_rows(validate_dist(r)))
 
 
 def tsallis_entropy(r, q: float):
@@ -190,7 +175,7 @@ def tsallis_entropy(r, q: float):
         raise DomainError(f"entropy order must be > 0, got {q!r}")
     if q == 1.0:
         return shannon_entropy(r)
-    arr = _dists(r)
+    arr = validate_dist(r)
     log_r = np.log(np.where(arr > 0.0, arr, 1.0))
     d = abs(q - 1.0)
     weight = arr if q > 1.0 else np.exp(q * log_r)
@@ -209,7 +194,7 @@ def concentration(P):
 
     Equals 1/|V| exactly on the uniform distribution and 1 on point masses.
     """
-    return _result(collision_mass(_dists(P)))
+    return _result(collision_mass(validate_dist(P)))
 
 
 def cayley_focus(p):

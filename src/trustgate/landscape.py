@@ -137,10 +137,12 @@ def feasible_entropy_range(p, vocab: int):
     """Attainable Shannon-entropy interval [low, high] for target mass p in this family.
 
     A scalar p gives a pair of floats; a vector of target masses gives one
-    interval per entry, as two arrays.
+    interval per entry, as two arrays. The vocabulary is at most MAX_GRID_ENTRIES.
     """
     if vocab < 3:
         raise DomainError(f"vocabulary must have >= 3 tokens, got {vocab}")
+    if vocab > MAX_GRID_ENTRIES:
+        raise DomainError(f"vocabulary {vocab} exceeds {MAX_GRID_ENTRIES} entries")
     p, back = _one_or_stack(np.asarray(p, dtype=np.float64), row_ndim=0)
     if p.ndim != 1:
         raise DomainError(f"target probabilities must be a scalar or a 1-d vector, got shape {p.shape}")
@@ -160,10 +162,13 @@ def construct_distribution(p, entropy, vocab: int) -> np.ndarray:
     one batched bisection, each independently of the others; ``entropy`` is
     then one value for every entry or one per entry. Raises FeasibilityError,
     naming the attainable interval of the first pair that cannot be realized.
+    At most MAX_GRID_ENTRIES target masses x vocabulary entries are realized.
     """
     p, entropy, back = _one_or_stack(
         np.asarray(p, dtype=np.float64), np.asarray(entropy, dtype=np.float64), row_ndim=0
     )
+    if p.size * vocab > MAX_GRID_ENTRIES:
+        raise DomainError(f"{p.size} target masses at vocabulary {vocab} exceed {MAX_GRID_ENTRIES} entries")
     low, high = feasible_entropy_range(p, vocab)
     if entropy.shape not in ((), p.shape):
         raise DomainError(

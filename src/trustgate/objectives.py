@@ -149,11 +149,11 @@ def default_kinds() -> list[ObjectiveKind]:
 
 @dataclass(frozen=True)
 class GateError:
-    """Factored learning signal on the target logit: signal = gate * error."""
+    """Factored learning signal on the target logit: signal = gate * error; arrays for a stack."""
 
-    gate: float
-    error: float
-    signal: float
+    gate: float | np.ndarray
+    error: float | np.ndarray
+    signal: float | np.ndarray
 
 
 def softmax_into(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -205,45 +205,44 @@ def _check_targets(P: np.ndarray, targets) -> np.ndarray:
     return targets.astype(np.intp, copy=False)
 
 
-def _one_row(P, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validate one distribution and its target; return them as a one-row stack."""
-    P = validate_dist(P)[None, :]
-    return P, _check_targets(P, [target])
-
-
-def focus_index(kind: ObjectiveKind, P, target: int) -> float:
+def focus_index(kind: ObjectiveKind, P, target):
     """Focus exponent of the gate at the current prediction.
 
     Static members return their constant (0 for ``nll`` and ``eaft``, 1 for
     ``linear``, the configured value for ``alpha``); ``cayley`` maps the
     target probability through the Cayley trajectory and ``deft`` returns the
-    collision mass of the full predictive distribution.
+    collision mass of the full predictive distribution. A (rows, vocab) stack
+    with one target per row gives one exponent per row.
     """
-    return float(focus_per_row(kind, *_one_row(P, target))[0])
+    P, targets, back = _one_or_stack(validate_dist(P), _indices(target))
+    return back(focus_per_row(kind, P, _check_targets(P, targets)))
 
 
-def gate(kind: ObjectiveKind, P, target: int) -> GateError:
+def gate(kind: ObjectiveKind, P, target) -> GateError:
     """Trust gate, prediction error 1 - p, and their product.
 
     The gate is w * p^a with the frozen weight w and focus exponent a of
     ``frozen_state``: p^a for the deformed members, 1 for ``nll``, and the
-    normalized predictive entropy for ``eaft``.
+    normalized predictive entropy for ``eaft``. A (rows, vocab) stack with
+    one target per row gives arrays of one value per row in each field.
     """
-    probs, labels = _one_row(P, target)
-    g = float(gate_per_row(kind, probs, labels)[0])
-    error = 1.0 - float(_target_p(probs, labels)[0])
-    return GateError(gate=g, error=error, signal=g * error)
+    P, targets, back = _one_or_stack(validate_dist(P), _indices(target))
+    targets = _check_targets(P, targets)
+    g = gate_per_row(kind, P, targets)
+    error = 1.0 - _target_p(P, targets)
+    return GateError(gate=back(g), error=back(error), signal=back(g * error))
 
 
-def loss(kind: ObjectiveKind, P, target: int) -> float:
-    """Scalar token loss at the current prediction.
+def loss(kind: ObjectiveKind, P, target):
+    """Token loss at the current prediction; one per row of a (rows, vocab) stack with one target per row.
 
     For the dynamic members the focus exponent is evaluated at the current
     state and treated as a constant, so this is the frozen-exponent surrogate
     whose gradient the update rule follows. Nonnegative; zero iff p == 1
     (``eaft`` is also zero when the prediction is deterministic).
     """
-    return float(loss_per_row(kind, *_one_row(P, target))[0])
+    P, targets, back = _one_or_stack(validate_dist(P), _indices(target))
+    return back(loss_per_row(kind, P, _check_targets(P, targets)))
 
 
 def frozen_state(
@@ -259,7 +258,7 @@ def frozen_state(
 
 
 def focus_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Focus exponent of each row of a (rows, vocab) prediction stack; row-wise ``focus_index``."""
+    """Focus exponent of each row of a (rows, vocab) prediction stack; unchecked ``focus_index``."""
     # The focus rule alone: the weight of eaft would cost a pass over the table.
     return _RULES[kind.name][1](kind, probs, labels)
 
@@ -270,12 +269,12 @@ def _gate(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, focus: np.
 
 
 def gate_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Trust gate w * p^a of each row of a (rows, vocab) prediction stack; row-wise ``gate(...).gate``."""
+    """Trust gate w * p^a of each row of a (rows, vocab) prediction stack; unchecked ``gate(...).gate``."""
     return _gate(kind, probs, labels, focus_per_row(kind, probs, labels))
 
 
 def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Frozen-state token loss w * (1 - p^a) / a of each row, through ``deformed_loss``; row-wise ``loss``.
+    """Frozen-state token loss w * (1 - p^a) / a of each row, through ``deformed_loss``; unchecked ``loss``.
 
     At a == 0 the exact limit -w log p is taken, without dividing by a.
     """

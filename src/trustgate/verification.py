@@ -24,7 +24,6 @@ from .core_math import (
     MIN_ORDER,
     PROB_FLOOR,
     DomainError,
-    _dists,
     _one_or_stack,
     cayley_alpha,
     concentration,
@@ -32,7 +31,7 @@ from .core_math import (
     mobius_alpha,
     q_log,
     tsallis_entropy,
-    validate_rows,
+    validate_dist,
 )
 from .landscape import construct_distribution, feasible_entropy_range, gradient_landscape
 from .objectives import (
@@ -52,6 +51,7 @@ from .objectives import (
     gate_per_row,
     logit_gradient,
     softmax,
+    softmax_into,
 )
 
 # Scoring-rule variants for the risk-minimization oracle. The "main" rule
@@ -155,10 +155,10 @@ def _nudged_target_probs(Z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray
     # (rows, size, size): every row with each of its logits nudged in turn
     offsets = np.eye(size) * _FD_STEP
 
-    def target_probs(logit_rows: np.ndarray) -> np.ndarray:
-        shifted = logit_rows - logit_rows.max(axis=2, keepdims=True)
-        expd = np.exp(shifted)
-        return np.maximum(expd[np.arange(rows), :, targets] / expd.sum(axis=2), PROB_FLOOR)
+    def target_probs(nudged: np.ndarray) -> np.ndarray:
+        flat = nudged.reshape(-1, size)
+        softmax_into(flat, flat)
+        return np.maximum(nudged[np.arange(rows), :, targets], PROB_FLOOR)
 
     lower = target_probs(Z[:, None, :] - offsets)
     return lower, np.log(target_probs(Z[:, None, :] + offsets) / lower)
@@ -203,14 +203,13 @@ def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER):
     scored row by row; a pair of distributions gives a Python float.
     """
     rule = _check_rule(rule)
-    r = _dists(r)
-    q = _dists(phat)
+    r, q = validate_dist(r), validate_dist(phat)
     if r.shape != q.shape:
         raise DomainError(f"shape mismatch: r has shape {r.shape}, phat has shape {q.shape}")
     alpha = _check_order(alpha)
+    r, q, back = _one_or_stack(r, q)
     with np.errstate(over="ignore"):  # a log q overflows to -inf for huge a; expm1 gives -1
-        risk = _risk_rows(q, r, alpha, rule)
-    return float(risk) if r.ndim == 1 else risk
+        return back(_risk_rows(q, r, alpha, rule))
 
 
 def _score_terms(rows: np.ndarray, alpha: float | np.ndarray, rule: str) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +292,7 @@ def minimize_risk(r, alpha: float, rule: str = RULE_PROPER):
     underflows, are rejected.
     """
     rule = _check_rule(rule)
-    rs, back = _one_or_stack(_dists(r))
+    rs, back = _one_or_stack(validate_dist(r))
     alpha = _check_order(alpha, _MAX_ORDER)
     problems, dim = rs.shape
     if dim > _MAX_VOCAB:
@@ -568,7 +567,7 @@ def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list
 def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
     worst_order = 0.0
     for dists, targets in _draw_by_size(rng, 2000, 2, 33, _random_dist):
-        dists = validate_rows(dists)
+        dists = validate_dist(dists)
         lin, dft, nll = (gate_per_row(kind, dists, targets) for kind in (LINEAR, DEFT, NLL))
         worst_order = max(worst_order, float((lin - dft).max()), float((dft - nll).max()))
     reports = [_report("gate-ordering-linear-deft-nll", worst_order, 1e-12)]
@@ -587,7 +586,7 @@ def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
     dists[:] = ((1.0 - spike - p) / (vocab - 2))[:, None]
     dists[:, 0] = p
     dists[:, 1] = spike
-    signal = gate_per_row(DEFT, validate_rows(dists), np.zeros(p.size, dtype=np.intp)) * (1.0 - p)
+    signal = gate(DEFT, dists, np.zeros(p.size, dtype=np.intp)).signal
     bound = p ** ((1.0 - 0.1) ** 2) * (1.0 - p)
     worst_conflict = float((signal - bound).max())
     cayley_floor = 0.999 - gate(CAYLEY, np.array([1e-6, 1.0 - 1e-6]), 0).signal
@@ -597,7 +596,7 @@ def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
 
     worst_decomp = 0.0
     for dists, targets in _draw_by_size(rng, 10_000, 2, 65, _random_dist):
-        dists = validate_rows(dists)
+        dists = validate_dist(dists)
         size = dists.shape[1]
         on_target = np.arange(size) == targets[:, None]
         p = dists[on_target]
@@ -730,7 +729,7 @@ def _suite_landscape_reports(rng: np.random.Generator) -> list[PropertyReport]:
     p, fraction = 0.05 + (0.95 - 0.05) * draws[:, 0], draws[:, 1]
     low, high = feasible_entropy_range(p, 8)
     target_h = low + (high - low) * fraction
-    dists = validate_rows(construct_distribution(p, target_h, 8))
+    dists = validate_dist(construct_distribution(p, target_h, 8))
     entropy = -(dists * np.log(np.where(dists > 0.0, dists, 1.0))).sum(axis=1)
     worst_entropy = max(
         float(np.abs(entropy - target_h).max()), float(np.abs(dists[:, 0] - p).max())
@@ -747,27 +746,37 @@ def run_property_suite(
 ) -> list[PropertyReport]:
     """Run every bundled numerical property check, deterministically.
 
-    ``cayley_kappa`` substitutes a different member of the endpoint-swapping
-    map family into the linearization check (any value other than 1 must make
-    that report fail); ``fd_rel_tol`` overrides the finite-difference
-    tolerance. A failed check is reported, not raised; an exception means a
-    fault in the library the checks call. Reports are returned sorted by name.
+    ``cayley_kappa`` (finite, > -1) substitutes a different member of the
+    endpoint-swapping map family into the linearization check (any value
+    other than 1 must make that report fail); ``fd_rel_tol`` overrides the
+    finite-difference tolerance. A failed check is reported, not raised. A
+    sub-suite that raises, which means a fault in the library its checks
+    call, gives one failing report ``suite-<name>-raised`` in place of its
+    own, naming the exception. Reports are returned sorted by name.
     """
-    children = np.random.SeedSequence(seed).spawn(7)
-    rngs = [np.random.default_rng(c) for c in children]
-
+    if not math.isfinite(cayley_kappa) or cayley_kappa <= -1.0:
+        raise DomainError(f"cayley_kappa must be finite and > -1, got {cayley_kappa!r}")
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(7)]
+    suites: dict[str, Callable[[], list[PropertyReport]]] = {
+        "qlog": _suite_qlog_reports,
+        "deformed-loss": lambda: [_suite_deformed_loss_report()],
+        "concentration": lambda: _suite_concentration_reports(rngs[0]),
+        "mobius": lambda: _suite_mobius_reports(cayley_kappa),
+        "gradient": lambda: _suite_gradient_reports(rngs[1], fd_rel_tol),
+        "gate": lambda: _suite_gate_reports(rngs[2]),
+        "jacobian": lambda: [_suite_jacobian_report(rngs[3])],
+        "duality": lambda: _suite_duality_reports(rngs[4]),
+        "index-relation": lambda: [_suite_index_relation_report(rngs[5])],
+        "gate-limit": lambda: [_suite_gate_limit_report()],
+        "flow": _suite_flow_reports,
+        "peak": _suite_peak_reports,
+        "landscape": lambda: _suite_landscape_reports(rngs[6]),
+    }
     reports: list[PropertyReport] = []
-    reports.extend(_suite_qlog_reports())
-    reports.append(_suite_deformed_loss_report())
-    reports.extend(_suite_concentration_reports(rngs[0]))
-    reports.extend(_suite_mobius_reports(cayley_kappa))
-    reports.extend(_suite_gradient_reports(rngs[1], fd_rel_tol))
-    reports.extend(_suite_gate_reports(rngs[2]))
-    reports.append(_suite_jacobian_report(rngs[3]))
-    reports.extend(_suite_duality_reports(rngs[4]))
-    reports.append(_suite_index_relation_report(rngs[5]))
-    reports.append(_suite_gate_limit_report())
-    reports.extend(_suite_flow_reports())
-    reports.extend(_suite_peak_reports())
-    reports.extend(_suite_landscape_reports(rngs[6]))
+    for name, suite in suites.items():
+        try:
+            reports.extend(suite())
+        except Exception as exc:
+            # 1.0 against 0, as gradient_flow_ordering marks a wrong sign: finite, so strict JSON
+            reports.append(_report(f"suite-{name}-raised", 1.0, 0.0, detail=f"{type(exc).__name__}: {exc}"))
     return sorted(reports, key=lambda rep: rep.name)

@@ -26,12 +26,14 @@ class TestVerify:
 
 
     def test_library_fault_in_suite_exits_one(self, monkeypatch, capsys):
-        """A domain error raised inside the suite is a runtime failure, not a usage error."""
+        """A sub-suite that raises prints as one failing report, and verify exits 1, not 2 (usage)."""
         mobius_alpha = verification.mobius_alpha
         monkeypatch.setattr(verification, "mobius_alpha", lambda z, kappa: mobius_alpha(z, kappa) * (1.0 + 1e-3))
         code, out, err = run_cli(capsys, "verify")
-        assert code == 1 and out == ""
-        assert err.startswith("error: property suite raised: radius must lie in [0, 1]")
+        assert code == 1 and err == ""
+        failed = [r for r in json.loads(out) if not r["passed"]]
+        assert [r["name"] for r in failed] == ["suite-mobius-raised"]
+        assert failed[0]["detail"].startswith("DomainError: radius must lie in [0, 1]")
 
     def test_negative_seed_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--seed", "-1")

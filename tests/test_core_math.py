@@ -25,7 +25,7 @@ from trustgate import (
     tsallis_entropy,
     validate_dist,
 )
-from trustgate.core_math import MIN_ORDER, validate_rows
+from trustgate.core_math import MIN_ORDER
 from trustgate.verification import RULE_MAIN, RULE_PROPER
 
 
@@ -33,6 +33,11 @@ class TestQLog:
     def test_unit_argument_is_zero_for_any_order(self):
         for q in (-1.0, 0.0, 0.3, 1.0, 2.5):
             assert q_log(1.0, q) == 0.0
+
+    @pytest.mark.parametrize("x, q", [(0.5, math.inf), (2.0, math.nan), (0.5, -math.inf)])
+    def test_non_finite_order_refused(self, x, q):
+        with pytest.raises(DomainError, match=re.escape(f"q_log order must be finite, got {q!r}")):
+            q_log(x, q)
 
     def test_order_one_limit_is_natural_log(self):
         assert q_log(math.e, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -315,21 +320,22 @@ class TestValidation:
         with pytest.raises(DomainError) as scalar:
             validate_dist(bad)
         with pytest.raises(DomainError) as rows:
-            validate_rows([good, bad, good])
+            validate_dist([good, bad, good])
         assert str(rows.value) == str(scalar.value)
 
     def test_rows_name_the_first_negative_row_as_a_float(self):
         with pytest.raises(DomainError, match=re.escape("negative entries (min -0.1)")):
-            validate_rows([[0.2, 0.3, 0.5], [1.1, -0.1, 0.0], [1.5, -0.5, 0.0]])
+            validate_dist([[0.2, 0.3, 0.5], [1.1, -0.1, 0.0], [1.5, -0.5, 0.0]])
 
     def test_rows_accept_valid_stack(self):
         stack = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
-        assert np.array_equal(validate_rows(stack), stack)
+        assert np.array_equal(validate_dist(stack), stack)
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 1), (1, 2, 2)])
-    def test_rows_need_a_two_dimensional_stack(self, shape):
-        with pytest.raises(DomainError):
-            validate_rows(np.full(shape, 0.5))
+    @pytest.mark.parametrize("shape", [(), (2, 1), (1, 2, 2)])
+    def test_one_row_or_a_stack_of_rows_of_two_or_more(self, shape):
+        message = f"a vector of length >= 2 or a (rows, >= 2) stack of them, got shape {shape}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            validate_dist(np.full(shape, 0.5))
 
 
 UNIT = st.floats(0.0, 1.0)

@@ -162,16 +162,34 @@ class TestGridSizeBound:
         with pytest.raises(DomainError, match="a 2049 x 256 grid at vocabulary 32 exceeds 16777216 entries"):
             check_grid_size(2049, 256, 32)
 
-    def test_gradient_landscape_refuses_before_realizing(self, monkeypatch):
+    @pytest.fixture
+    def unrealized(self, monkeypatch):
+        """Make realizing any row, the first allocation past the size checks, an AssertionError."""
         from trustgate import landscape
 
         def refuse(*args):
             raise AssertionError("no cell may be realized")
 
         monkeypatch.setattr(landscape, "_entropy_bounds", refuse)
+
+    def test_gradient_landscape_refuses_before_realizing(self, unrealized):
         p_grid = (np.arange(2049) + 1.0) / 2050.0
         with pytest.raises(DomainError, match="exceeds"):
             gradient_landscape(NLL, p_grid, np.linspace(0.0, 3.0, 256), 32)
+
+    def test_construct_distribution_refuses_one_entry_past_the_bound(self, unrealized):
+        message = f"1024 target masses at vocabulary 16385 exceed {MAX_GRID_ENTRIES} entries"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            construct_distribution(np.full(1024, 0.5), 1.0, 2**14 + 1)
+        with pytest.raises(AssertionError):  # the bound itself is admitted
+            construct_distribution(np.full(1024, 0.5), 1.0, 2**14)
+
+    def test_feasible_entropy_range_refuses_a_vocabulary_past_the_bound(self, unrealized):
+        message = f"vocabulary {MAX_GRID_ENTRIES + 1} exceeds {MAX_GRID_ENTRIES} entries"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            feasible_entropy_range(0.5, MAX_GRID_ENTRIES + 1)
+        with pytest.raises(AssertionError):  # the bound itself is admitted
+            feasible_entropy_range(0.5, MAX_GRID_ENTRIES)
 
 
 @settings(max_examples=150, deadline=None)

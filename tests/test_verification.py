@@ -1,5 +1,6 @@
 """Oracle checks: jacobian, finite differences, risk minimization, orderings."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -28,8 +29,11 @@ from trustgate import (
     expected_score,
     fd_gradient,
     fixed_alpha,
+    focus_index,
+    gate,
     gradient_flow_ordering,
     logit_gradient,
+    loss,
     minimize_risk,
     peak_location,
     run_property_suite,
@@ -557,6 +561,24 @@ class TestPropertySuite:
         reports = run_property_suite(7, cayley_kappa=2.0)
         assert [r.name for r in reports if not r.passed] == ["cayley-surprisal-linearization"]
 
+    def test_raising_sub_suite_is_one_failing_report(self, monkeypatch):
+        """A fault that makes a sub-suite raise names that sub-suite in one strict-JSON report."""
+        mobius_alpha = verification.mobius_alpha
+        monkeypatch.setattr(verification, "mobius_alpha", lambda z, kappa: mobius_alpha(z, kappa) * (1.0 + 1e-3))
+        reports = run_property_suite(7)
+        (failed,) = [r for r in reports if not r.passed]
+        assert failed.name == "suite-mobius-raised" and failed.max_error == 1.0
+        assert failed.detail.startswith("DomainError: radius must lie in [0, 1], got 1.001")
+        assert failed.detail.endswith(" tol=0")
+        # the mobius sub-suite's four reports are replaced by the one
+        assert len(reports) == 25 and not any(r.name.startswith(("mobius-", "cayley-")) for r in reports)
+        json.loads(reports_to_json(reports), parse_constant=lambda text: pytest.fail(f"non-strict {text}"))
+
+    @pytest.mark.parametrize("kappa", [-1.0, -2.0, math.inf, math.nan])
+    def test_bad_map_parameter_is_refused_up_front(self, kappa):
+        with pytest.raises(DomainError, match=re.escape(f"cayley_kappa must be finite and > -1, got {kappa!r}")):
+            run_property_suite(7, cayley_kappa=kappa)
+
     def test_zero_tolerance_breaks_finite_difference_reports(self):
         reports = run_property_suite(7, fd_rel_tol=0.0)
         assert [r.name for r in reports if not r.passed] == ["fd-gradient-dynamic", "fd-gradient-static"]
@@ -726,6 +748,13 @@ def _logit_case(data, with_kind=False):
     return (kind, logits, targets), [(kind, z, target) for z, target in zip(logits, targets)]
 
 
+def _dist_case(data):
+    """Softmax rows as a stack and one row at a time, after a member and before the targets."""
+    (kind, logits, targets), _ = _logit_case(data, with_kind=True)
+    P = softmax(logits)
+    return (kind, P, targets), [(kind, row, target) for row, target in zip(P, targets)]
+
+
 def _risk_case(data):
     dim = data.draw(st.integers(2, 6))
     rs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).dirichlet(
@@ -760,6 +789,9 @@ def _construct_case(data):
 _ONE_OR_STACK = {
     "softmax": (softmax, _logit_case),
     "softmax_jacobian": (softmax_jacobian, _logit_case),
+    "focus_index": (focus_index, _dist_case),
+    "loss": (loss, _dist_case),
+    "gate": (lambda *args: dataclasses.astuple(gate(*args)), _dist_case),
     "logit_gradient": (logit_gradient, functools.partial(_logit_case, with_kind=True)),
     "fd_gradient": (fd_gradient, functools.partial(_logit_case, with_kind=True)),
     "minimize_risk": (minimize_risk, _risk_case),
