@@ -23,7 +23,7 @@ from . import trainer
 from .core_math import DomainError, tsallis_entropy
 from .landscape import check_grid_size, gradient_landscape
 from .objectives import ObjectiveKind
-from .trainer import BuildError, RegimeSpec, TrainConfig, build_task, finetune
+from .trainer import RegimeSpec, TrainConfig, build_task, finetune
 from .verification import RULE_MAIN, RULE_PROPER, minimize_risk, reports_to_json, run_property_suite
 
 
@@ -187,10 +187,10 @@ def _cmd_duality(args: argparse.Namespace) -> int:
         raise ConfigError(f"malformed distribution {args.r!r}") from exc
     minimizer, risk = minimize_risk(r, args.alpha, args.rule)
     body = {
-        "r": [float(v) for v in r],
+        "r": r.tolist(),
         "alpha": args.alpha,
         "rule": args.rule,
-        "minimizer": [float(v) for v in minimizer],
+        "minimizer": minimizer.tolist(),
         "risk": risk,
         "entropy_order": 1.0 + args.alpha,
         "tsallis_entropy": tsallis_entropy(r, 1.0 + args.alpha),
@@ -271,7 +271,7 @@ def parse_and_run(argv: list[str]) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BuildError, MemoryError, OSError, RuntimeError, ValueError) as exc:
+    except (MemoryError, OSError, RuntimeError, ValueError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import DomainError, _one_or_stack, clamp_prob, entropy_rows
-from .objectives import ObjectiveKind, gate_per_row
+from .core_math import DomainError, _one_or_stack, entropy_rows
+from .objectives import ObjectiveKind, gate
 
 _BISECTION_TOL = 1e-6
 _BISECTION_MAX_ITERS = 200
@@ -199,9 +199,11 @@ def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> Lands
     """Learning-signal magnitude at each feasible (p, H) cell, grid-normalized.
 
     All feasible cells are realized by one batched bisection (see
-    ``construct_distribution``) and gated row-wise. Raises DomainError when
-    feasible cells exist but none carries a positive finite signal, since
-    the grid then cannot be normalized.
+    ``construct_distribution``), block by block; a block's magnitudes are
+    ``objectives.gate(...).signal`` of its rows with the target at entry 0,
+    so the grids check and gate their rows as a library caller does. Raises
+    DomainError when feasible cells exist but none carries a positive finite
+    signal, since the grid then cannot be normalized.
     """
     p_grid = np.asarray(p_grid, dtype=np.float64)
     h_grid = np.asarray(h_grid, dtype=np.float64)
@@ -217,8 +219,7 @@ def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> Lands
     for block in _blocks(row.size, vocab):
         i, j = row[block], col[block]
         dists = _realize(p_grid[i], h_grid[j], low[i], high[i], vocab)
-        error = 1.0 - clamp_prob(dists[:, 0])
-        signal[block] = gate_per_row(kind, dists, np.zeros(i.size, dtype=np.int64)) * error
+        signal[block] = gate(kind, dists, np.zeros(i.size, dtype=np.intp)).signal
     cells = np.full((p_grid.size, h_grid.size), np.nan)
     if signal.size:
         top = signal.max()

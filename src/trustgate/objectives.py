@@ -82,7 +82,6 @@ _RULES = {
     "eaft": (_normalized_entropy, _zero),
 }
 _KIND_NAMES = tuple(_RULES)
-_DYNAMIC = ("cayley", "deft")
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ class ObjectiveKind:
     @property
     def is_dynamic(self) -> bool:
         """True when the focus exponent depends on the current prediction."""
-        return self.name in _DYNAMIC
+        return _RULES[self.name][1] not in (_zero, _unit, _fixed)
 
     def encode(self) -> str:
         """Canonical text encoding, e.g. ``deft`` or ``alpha:0.5``."""
@@ -180,29 +179,27 @@ def softmax(z) -> np.ndarray:
     return back(softmax_into(Z, np.empty_like(Z)))
 
 
-def _indices(targets) -> np.ndarray:
-    """Targets as an array, refusing a bool in a sequence of integers, which numpy reads as 0 or 1."""
+def _with_targets(P: np.ndarray, targets):
+    """``P``, its targets as an index vector, and ``back``, through ``_one_or_stack``: the one targets check.
+
+    ``P`` is a checked prediction or its softmax. Each target must be an
+    integer in range, one per row; a bool in a sequence of integers, which
+    numpy reads as 0 or 1, is refused.
+    """
     array = np.asarray(targets)
     if array.ndim == 1 and array.dtype.kind in "iu" and not isinstance(targets, np.ndarray):
         flag = next((t for t in targets if isinstance(t, (bool, np.bool_))), None)
         if flag is not None:
             raise DomainError(f"target indices must be integers, got {bool(flag)!r}")
-    return array
-
-
-def _check_targets(P: np.ndarray, targets) -> np.ndarray:
-    """Targets of a (rows, vocab) stack as an index vector, each an integer in range: the one targets check."""
-    targets = _indices(targets)
-    if targets.dtype.kind not in "iu" and targets.size:
-        raise DomainError(f"target indices must be integers, got {targets.ravel().tolist()[0]!r}")
-    if targets.shape != P.shape[:1]:
-        raise DomainError(f"expected {P.shape[0]} target indices, got shape {targets.shape}")
-    bad = (targets < 0) | (targets >= P.shape[1])
+    P, array, back = _one_or_stack(P, array)
+    if array.dtype.kind not in "iu" and array.size:
+        raise DomainError(f"target indices must be integers, got {array.ravel().tolist()[0]!r}")
+    if array.shape != P.shape[:1]:
+        raise DomainError(f"expected {P.shape[0]} target indices, got shape {array.shape}")
+    bad = (array < 0) | (array >= P.shape[1])
     if bad.any():
-        raise DomainError(
-            f"target index {int(targets[bad][0])} out of range for vocabulary of {P.shape[1]}"
-        )
-    return targets.astype(np.intp, copy=False)
+        raise DomainError(f"target index {int(array[bad][0])} out of range for vocabulary of {P.shape[1]}")
+    return P, array.astype(np.intp, copy=False), back
 
 
 def focus_index(kind: ObjectiveKind, P, target):
@@ -214,8 +211,8 @@ def focus_index(kind: ObjectiveKind, P, target):
     collision mass of the full predictive distribution. A (rows, vocab) stack
     with one target per row gives one exponent per row.
     """
-    P, targets, back = _one_or_stack(validate_dist(P), _indices(target))
-    return back(focus_per_row(kind, P, _check_targets(P, targets)))
+    P, targets, back = _with_targets(validate_dist(P), target)
+    return back(focus_per_row(kind, P, targets))
 
 
 def gate(kind: ObjectiveKind, P, target) -> GateError:
@@ -224,11 +221,12 @@ def gate(kind: ObjectiveKind, P, target) -> GateError:
     The gate is w * p^a with the frozen weight w and focus exponent a of
     ``frozen_state``: p^a for the deformed members, 1 for ``nll``, and the
     normalized predictive entropy for ``eaft``. A (rows, vocab) stack with
-    one target per row gives arrays of one value per row in each field.
+    one target per row gives arrays of one value per row in each field. It
+    is the one gate call outside the trainer's step: the landscapes and the
+    property suite gate their stacks through it.
     """
-    P, targets, back = _one_or_stack(validate_dist(P), _indices(target))
-    targets = _check_targets(P, targets)
-    g = gate_per_row(kind, P, targets)
+    P, targets, back = _with_targets(validate_dist(P), target)
+    g = _gate(kind, P, targets, focus_per_row(kind, P, targets))
     error = 1.0 - _target_p(P, targets)
     return GateError(gate=back(g), error=back(error), signal=back(g * error))
 
@@ -241,8 +239,8 @@ def loss(kind: ObjectiveKind, P, target):
     whose gradient the update rule follows. Nonnegative; zero iff p == 1
     (``eaft`` is also zero when the prediction is deterministic).
     """
-    P, targets, back = _one_or_stack(validate_dist(P), _indices(target))
-    return back(loss_per_row(kind, P, _check_targets(P, targets)))
+    P, targets, back = _with_targets(validate_dist(P), target)
+    return back(loss_per_row(kind, P, targets))
 
 
 def frozen_state(
@@ -266,11 +264,6 @@ def focus_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) ->
 def _gate(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, focus: np.ndarray) -> np.ndarray:
     """Trust gate w * p^a of each row, given its focus exponent a: the one gate expression."""
     return _RULES[kind.name][0](kind, probs, labels) * _target_p(probs, labels) ** focus
-
-
-def gate_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Trust gate w * p^a of each row of a (rows, vocab) prediction stack; unchecked ``gate(...).gate``."""
-    return _gate(kind, probs, labels, focus_per_row(kind, probs, labels))
 
 
 def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -307,7 +300,6 @@ def logit_gradient(kind: ObjectiveKind, z, target):
     stack of logits with one target per row gives one gradient per row, each
     depending on its own row alone.
     """
-    P, targets, back = _one_or_stack(softmax(z), _indices(target))
-    targets = _check_targets(P, targets)
+    P, targets, back = _with_targets(softmax(z), target)
     # P holds distributions by construction: gate them without validating again
     return back(gate_error_into(kind, P, targets, focus_per_row(kind, P, targets)))

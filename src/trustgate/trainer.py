@@ -21,12 +21,12 @@ import contextvars
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .core_math import DomainError
-from .objectives import NLL, ObjectiveKind, _check_targets, focus_per_row, gate_error_into, loss_per_row, softmax_into
+from .objectives import NLL, ObjectiveKind, _with_targets, focus_per_row, gate_error_into, loss_per_row, softmax_into
 
 REGIMES = ("strong", "intermediate", "weak")
 CONFLICT_POLICIES = ("confident_only", "uniform")
@@ -431,15 +431,15 @@ def _histogram_snapshot(step: int, target_p: np.ndarray) -> dict:
     counts, _ = np.histogram(target_p, bins=DEFAULT_HISTOGRAM_EDGES)
     return {
         "step": step,
-        "edges": [float(e) for e in DEFAULT_HISTOGRAM_EDGES],
-        "counts": [int(c) for c in counts],
+        "edges": DEFAULT_HISTOGRAM_EDGES.tolist(),
+        "counts": counts.tolist(),
     }
 
 
 def _check_labels(name: str, labels, model: ToyModel) -> np.ndarray:
     """One label per context, checked as objective targets are, the message prefixed with ``name``."""
     try:
-        return _check_targets(model.logit_table, labels)
+        return _with_targets(model.logit_table, labels)[1]
     except DomainError as exc:
         raise DomainError(f"{name}: {exc}") from None
 
@@ -535,13 +535,7 @@ def finetune(
         _histogram_snapshot(0, target_p_before),
         _histogram_snapshot(cfg.steps, target_p_after),
     ]
-    config = {
-        "objective": cfg.objective.encode(),
-        "learning_rate": cfg.learning_rate,
-        "steps": cfg.steps,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-    }
+    config = {attr.name: getattr(cfg, attr.name) for attr in fields(cfg)} | {"objective": cfg.objective.encode()}
     return RunRecord(
         config=config,
         mean_target_p=mean_target_p,

@@ -41,14 +41,12 @@ from .objectives import (
     LINEAR,
     NLL,
     ObjectiveKind,
-    _check_targets,
-    _indices,
+    _with_targets,
     default_kinds,
     fixed_alpha,
     focus_per_row,
     frozen_state,
     gate,
-    gate_per_row,
     logit_gradient,
     softmax,
     softmax_into,
@@ -191,8 +189,8 @@ def fd_gradient(kind: ObjectiveKind, z, target) -> np.ndarray:
     stack with one target per row gives one gradient per row, each depending
     on its own row alone. Temporaries hold rows x vocab x vocab entries.
     """
-    P0, Z, targets, back = _one_or_stack(softmax(z), np.asarray(z, dtype=np.float64), _indices(target))
-    targets = _check_targets(P0, targets)
+    P0, targets, back = _with_targets(softmax(z), target)
+    Z = np.asarray(z, dtype=np.float64).reshape(P0.shape)
     return back(_fd_difference(kind, P0, targets, *_nudged_target_probs(Z, targets)))
 
 
@@ -567,8 +565,7 @@ def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list
 def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
     worst_order = 0.0
     for dists, targets in _draw_by_size(rng, 2000, 2, 33, _random_dist):
-        dists = validate_dist(dists)
-        lin, dft, nll = (gate_per_row(kind, dists, targets) for kind in (LINEAR, DEFT, NLL))
+        lin, dft, nll = (gate(kind, dists, targets).gate for kind in (LINEAR, DEFT, NLL))
         worst_order = max(worst_order, float((lin - dft).max()), float((dft - nll).max()))
     reports = [_report("gate-ordering-linear-deft-nll", worst_order, 1e-12)]
 

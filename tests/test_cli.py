@@ -324,6 +324,15 @@ class TestTrain:
         assert code == 1 and out == ""
         assert err == f"error: {str(error) or 'MemoryError'}\n"
 
+    def test_pretraining_failure_exits_one(self, tmp_path, monkeypatch, capsys):
+        """A task that cannot be built is a runtime failure, and no artifact is written."""
+        monkeypatch.setattr(trainer, "_PRETRAIN_MAX_STEPS", 0)
+        config = self._config(tmp_path, regime="strong")
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o.json"))
+        assert code == 1 and out == ""
+        assert err == "error: pretraining did not reach mean target probability 0.95 within 0 steps\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
     def test_timings_line_on_stderr_changes_no_other_byte(self, tmp_path, capsys):
         config = self._config(tmp_path, regime="strong", num_contexts=256, conflict_fraction=0.25)
         plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"

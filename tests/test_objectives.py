@@ -31,7 +31,7 @@ from trustgate import (
 )
 from trustgate.core_math import cayley_alpha, clamp_prob, concentration, deformed_loss, shannon_entropy
 from trustgate import objectives
-from trustgate.objectives import focus_per_row, frozen_state, gate_error_into, gate_per_row, loss_per_row
+from trustgate.objectives import focus_per_row, frozen_state, gate_error_into, loss_per_row
 from trustgate.verification import fd_gradient
 
 
@@ -70,7 +70,7 @@ class TestEncoding:
 
     def test_dynamic_flag(self):
         assert CAYLEY.is_dynamic and DEFT.is_dynamic
-        assert not (NLL.is_dynamic or LINEAR.is_dynamic or EAFT.is_dynamic)
+        assert not (NLL.is_dynamic or LINEAR.is_dynamic or fixed_alpha(0.5).is_dynamic or EAFT.is_dynamic)
 
 
 class TestFocusIndex:
@@ -117,13 +117,12 @@ class TestTargetIndices:
         assert not np.array_equal(result, _as_array(call(CAYLEY, [0.2, 0.3, 0.5], 0)))
         assert not np.array_equal(result, _as_array(call(CAYLEY, [0.2, 0.3, 0.5], 2)))
 
-    @pytest.mark.parametrize("call", [logit_gradient, fd_gradient], ids=lambda call: call.__name__)
+    @pytest.mark.parametrize("call", TARGET_CALLS, ids=lambda call: call.__name__)
     @pytest.mark.parametrize("targets", [[1, True, 2], (1, np.True_, 2)], ids=["list", "tuple"])
     def test_bool_among_integer_targets_refused(self, call, targets):
         """NumPy reads the bool in a sequence of ints as 1; it is named instead."""
-        logits = np.log([[0.2, 0.3, 0.5]] * 3)
         with pytest.raises(DomainError, match=re.escape("target indices must be integers, got True")):
-            call(CAYLEY, logits, targets)
+            call(CAYLEY, [[0.2, 0.3, 0.5]] * 3, targets)
 
 
 class TestGate:
@@ -332,7 +331,7 @@ class TestRuleTableProperties:
             _bits(focus_per_row(kind, probs, labels)), _bits([focus_index(kind, P, t) for P, t in rows])
         )
         npt.assert_array_equal(
-            _bits(gate_per_row(kind, probs, labels)), _bits([gate(kind, P, t).gate for P, t in rows])
+            _bits(gate(kind, probs, labels).gate), _bits([gate(kind, P, t).gate for P, t in rows])
         )
         npt.assert_array_equal(
             _bits(loss_per_row(kind, probs, labels)), _bits([loss(kind, P, t) for P, t in rows])
@@ -343,7 +342,7 @@ class TestRuleTableProperties:
     def test_gates_bounded_losses_nonnegative_gradients_balanced(self, kind, stack):
         logits, labels = stack
         probs = _row_probs(logits)
-        gates = gate_per_row(kind, probs, labels)
+        gates = gate(kind, probs, labels).gate
         losses = loss_per_row(kind, probs, labels)
         assert np.all((gates >= 0.0) & (gates <= 1.0))
         assert np.all(np.isfinite(losses)) and np.all(losses >= 0.0)
@@ -391,7 +390,7 @@ class TestRuleTableProperties:
         logits, labels = stack
         probs = _row_probs(logits)
         shifted = _row_probs(logits + shift)
-        for row_fn in (gate_per_row, loss_per_row):
+        for row_fn in (lambda *args: gate(*args).gate, loss_per_row):
             npt.assert_allclose(
                 row_fn(kind, shifted, labels), row_fn(kind, probs, labels), rtol=1e-10, atol=1e-12
             )
