@@ -72,7 +72,10 @@ def write_atomic(path, text: str) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = run_property_suite(args.seed)
+    timings: dict[str, float] = {}
+    reports = run_property_suite(args.seed, timings=timings)
+    if args.timings:
+        print(json.dumps(timings), file=sys.stderr)
     print(reports_to_json(reports))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -223,6 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full numerical property suite")
     p_verify.add_argument("--seed", type=_seed, default=7)
+    p_verify.add_argument(
+        "--timings", action="store_true",
+        help="write the wall seconds of each sub-suite as one JSON line on stderr",
+    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_land = sub.add_parser("landscape", help="export a gradient-magnitude grid")

@@ -3,7 +3,10 @@
 A grid point (p, H) is realized by a spike-plus-tail distribution: mass p on
 the target, and the remaining mass split between a secondary spike and a
 uniform tail, with the mixing weight found by bisection on the Shannon
-entropy. Cells whose entropy is unattainable for their p are left absent.
+entropy. A member has only three distinct entries (p, the spike and V - 2
+equal tail shares), so the bisection evaluates the entropy from those three
+per cell, and each cell's row is built once, after its mixing weight is
+known. Cells whose entropy is unattainable for their p are left absent.
 Grids normalize to their own maximum (per-grid, recorded in the JSON
 metadata), and render themselves as byte-deterministic CSV or JSON text.
 """
@@ -19,8 +22,10 @@ from .objectives import ObjectiveKind, gate
 
 _BISECTION_TOL = 1e-6
 _BISECTION_MAX_ITERS = 200
-# Grid cells are realized in blocks of at most this many distribution entries
-# (512 cells at vocabulary 32), so peak memory stays flat in the grid size.
+# Grid cells are bisected in chunks of at most this many cells, then built and
+# gated in blocks of at most this many distribution entries (512 cells at
+# vocabulary 32; one row when the vocabulary is larger), so peak memory stays
+# flat in the grid size.
 _BLOCK_ENTRIES = 1 << 14
 # Largest grid, in p steps x entropy steps x vocabulary entries. It admits a
 # 100 x 100 grid at vocabulary 32 fifty times over and is checked before
@@ -49,8 +54,10 @@ class LandscapeGrid:
         endings, so identical grids give identical bytes.
         """
         row, col = np.nonzero(np.isfinite(self.cells))
-        cells = zip(self.p_grid[row].tolist(), self.h_grid[col].tolist(), self.cells[row, col].tolist())
-        lines = ["p,entropy,magnitude", *(f"{p:.9g},{h:.9g},{m:.9g}" for p, h, m in cells)]
+        ps = [f"{p:.9g}," for p in self.p_grid.tolist()]
+        hs = [f"{h:.9g}," for h in self.h_grid.tolist()]
+        cells = zip(row.tolist(), col.tolist(), self.cells[row, col].tolist())
+        lines = ["p,entropy,magnitude", *(f"{ps[i]}{hs[j]}{m:.9g}" for i, j, m in cells)]
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
@@ -67,15 +74,33 @@ class LandscapeGrid:
         }
 
 
+def _family_entries(p: np.ndarray, mix, vocab: int) -> tuple[np.ndarray, np.ndarray]:
+    """The secondary spike and the tail share of each member; the target holds p."""
+    tail_mass = 1.0 - p
+    share = tail_mass * mix / (vocab - 1)
+    return tail_mass * (1.0 - mix) + share, share
+
+
 def _family_rows(p: np.ndarray, mix, vocab: int) -> np.ndarray:
     """Spike-plus-tail members, one row per cell: target p, a secondary spike fading into a tail."""
-    tail_mass = 1.0 - p
+    spike, share = _family_entries(p, mix, vocab)
     rows = np.empty((p.size, vocab))
     rows[:, 0] = p
-    share = tail_mass * mix / (vocab - 1)
-    rows[:, 1] = tail_mass * (1.0 - mix) + share
+    rows[:, 1] = spike
     rows[:, 2:] = share[:, None]
     return rows
+
+
+def _family_entropy(target_term: np.ndarray, p: np.ndarray, mix: np.ndarray, vocab: int) -> np.ndarray:
+    """Shannon entropy of each member from its three distinct entries, through the one kernel.
+
+    ``target_term`` is ``entropy_rows(p[:, None])``, constant for a cell, so a
+    bisection takes it once. (0 - a) + (0 - b) has the bits of 0 - (a + b), so
+    this equals ``entropy_rows`` of the stack ``[p, spike]`` plus the tail's
+    V - 2 equal terms.
+    """
+    spike, share = _family_entries(p, mix, vocab)
+    return target_term + entropy_rows(spike[:, None]) + (vocab - 2) * entropy_rows(share[:, None])
 
 
 def _blocks(count: int, vocab: int):
@@ -102,35 +127,38 @@ def _entropy_bounds(p: np.ndarray, vocab: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _realize(p, entropy, low, high, vocab: int) -> np.ndarray:
-    """Family rows hitting each cell's entropy, by one bisection over all the cells.
+    """Mixing weight of the member hitting each cell's entropy, by one bisection over all the cells.
 
     Cells must be feasible (within _BISECTION_TOL of [low, high]). Each cell
     follows the scalar rule: clamp the target into [low, high], take an
     endpoint member when it lands on one, else bisect the mixing weight from
     [0, 1] until the entropy is within _BISECTION_TOL / 2 of the target or
     _BISECTION_MAX_ITERS midpoints were tried, keeping the last midpoint.
+    The entropy of each midpoint member is ``_family_entropy``'s, from its
+    three distinct entries; ``_family_rows(p, mix, vocab)`` gives the rows.
     """
     target = np.minimum(np.maximum(entropy, low), high)
     mix = np.where(target == low, 0.0, 1.0)
     cell = np.flatnonzero((target != low) & (target != high))
     cell_p, cell_target = p[cell], target[cell]
+    cell_term = entropy_rows(cell_p[:, None])
     lo, hi = np.zeros(cell.size), np.ones(cell.size)
     mid = np.empty(0)
     for _ in range(_BISECTION_MAX_ITERS):
         if cell.size == 0:
             break
         mid = 0.5 * (lo + hi)
-        value = entropy_rows(_family_rows(cell_p, mid, vocab))
+        value = _family_entropy(cell_term, cell_p, mid, vocab)
         below = value < cell_target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         going = np.abs(value - cell_target) > _BISECTION_TOL * 0.5
         if not going.all():
             mix[cell[~going]] = mid[~going]
-            cell, cell_p, cell_target = cell[going], cell_p[going], cell_target[going]
+            cell, cell_p, cell_target, cell_term = cell[going], cell_p[going], cell_target[going], cell_term[going]
             lo, hi, mid = lo[going], hi[going], mid[going]
     mix[cell] = mid  # cells that used every iteration keep their last midpoint
-    return _family_rows(p, mix, vocab)
+    return mix
 
 
 def feasible_entropy_range(p, vocab: int):
@@ -182,7 +210,7 @@ def construct_distribution(p, entropy, vocab: int) -> np.ndarray:
             f"entropy {float(entropy[i])!r} unattainable for p={float(p[i])!r}, vocab={vocab}: "
             f"feasible interval is [{low[i]:.6f}, {high[i]:.6f}]"
         )
-    return back(_realize(p, entropy, low, high, vocab))
+    return back(_family_rows(p, _realize(p, entropy, low, high, vocab), vocab))
 
 
 def _check_grid(values: np.ndarray, what: str) -> None:
@@ -198,8 +226,9 @@ def _check_grid(values: np.ndarray, what: str) -> None:
 def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> LandscapeGrid:
     """Learning-signal magnitude at each feasible (p, H) cell, grid-normalized.
 
-    All feasible cells are realized by one batched bisection (see
-    ``construct_distribution``), block by block; a block's magnitudes are
+    The mixing weights of all feasible cells are found by one batched
+    bisection (see ``construct_distribution``), chunk by chunk; then the rows
+    are built block by block, and a block's magnitudes are
     ``objectives.gate(...).signal`` of its rows with the target at entry 0,
     so the grids check and gate their rows as a library caller does. Raises
     DomainError when feasible cells exist but none carries a positive finite
@@ -215,11 +244,14 @@ def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> Lands
     row, col = np.nonzero(
         (h_grid >= low[:, None] - _BISECTION_TOL) & (h_grid <= high[:, None] + _BISECTION_TOL)
     )
+    mix = np.empty(row.size)
+    for block in _blocks(row.size, 1):
+        i = row[block]
+        mix[block] = _realize(p_grid[i], h_grid[col[block]], low[i], high[i], vocab)
     signal = np.empty(row.size)
     for block in _blocks(row.size, vocab):
-        i, j = row[block], col[block]
-        dists = _realize(p_grid[i], h_grid[j], low[i], high[i], vocab)
-        signal[block] = gate(kind, dists, np.zeros(i.size, dtype=np.intp)).signal
+        dists = _family_rows(p_grid[row[block]], mix[block], vocab)
+        signal[block] = gate(kind, dists, np.zeros(len(dists), dtype=np.intp)).signal
     cells = np.full((p_grid.size, h_grid.size), np.nan)
     if signal.size:
         top = signal.max()

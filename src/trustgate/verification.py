@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -740,6 +741,7 @@ def run_property_suite(
     *,
     cayley_kappa: float = 1.0,
     fd_rel_tol: float = 1e-6,
+    timings: dict[str, float] | None = None,
 ) -> list[PropertyReport]:
     """Run every bundled numerical property check, deterministically.
 
@@ -749,7 +751,9 @@ def run_property_suite(
     finite-difference tolerance. A failed check is reported, not raised. A
     sub-suite that raises, which means a fault in the library its checks
     call, gives one failing report ``suite-<name>-raised`` in place of its
-    own, naming the exception. Reports are returned sorted by name.
+    own, naming the exception. Reports are returned sorted by name. A
+    ``timings`` dict receives the wall seconds of each sub-suite, by name in
+    the order they ran.
     """
     if not math.isfinite(cayley_kappa) or cayley_kappa <= -1.0:
         raise DomainError(f"cayley_kappa must be finite and > -1, got {cayley_kappa!r}")
@@ -771,9 +775,12 @@ def run_property_suite(
     }
     reports: list[PropertyReport] = []
     for name, suite in suites.items():
+        started = time.perf_counter()
         try:
             reports.extend(suite())
         except Exception as exc:
             # 1.0 against 0, as gradient_flow_ordering marks a wrong sign: finite, so strict JSON
             reports.append(_report(f"suite-{name}-raised", 1.0, 0.0, detail=f"{type(exc).__name__}: {exc}"))
+        if timings is not None:
+            timings[name] = time.perf_counter() - started
     return sorted(reports, key=lambda rep: rep.name)

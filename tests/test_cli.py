@@ -25,6 +25,20 @@ class TestVerify:
         assert all(set(r) == {"name", "passed", "max_error", "detail"} for r in reports)
 
 
+    def test_timings_line_on_stderr_changes_no_other_byte(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "7")
+        assert code == 0 and err == ""
+        code, timed_out, timed_err = run_cli(capsys, "verify", "--seed", "7", "--timings")
+        assert code == 0 and timed_out == out
+        (line,) = timed_err.splitlines()
+        timings = json.loads(line)
+        assert list(timings) == [
+            "qlog", "deformed-loss", "concentration", "mobius", "gradient", "gate", "jacobian",
+            "duality", "index-relation", "gate-limit", "flow", "peak", "landscape",
+        ]
+        assert all(seconds >= 0.0 for seconds in timings.values())
+        assert all(set(r) == {"name", "passed", "max_error", "detail"} for r in json.loads(timed_out))
+
     def test_library_fault_in_suite_exits_one(self, monkeypatch, capsys):
         """A sub-suite that raises prints as one failing report, and verify exits 1, not 2 (usage)."""
         mobius_alpha = verification.mobius_alpha

@@ -31,7 +31,8 @@ from trustgate import (
     shannon_entropy,
 )
 from trustgate.cli import parse_and_run, write_atomic
-from trustgate.landscape import MAX_GRID_ENTRIES, _realize, check_grid_size
+from trustgate.core_math import entropy_rows
+from trustgate.landscape import MAX_GRID_ENTRIES, _family_rows, _realize, check_grid_size
 
 
 def scalar_construct(p, entropy, vocab):
@@ -69,6 +70,41 @@ def scalar_construct(p, entropy, vocab):
         else:
             hi = mid
     return dist
+
+
+def rowwise_mixes(p, entropy, low, high, vocab):
+    """Row-based reference for ``_realize``: one batched bisection whose every midpoint is
+    scored by ``entropy_rows`` over the full (cells, vocab) member rows.
+
+    Kept apart from the library on purpose, as ``scalar_construct`` is: the
+    bisection on each member's three distinct entries must pick these mixing
+    weights bit for bit.
+    """
+
+    def members(p, mix):
+        rows = np.empty((p.size, vocab))
+        share = (1.0 - p) * mix / (vocab - 1)
+        rows[:, 0] = p
+        rows[:, 1] = (1.0 - p) * (1.0 - mix) + share
+        rows[:, 2:] = share[:, None]
+        return rows
+
+    target = np.minimum(np.maximum(entropy, low), high)
+    mix = np.where(target == low, 0.0, 1.0)
+    cell = np.flatnonzero((target != low) & (target != high))
+    lo, hi, mid = np.zeros(cell.size), np.ones(cell.size), np.empty(0)
+    for _ in range(200):
+        if cell.size == 0:
+            break
+        mid = 0.5 * (lo + hi)
+        value = entropy_rows(members(p[cell], mid))
+        below = value < target[cell]
+        going = np.abs(value - target[cell]) > 0.5e-6
+        mix[cell[~going]] = mid[~going]
+        lo, hi = np.where(below, mid, lo)[going], np.where(below, hi, mid)[going]
+        cell, mid = cell[going], mid[going]
+    mix[cell] = mid
+    return mix
 
 
 class TestConstructDistribution:
@@ -119,6 +155,28 @@ class TestConstructDistribution:
             entropy = rng.choice([low, high, low - 1e-6, high + 1e-6, rng.uniform(low, high)])
             dist = construct_distribution(p, float(entropy), vocab)
             assert np.array_equal(dist, scalar_construct(p, float(entropy), vocab))
+
+
+def test_mixes_match_row_based_bisection_bit_for_bit():
+    """Over 100k seeded cells at vocabularies 3 to 1024, endpoints and near-bound targets
+    included, ``_realize`` picks the row-based reference's mixing weights bit for bit."""
+    rng = np.random.default_rng(24)
+    vocabs = np.union1d(np.rint(np.exp(rng.uniform(math.log(3), math.log(1024), 200))), [3, 1024])
+    cells = 100_000 // vocabs.size + 1
+    checked = 0
+    for vocab in vocabs.astype(int).tolist():
+        u = rng.uniform(0.0, 1.0, cells)
+        tiny = 10.0 ** -rng.uniform(1.0, 12.0, cells)  # target masses near 0 and near 1
+        p = np.choose(rng.integers(0, 3, cells), [np.where(u > 0.0, u, 0.5), tiny, 1.0 - tiny])
+        low, high = feasible_entropy_range(p, vocab)
+        near = rng.uniform(0.0, 1e-6, cells)
+        inside = low + rng.uniform(0.0, 1.0, cells) * (high - low)
+        choices = [low, high, low - 1e-6, high + 1e-6, low + near, high - near, inside]
+        entropy = np.choose(rng.integers(0, len(choices), cells), choices)
+        mix = _realize(p, entropy, low, high, vocab)
+        assert np.array_equal(mix, rowwise_mixes(p, entropy, low, high, vocab)), vocab
+        checked += cells
+    assert checked >= 100_000
 
 
 class TestRowForms:
@@ -207,7 +265,7 @@ def test_batched_row_matches_one_cell_call(p, vocab, fraction, others):
     low = np.array([b[0] for b in bounds])
     high = np.array([b[1] for b in bounds])
     targets = low + np.array([c[1] for c in cells]) * (high - low)
-    row = _realize(ps, targets, low, high, vocab)[0]
+    row = _family_rows(ps, _realize(ps, targets, low, high, vocab), vocab)[0]
     target = float(targets[0])
     assert row[0] == p
     assert abs(row.sum() - 1.0) <= 1e-9
@@ -271,6 +329,34 @@ class TestGradientLandscape:
             assert np.array_equal(np.isfinite(grid.cells), np.isfinite(reference))
             feasible = np.isfinite(reference)
             assert float(np.abs(grid.cells[feasible] - reference[feasible]).max()) <= 4.5e-16
+
+    @pytest.mark.parametrize("vocab", [8, 100])
+    def test_bisection_chunks_and_gated_blocks_stay_bounded(self, vocab, monkeypatch):
+        """No bisection chunk holds more than _BLOCK_ENTRIES cells, and no gated block more
+        than max(_BLOCK_ENTRIES, vocab) entries; the chunking moves no cell's bits."""
+        from trustgate import landscape
+
+        p_grid, h_grid = np.linspace(0.05, 0.95, 20), np.linspace(0.0, math.log(vocab), 20)
+        expected = gradient_landscape(DEFT, p_grid, h_grid, vocab)
+        chunks, blocks = [], []
+        realize, gate_rows = landscape._realize, landscape.gate
+
+        def spy_realize(p, *args):
+            chunks.append(p.size)
+            return realize(p, *args)
+
+        def spy_gate(kind, dists, targets):
+            blocks.append(dists.size)
+            return gate_rows(kind, dists, targets)
+
+        monkeypatch.setattr(landscape, "_BLOCK_ENTRIES", 64)
+        monkeypatch.setattr(landscape, "_realize", spy_realize)
+        monkeypatch.setattr(landscape, "gate", spy_gate)
+        grid = gradient_landscape(DEFT, p_grid, h_grid, vocab)
+        feasible = int(np.isfinite(grid.cells).sum())
+        assert len(chunks) > 1 and max(chunks) <= 64 and sum(chunks) == feasible
+        assert len(blocks) > 1 and max(blocks) <= max(64, vocab) and sum(blocks) == feasible * vocab
+        assert np.array_equal(grid.cells, expected.cells, equal_nan=True)
 
     def test_unnormalizable_grid_names_objective(self):
         # p**1e308 underflows to 0 in every cell
