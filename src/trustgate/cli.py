@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import functools
 import json
 import math
 import os
@@ -95,10 +96,7 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
     else:
         h_grid = np.linspace(0.0, max_h, args.h_steps)
     grid = gradient_landscape(kind, p_grid, h_grid, args.vocab)
-    if args.format == "csv":
-        write_atomic(args.out, grid.to_csv())
-    else:
-        write_atomic(args.out, json.dumps(grid.to_dict(), indent=2) + "\n")
+    write_atomic(args.out, grid.to_csv() if args.format == "csv" else grid.to_json())
     print(json.dumps({"out": args.out, "format": args.format, "objective": kind.encode()}))
     return 0
 
@@ -216,7 +214,9 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each ``parse_args`` call starts from its defaults."""
     parser = argparse.ArgumentParser(
         prog="trustgate",
         description="Deformed-log token objectives: property verification, "

@@ -6,14 +6,20 @@ uniform tail, with the mixing weight found by bisection on the Shannon
 entropy. A member has only three distinct entries (p, the spike and V - 2
 equal tail shares), so the bisection evaluates the entropy from those three
 per cell, and each cell's row is built once, after its mixing weight is
-known. Cells whose entropy is unattainable for their p are left absent.
-Grids normalize to their own maximum (per-grid, recorded in the JSON
-metadata), and render themselves as byte-deterministic CSV or JSON text.
+known. Only objectives whose gate reads more than the target mass are
+bisected: every realized row holds p exactly, so for the others
+(``ObjectiveKind.reads_target_only``) each cell is gated as the mixing-weight-0
+member of its p row. Cells whose entropy is unattainable for their p are left
+absent. Grids normalize to their own maximum (per-grid, recorded in the JSON
+metadata), and render themselves as byte-deterministic CSV or JSON text,
+formatting each distinct value once.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -54,24 +60,58 @@ class LandscapeGrid:
         endings, so identical grids give identical bytes.
         """
         row, col = np.nonzero(np.isfinite(self.cells))
-        ps = [f"{p:.9g}," for p in self.p_grid.tolist()]
-        hs = [f"{h:.9g}," for h in self.h_grid.tolist()]
-        cells = zip(row.tolist(), col.tolist(), self.cells[row, col].tolist())
-        lines = ["p,entropy,magnitude", *(f"{ps[i]}{hs[j]}{m:.9g}" for i, j, m in cells)]
-        return "\n".join(lines) + "\n"
+        ps = _format_once(self.p_grid, ".9g") + ","
+        hs = _format_once(self.h_grid, ".9g") + ","
+        lines = map("".join, zip(ps[row], hs[col], _format_once(self.cells[row, col], ".9g")))
+        return "\n".join(["p,entropy,magnitude", *lines]) + "\n"
 
-    def to_dict(self) -> dict:
-        """The grid's JSON body; infeasible cells are ``None``."""
-        cells = self.cells.astype(object)
-        cells[~np.isfinite(self.cells)] = None
-        return {
-            "objective": self.objective,
-            "vocab_size": self.vocab_size,
-            "normalization": "per-grid",
-            "p_grid": self.p_grid.tolist(),
-            "h_grid": self.h_grid.tolist(),
-            "cells": cells.tolist(),
+    def to_json(self) -> str:
+        """The bytes of ``json.dumps(body, indent=2) + "\\n"``, with infeasible cells ``null``.
+
+        The body holds ``objective``, ``vocab_size``, ``normalization``
+        (``"per-grid"``), ``p_grid``, ``h_grid`` and ``cells``, one list per
+        p, in that order.
+        """
+        cells = _format_once(self.cells, "")
+        cells[~np.isfinite(self.cells)] = "null"
+        fields = {
+            "objective": json.dumps(self.objective),
+            "vocab_size": json.dumps(self.vocab_size),
+            "normalization": json.dumps("per-grid"),
+            "p_grid": _json_array(_json_numbers(self.p_grid).tolist(), 1),
+            "h_grid": _json_array(_json_numbers(self.h_grid).tolist(), 1),
+            "cells": _json_array([_json_array(row, 2) for row in cells.tolist()], 1),
         }
+        return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields.items()) + "\n}\n"
+
+
+def _format_once(values: np.ndarray, spec: str) -> np.ndarray:
+    """``format(v, spec)`` of each float64 value, as an object array of the values' shape.
+
+    Each distinct bit pattern is formatted once, not each value, so -0.0 and
+    0.0 (and two values that differ in the last bit) keep their own text. The
+    spec ``""`` gives a float's repr.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    words = np.array(list(map(float.__format__, bits.view(np.float64).tolist(), repeat(spec))), dtype=object)
+    return words[inverse].reshape(values.shape)
+
+
+def _json_numbers(values: np.ndarray) -> np.ndarray:
+    """Each float64 value as ``json.dumps`` writes it: its repr, or ``NaN``, ``Infinity``, ``-Infinity``."""
+    words = _format_once(values, "")
+    odd = ~np.isfinite(values)
+    words[odd] = [json.dumps(value) for value in values[odd].tolist()]
+    return words
+
+
+def _json_array(items: list[str], depth: int) -> str:
+    """Rendered items as a JSON array, laid out as ``json.dumps(..., indent=2)`` does at nesting ``depth``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
 def _family_entries(p: np.ndarray, mix, vocab: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,9 +266,12 @@ def _check_grid(values: np.ndarray, what: str) -> None:
 def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> LandscapeGrid:
     """Learning-signal magnitude at each feasible (p, H) cell, grid-normalized.
 
-    The mixing weights of all feasible cells are found by one batched
-    bisection (see ``construct_distribution``), chunk by chunk; then the rows
-    are built block by block, and a block's magnitudes are
+    When the gate reads more than the target mass, the mixing weights of all
+    feasible cells are found by one batched bisection (see
+    ``construct_distribution``), chunk by chunk; when
+    ``kind.reads_target_only``, every cell keeps mixing weight 0, since each
+    realized row holds p exactly and its gate would have the same bits. Then
+    the rows are built block by block, and a block's magnitudes are
     ``objectives.gate(...).signal`` of its rows with the target at entry 0,
     so the grids check and gate their rows as a library caller does. Raises
     DomainError when feasible cells exist but none carries a positive finite
@@ -244,10 +287,11 @@ def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> Lands
     row, col = np.nonzero(
         (h_grid >= low[:, None] - _BISECTION_TOL) & (h_grid <= high[:, None] + _BISECTION_TOL)
     )
-    mix = np.empty(row.size)
-    for block in _blocks(row.size, 1):
-        i = row[block]
-        mix[block] = _realize(p_grid[i], h_grid[col[block]], low[i], high[i], vocab)
+    mix = np.zeros(row.size)
+    if not kind.reads_target_only:
+        for block in _blocks(row.size, 1):
+            i = row[block]
+            mix[block] = _realize(p_grid[i], h_grid[col[block]], low[i], high[i], vocab)
     signal = np.empty(row.size)
     for block in _blocks(row.size, vocab):
         dists = _family_rows(p_grid[row[block]], mix[block], vocab)

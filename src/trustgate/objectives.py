@@ -110,6 +110,12 @@ class ObjectiveKind:
         """True when the focus exponent depends on the current prediction."""
         return _RULES[self.name][1] not in (_zero, _unit, _fixed)
 
+    @property
+    def reads_target_only(self) -> bool:
+        """True when the gate depends on the prediction only through the target probability."""
+        weight, focus = _RULES[self.name]
+        return weight is _unit and focus in (_zero, _unit, _fixed, _cayley)
+
     def encode(self) -> str:
         """Canonical text encoding, e.g. ``deft`` or ``alpha:0.5``."""
         if self.name == "alpha":

@@ -497,6 +497,33 @@ class TestUsageErrors:
         assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
         assert os.listdir(target) == []
 
+
+class TestParserCache:
+    """The parser is built once per process, and each call still starts from its defaults."""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_verify_seed_does_not_leak(self, monkeypatch, capsys):
+        seeds = []
+        monkeypatch.setattr(cli, "run_property_suite", lambda seed, timings: seeds.append(seed) or [])
+        assert run_cli(capsys, "verify", "--seed", "3")[0] == 0
+        assert run_cli(capsys, "verify")[0] == 0
+        assert seeds == [3, 7]
+
+    def test_train_objective_does_not_leak(self, monkeypatch, capsys):
+        objectives = []
+
+        def record(path, args):
+            objectives.append(args.objective)
+            raise cli.ConfigError("stop")
+
+        monkeypatch.setattr(cli, "_load_train_config", record)
+        argv = ["train", "--config", "c.json", "--out", "r.json"]
+        assert run_cli(capsys, *argv, "--objective", "deft")[0] == 2
+        assert run_cli(capsys, *argv)[0] == 2
+        assert objectives == ["deft", None]
+
 # Values for the seeded argv fuzz, as (valid, bad) pools; each value is drawn
 # from its bad pool with probability _BAD. Sizes stay small (vocabularies <= 9,
 # 64 contexts, <= 3 steps, grids <= 3x3), so no case allocates much or runs

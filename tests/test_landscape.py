@@ -32,7 +32,15 @@ from trustgate import (
 )
 from trustgate.cli import parse_and_run, write_atomic
 from trustgate.core_math import entropy_rows
-from trustgate.landscape import MAX_GRID_ENTRIES, _family_rows, _realize, check_grid_size
+from trustgate.landscape import (
+    MAX_GRID_ENTRIES,
+    LandscapeGrid,
+    _family_rows,
+    _format_once,
+    _realize,
+    check_grid_size,
+)
+from trustgate.objectives import _RULES, ObjectiveKind
 
 
 def scalar_construct(p, entropy, vocab):
@@ -105,6 +113,32 @@ def rowwise_mixes(p, entropy, low, high, vocab):
         cell, mid = cell[going], mid[going]
     mix[cell] = mid
     return mix
+
+
+def json_oracle(grid):
+    """The JSON text as ``json.dumps`` writes the grid's body, infeasible cells as ``None``."""
+    cells = grid.cells.astype(object)
+    cells[~np.isfinite(grid.cells)] = None
+    body = {
+        "objective": grid.objective,
+        "vocab_size": grid.vocab_size,
+        "normalization": "per-grid",
+        "p_grid": grid.p_grid.tolist(),
+        "h_grid": grid.h_grid.tolist(),
+        "cells": cells.tolist(),
+    }
+    return json.dumps(body, indent=2) + "\n"
+
+
+def csv_oracle(grid):
+    """The CSV text formatted value by value."""
+    lines = ["p,entropy,magnitude"]
+    for i, p in enumerate(grid.p_grid.tolist()):
+        for j, h in enumerate(grid.h_grid.tolist()):
+            m = float(grid.cells[i, j])
+            if math.isfinite(m):
+                lines.append(f"{p:.9g},{h:.9g},{m:.9g}")
+    return "\n".join(lines) + "\n"
 
 
 class TestConstructDistribution:
@@ -388,6 +422,38 @@ class TestGradientLandscape:
         assert not np.isfinite(grid.cells[0, 0])
 
 
+def _kind(name):
+    return fixed_alpha(0.5) if name == "alpha" else ObjectiveKind(name)
+
+
+@pytest.mark.parametrize("name", sorted(_RULES))
+def test_reads_target_only_exactly_when_tails_leave_the_gate_alone(name):
+    """The predicate holds exactly when rows sharing a target mass but not a tail get the same gate bits."""
+    kind = _kind(name)
+    rng = np.random.default_rng(25)
+    same = []
+    for p in (0.05, 0.3, 0.7, 0.95):
+        tails = (1.0 - p) * rng.dirichlet(np.ones(7), size=2)
+        rows = np.column_stack([np.full(2, p), tails])
+        rows = np.vstack([rows, _family_rows(np.array([p]), 0.0, 8)])
+        gates = gate(kind, rows, np.zeros(3, dtype=np.intp)).gate
+        same.append(gates[0] == gates[1] == gates[2])
+    assert kind.reads_target_only == all(same)
+
+
+@pytest.mark.parametrize("steps, vocab", [(20, 8), (37, 3)])
+@pytest.mark.parametrize("kind", default_kinds() + [fixed_alpha(1.37)], ids=lambda kind: kind.encode())
+def test_grid_without_bisection_matches_bisected_grid(kind, steps, vocab, monkeypatch):
+    """A member that reads only the target mass gets the bits the bisected grid gives it."""
+    p_grid = (np.arange(steps) + 1.0) / (steps + 1.0)
+    h_grid = np.linspace(0.0, math.log(vocab), steps)
+    grid = gradient_landscape(kind, p_grid, h_grid, vocab)
+    monkeypatch.setattr(ObjectiveKind, "reads_target_only", property(lambda self: False))
+    bisected = gradient_landscape(kind, p_grid, h_grid, vocab)
+    assert np.isfinite(grid.cells).any()
+    assert np.array_equal(grid.cells.view(np.int64), bisected.cells.view(np.int64))
+
+
 # sha256 of the CSV written by the seed's per-cell bisection for the CLI grids
 # used by the benchmark (100x100) and the README (20x20), both at vocab 32.
 GOLDEN_CSV_SHA256 = {
@@ -406,13 +472,40 @@ GOLDEN_CSV_SHA256 = {
 }
 
 
+# sha256 of the JSON that json.dumps(..., indent=2) wrote for the same grids
+# before the grid rendered its own JSON text.
+GOLDEN_JSON_SHA256 = {
+    ("nll", 100): "2c230a53198a40259645cc7ae0bbd689ba8c458f6149be7a810d7d6efd93410d",
+    ("nll", 20): "d53ba501060fb09219fc25079fec2af3d742b69c30d0f6a4887a754de976025b",
+    ("linear", 100): "d8fcd748259df55a69e73e9f76119e0f2d3a4fe937714b1b89276f27137993d0",
+    ("linear", 20): "c88813ee54bac20d89ed91b7c6bd88cd0c75015e64ec48af0426e40c45ab87a1",
+    ("alpha:0.5", 100): "7748be08dc9e32196573c024b0a5de55e11f3b92302f9694ba67fc027e21edc4",
+    ("alpha:0.5", 20): "a24006a771c02e5a103d8262f7f7a185cbbfb821d3f528bfa0a9ae6394e1551e",
+    ("cayley", 100): "92f1bcbf765c4768160df797d4eb5bcf5774c131a16c1510b25855d0b0b0cc9d",
+    ("cayley", 20): "42a4ae3a0aa57b218cbb8356308f23f1665d311ec8fbae8339f6dafd2a0118a8",
+    ("deft", 100): "a4c50ce8f355b577cba75f08a8b978d849e1ee72f1e71aec45457faa0d7152ea",
+    ("deft", 20): "3e3a89139f2f6df66c0f58201aee7301e75924f8a8dcf22ccd61ac36e7bd9b0f",
+    ("eaft", 100): "47f6276fc16a860171d7d6f78dd34ba38793a2debd422e2af85158ab272e8f9a",
+    ("eaft", 20): "d16a21f32c320a6b4330fba463043fd0051cc4701a03432f9d40f001b1e32447",
+}
+
+
+def _cli_grid_sha256(objective, steps, fmt, tmp_path, capsys):
+    out = tmp_path / f"grid.{fmt}"
+    argv = ["landscape", "--objective", objective, "--p-steps", str(steps), "--h-steps", str(steps)]
+    assert parse_and_run(argv + ["--vocab", "32", "--format", fmt, "--out", str(out)]) == 0
+    capsys.readouterr()
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("objective, steps", sorted(GOLDEN_CSV_SHA256))
 def test_golden_csv(objective, steps, tmp_path, capsys):
-    out = tmp_path / "grid.csv"
-    argv = ["landscape", "--objective", objective, "--p-steps", str(steps), "--h-steps", str(steps)]
-    assert parse_and_run(argv + ["--vocab", "32", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[(objective, steps)]
+    assert _cli_grid_sha256(objective, steps, "csv", tmp_path, capsys) == GOLDEN_CSV_SHA256[(objective, steps)]
+
+
+@pytest.mark.parametrize("objective, steps", sorted(GOLDEN_JSON_SHA256))
+def test_golden_json(objective, steps, tmp_path, capsys):
+    assert _cli_grid_sha256(objective, steps, "json", tmp_path, capsys) == GOLDEN_JSON_SHA256[(objective, steps)]
 
 
 class TestWriteAtomic:
@@ -485,10 +578,24 @@ class TestArtifactText:
 
     def test_grid_json_metadata(self):
         grid = gradient_landscape(NLL, np.array([0.5]), np.array([1e-6, 0.8]), 8)
-        body = json.loads(json.dumps(grid.to_dict()))
+        body = json.loads(grid.to_json())
         assert body["normalization"] == "per-grid"
         assert body["objective"] == "nll"
         assert body["cells"][0][0] is None  # the infeasible cell
+
+    def test_format_once_keeps_signed_zeros_and_last_bit_neighbours_apart(self):
+        one_up = float(np.nextafter(1.0, 2.0))
+        values = np.array([[0.0, -0.0, 1.0], [one_up, 0.0, 1.0]])
+        assert _format_once(values, "").tolist() == [["0.0", "-0.0", "1.0"], [repr(one_up), "0.0", "1.0"]]
+        assert _format_once(values, ".9g").tolist() == [["0", "-0", "1"], ["1", "0", "1"]]
+        assert _format_once(values[:, :0], "").shape == (2, 0)
+
+    @pytest.mark.parametrize("kind", default_kinds(), ids=lambda kind: kind.encode())
+    def test_renderers_match_their_oracles_on_computed_grids(self, kind):
+        grid = gradient_landscape(kind, (np.arange(20) + 1.0) / 21.0, np.linspace(0.0, math.log(8.0), 20), 8)
+        assert not np.isfinite(grid.cells).all()
+        assert grid.to_json() == json_oracle(grid)
+        assert grid.to_csv() == csv_oracle(grid)
 
     def test_run_record_json_schema(self):
         task = build_task(RegimeSpec(regime="weak"), 0)
@@ -496,3 +603,35 @@ class TestArtifactText:
         body = json.loads(json.dumps(record.to_dict()))
         assert set(body) == {"config", "mean_target_p", "mean_alpha", "quadrants", "histograms"}
         assert len(body["mean_target_p"]) == 5
+
+
+_ONE_DOWN = float(np.nextafter(1.0, 0.0))
+_CELL_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, _ONE_DOWN, 0.5, 5e-324, 1e-300]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def landscape_grids(draw):
+    """Grids with infeasible cells, empty and single-cell grids and repeated values among their draws."""
+    p_steps, h_steps = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    axis = st.floats() | st.sampled_from([0.0, -0.0, 0.5])
+    p_grid = np.array(draw(st.lists(axis, min_size=p_steps, max_size=p_steps)))
+    h_grid = np.array(draw(st.lists(axis, min_size=h_steps, max_size=h_steps)))
+    cells = draw(st.lists(_CELL_VALUES, min_size=p_steps * h_steps, max_size=p_steps * h_steps))
+    objective = draw(st.sampled_from(["nll", "alpha:0.5", "deft"]) | st.text(max_size=8))
+    return LandscapeGrid(
+        p_grid=p_grid,
+        h_grid=h_grid,
+        cells=np.array(cells).reshape(p_steps, h_steps),
+        vocab_size=draw(st.integers(3, 2**24)),
+        objective=objective,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=landscape_grids())
+def test_renderers_match_their_oracles(grid):
+    assert grid.to_json() == json_oracle(grid)
+    assert grid.to_csv() == csv_oracle(grid)
