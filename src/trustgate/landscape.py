@@ -5,14 +5,13 @@ the target, and the remaining mass split between a secondary spike and a
 uniform tail, with the mixing weight found by bisection on the Shannon
 entropy. A member has only three distinct entries (p, the spike and V - 2
 equal tail shares), so the bisection evaluates the entropy from those three
-per cell, and each cell's row is built once, after its mixing weight is
-known. Only objectives whose gate reads more than the target mass are
-bisected: every realized row holds p exactly, so for the others
-(``ObjectiveKind.reads_target_only``) each cell is gated as the mixing-weight-0
-member of its p row. Cells whose entropy is unattainable for their p are left
-absent. Grids normalize to their own maximum (per-grid, recorded in the JSON
-metadata), and render themselves as byte-deterministic CSV or JSON text,
-formatting each distinct value once.
+per cell, and each cell's row is built once, after its mixing weight is known.
+Only objectives whose gate reads the whole row (``ObjectiveKind.reads`` is
+``Reads.ROW``) are bisected: every realized row holds p exactly, so each cell
+of the others is gated as the mixing-weight-0 member of its p row. Cells whose
+entropy is unattainable for their p are left absent. Grids normalize to their
+own maximum (per-grid, recorded in the JSON metadata), and render themselves
+as byte-deterministic CSV or JSON text, formatting each distinct value once.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .core_math import DomainError, _one_or_stack, entropy_rows
-from .objectives import ObjectiveKind, gate
+from .objectives import ObjectiveKind, Reads, gate
 
 _BISECTION_TOL = 1e-6
 _BISECTION_MAX_ITERS = 200
@@ -266,16 +265,15 @@ def _check_grid(values: np.ndarray, what: str) -> None:
 def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> LandscapeGrid:
     """Learning-signal magnitude at each feasible (p, H) cell, grid-normalized.
 
-    When the gate reads more than the target mass, the mixing weights of all
-    feasible cells are found by one batched bisection (see
-    ``construct_distribution``), chunk by chunk; when
-    ``kind.reads_target_only``, every cell keeps mixing weight 0, since each
-    realized row holds p exactly and its gate would have the same bits. Then
-    the rows are built block by block, and a block's magnitudes are
-    ``objectives.gate(...).signal`` of its rows with the target at entry 0,
-    so the grids check and gate their rows as a library caller does. Raises
-    DomainError when feasible cells exist but none carries a positive finite
-    signal, since the grid then cannot be normalized.
+    When the gate reads the whole row (``kind.reads`` is ``Reads.ROW``), the
+    mixing weights of all feasible cells are found by one batched bisection
+    (see ``construct_distribution``), chunk by chunk; otherwise every cell
+    keeps mixing weight 0, since each realized row holds p exactly and its
+    gate would have the same bits. Then the rows are built block by block, and
+    a block's magnitudes are ``objectives.gate(...).signal`` of its rows with
+    the target at entry 0, so the grids check and gate their rows as a library
+    caller does. Raises DomainError when feasible cells exist but none carries
+    a positive finite signal, since the grid then cannot be normalized.
     """
     p_grid = np.asarray(p_grid, dtype=np.float64)
     h_grid = np.asarray(h_grid, dtype=np.float64)
@@ -288,7 +286,7 @@ def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> Lands
         (h_grid >= low[:, None] - _BISECTION_TOL) & (h_grid <= high[:, None] + _BISECTION_TOL)
     )
     mix = np.zeros(row.size)
-    if not kind.reads_target_only:
+    if kind.reads == Reads.ROW:
         for block in _blocks(row.size, 1):
             i = row[block]
             mix[block] = _realize(p_grid[i], h_grid[col[block]], low[i], high[i], vocab)

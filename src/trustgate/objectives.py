@@ -12,6 +12,11 @@ entropy weight of ``eaft`` is frozen the same way. That frozen-state update
 rule is the method itself, not an approximation of differentiating through
 the exponent.
 
+Each rule declares what it reads of the prediction (``Reads``): nothing, the
+target probability, or the whole row. ``ObjectiveKind.reads`` and
+``is_dynamic``, and through them the landscape bisection, the risk-flow
+refusal and the property suite's groups, are derived from that declaration.
+
 Canonical text encodings (used by configs and the CLI): ``nll``, ``linear``,
 ``alpha:<float>``, ``cayley``, ``deft``, ``eaft``.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
@@ -81,7 +87,10 @@ _RULES = {
     "deft": (_unit, _collision),
     "eaft": (_normalized_entropy, _zero),
 }
-_KIND_NAMES = tuple(_RULES)
+# What each rule reads of the prediction, least first; a rule missing here raises.
+Reads = IntEnum("Reads", "NOTHING TARGET ROW", start=0)
+_READS = {_unit: Reads.NOTHING, _zero: Reads.NOTHING, _fixed: Reads.NOTHING,
+          _cayley: Reads.TARGET, _collision: Reads.ROW, _normalized_entropy: Reads.ROW}
 
 
 @dataclass(frozen=True)
@@ -97,8 +106,8 @@ class ObjectiveKind:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in _KIND_NAMES:
-            raise DomainError(f"unknown objective {self.name!r}, expected one of {_KIND_NAMES}")
+        if self.name not in _RULES:
+            raise DomainError(f"unknown objective {self.name!r}, expected one of {tuple(_RULES)}")
         if self.name == "alpha":
             if self.alpha is None or not MIN_ORDER <= self.alpha < math.inf:
                 raise DomainError(f"fixed-exponent objective requires alpha >= {MIN_ORDER!r}, got {self.alpha!r}")
@@ -108,13 +117,12 @@ class ObjectiveKind:
     @property
     def is_dynamic(self) -> bool:
         """True when the focus exponent depends on the current prediction."""
-        return _RULES[self.name][1] not in (_zero, _unit, _fixed)
+        return _READS[_RULES[self.name][1]] > Reads.NOTHING
 
     @property
-    def reads_target_only(self) -> bool:
-        """True when the gate depends on the prediction only through the target probability."""
-        weight, focus = _RULES[self.name]
-        return weight is _unit and focus in (_zero, _unit, _fixed, _cayley)
+    def reads(self) -> Reads:
+        """What the gate reads of the prediction: the higher of its weight and focus rules' levels."""
+        return max(_READS[rule] for rule in _RULES[self.name])
 
     def encode(self) -> str:
         """Canonical text encoding, e.g. ``deft`` or ``alpha:0.5``."""

@@ -46,6 +46,12 @@ _WEAK_LOGIT_SCALE = 0.01
 # anything is allocated.
 MAX_TABLE_ENTRIES = 2**26
 
+# Most fine-tuning steps a run may take, checked before any work. Each step
+# keeps two Python floats for the record's traces and writes them as two JSON
+# lines (about 48 bytes), so at the bound the traces take about 6 MiB in memory
+# and 5 MB in the artifact. It is 5x the pretraining budget.
+MAX_TRAIN_STEPS = 100_000
+
 # Entries per block of rows in the row-wise kernels (512 KiB of float64). A
 # block's logits, probabilities and temporaries stay in one core's cache
 # through every operation of a step, so a large table is read from memory
@@ -150,8 +156,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise DomainError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.steps < 0:
-            raise DomainError(f"steps must be >= 0, got {self.steps}")
+        if not 0 <= self.steps <= MAX_TRAIN_STEPS:
+            raise DomainError(f"steps must lie in [0, {MAX_TRAIN_STEPS}], got {self.steps}")
         if self.batch_size is not None and self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
 

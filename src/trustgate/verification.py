@@ -38,10 +38,10 @@ from .landscape import construct_distribution, feasible_entropy_range, gradient_
 from .objectives import (
     CAYLEY,
     DEFT,
-    EAFT,
     LINEAR,
     NLL,
     ObjectiveKind,
+    Reads,
     _with_targets,
     default_kinds,
     fixed_alpha,
@@ -59,7 +59,7 @@ from .objectives import (
 # distribution the unique risk minimizer.
 RULE_MAIN = "main"
 RULE_PROPER = "proper"
-_RULES = (RULE_MAIN, RULE_PROPER)
+_SCORING_RULES = (RULE_MAIN, RULE_PROPER)
 
 # Defaults for the risk-minimization oracle. Each start of the pair-move search
 # moves mass in steps from _FIRST_STEP down to _MIN_STEP; _MAX_ITERS is only a
@@ -107,8 +107,8 @@ def _report(name: str, max_error: float, tol: float, detail: str = "") -> Proper
 
 
 def _check_rule(rule: str) -> str:
-    if rule not in _RULES:
-        raise DomainError(f"unknown scoring rule {rule!r}, expected one of {_RULES}")
+    if rule not in _SCORING_RULES:
+        raise DomainError(f"unknown scoring rule {rule!r}, expected one of {_SCORING_RULES}")
     return rule
 
 
@@ -333,12 +333,14 @@ def gradient_flow_ordering(regime: str, pair: tuple[ObjectiveKind, ObjectiveKind
     true one. The rate difference is computed both from its closed form and
     from explicit inner products of the per-context gradient vectors; the
     report fails if the two routes disagree or the sign does not flip
-    between regimes as predicted.
+    between regimes as predicted. Both members must have fixed losses: one
+    whose gate reads anything of the prediction (``kind.reads`` above
+    ``Reads.NOTHING``) is refused.
     """
     if regime not in _REGIMES:
         raise DomainError(f"unknown regime {regime!r}, expected one of {_REGIMES}")
     for kind in pair:
-        if kind.is_dynamic or kind.name == "eaft":
+        if kind.reads > Reads.NOTHING:
             raise DomainError(
                 f"objective {kind.encode()!r} has a state-dependent gate; "
                 "risk-flow ordering is defined for fixed losses only"
@@ -548,8 +550,8 @@ def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list
     # rounding error stays a relative ~eps / 2h even where p, and with it the
     # gradient, is tiny; steeper gates are covered by the exact jacobian-chain
     # check
-    static = [NLL, LINEAR, fixed_alpha(0.5), fixed_alpha(1.0)]
-    dynamic = [CAYLEY, DEFT, EAFT]
+    static = [kind for kind in kinds + [fixed_alpha(1.0)] if kind.reads == Reads.NOTHING]
+    dynamic = [kind for kind in kinds + [fixed_alpha(1.0)] if kind.reads > Reads.NOTHING]
     for label, group in (("static", static), ("dynamic", dynamic)):
         worst = 0.0
         for logits, targets in _draw_by_size(rng, 200, 2, 33, _random_logits):

@@ -326,6 +326,23 @@ class TestTrain:
         assert code == 2 and out == ""
         assert "1048576 x 1048576 logit table exceeds" in err
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_too_many_steps_exit_two_before_work(self, where, tmp_path, monkeypatch, capsys):
+        """More than MAX_TRAIN_STEPS steps is a usage error, named with the bound, before the task is built."""
+        steps = trainer.MAX_TRAIN_STEPS + 1
+        config = self._config(tmp_path, **({"steps": steps} if where == "config" else {}))
+        flags = ["--steps", str(steps)] if where == "flag" else []
+        self._no_build(monkeypatch)
+        out_path = tmp_path / "o.json"
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path), *flags)
+        assert code == 2 and out == ""
+        assert f"steps must lie in [0, {trainer.MAX_TRAIN_STEPS}], got {steps}" in err
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+    def test_steps_at_the_bound_pass_the_check(self):
+        bound = trainer.MAX_TRAIN_STEPS
+        assert trainer.TrainConfig(objective=trainer.NLL, steps=bound).steps == bound
+
     @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 32.0 GiB"), MemoryError()])
     def test_memory_error_exits_one(self, error, tmp_path, monkeypatch, capsys):
         """Running out of memory is a runtime failure reported in one line, not a traceback."""

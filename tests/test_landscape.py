@@ -30,6 +30,7 @@ from trustgate import (
     gradient_landscape,
     shannon_entropy,
 )
+from trustgate import landscape
 from trustgate.cli import parse_and_run, write_atomic
 from trustgate.core_math import entropy_rows
 from trustgate.landscape import (
@@ -40,7 +41,7 @@ from trustgate.landscape import (
     _realize,
     check_grid_size,
 )
-from trustgate.objectives import _RULES, ObjectiveKind
+from trustgate.objectives import _RULES, ObjectiveKind, Reads, frozen_state
 
 
 def scalar_construct(p, entropy, vocab):
@@ -426,19 +427,42 @@ def _kind(name):
     return fixed_alpha(0.5) if name == "alpha" else ObjectiveKind(name)
 
 
+def _frozen_bits(kind, rows):
+    """Bits of the frozen weight and focus exponent of each row, target at entry 0: one column per row."""
+    _, weight, focus = frozen_state(kind, rows, np.zeros(len(rows), dtype=np.intp))
+    return np.stack([weight, focus]).view(np.int64)
+
+
 @pytest.mark.parametrize("name", sorted(_RULES))
-def test_reads_target_only_exactly_when_tails_leave_the_gate_alone(name):
-    """The predicate holds exactly when rows sharing a target mass but not a tail get the same gate bits."""
+def test_reads_exactly_what_the_frozen_state_responds_to(name):
+    """Each member's level is exactly what moves its frozen weight and focus bits.
+
+    It reads nothing when the bits stay put as the target mass moves, the
+    target when they move with it but not with the tail, and the row when
+    they move with the tail.
+    """
     kind = _kind(name)
     rng = np.random.default_rng(25)
-    same = []
-    for p in (0.05, 0.3, 0.7, 0.95):
+    ps = (0.05, 0.3, 0.7, 0.95)
+    by_target = _frozen_bits(kind, _family_rows(np.array(ps), 0.0, 8))
+    moves_with_target = not (by_target == by_target[:, :1]).all()
+    moves_with_tail = False
+    for p in ps:
         tails = (1.0 - p) * rng.dirichlet(np.ones(7), size=2)
-        rows = np.column_stack([np.full(2, p), tails])
-        rows = np.vstack([rows, _family_rows(np.array([p]), 0.0, 8)])
-        gates = gate(kind, rows, np.zeros(3, dtype=np.intp)).gate
-        same.append(gates[0] == gates[1] == gates[2])
-    assert kind.reads_target_only == all(same)
+        rows = np.vstack([np.column_stack([np.full(2, p), tails]), _family_rows(np.array([p]), 0.0, 8)])
+        by_tail = _frozen_bits(kind, rows)
+        moves_with_tail |= not (by_tail == by_tail[:, :1]).all()
+    level = Reads.ROW if moves_with_tail else Reads.TARGET if moves_with_target else Reads.NOTHING
+    assert kind.reads == level
+
+
+@pytest.mark.parametrize("kind", default_kinds(), ids=lambda kind: kind.encode())
+def test_bisects_exactly_the_members_that_read_the_row(kind, monkeypatch):
+    calls = []
+    realize = landscape._realize
+    monkeypatch.setattr(landscape, "_realize", lambda *args: calls.append(args) or realize(*args))
+    gradient_landscape(kind, [0.2, 0.5, 0.8], [0.5, 1.0, 1.5], 8)
+    assert bool(calls) == (kind.reads == Reads.ROW)
 
 
 @pytest.mark.parametrize("steps, vocab", [(20, 8), (37, 3)])
@@ -448,7 +472,7 @@ def test_grid_without_bisection_matches_bisected_grid(kind, steps, vocab, monkey
     p_grid = (np.arange(steps) + 1.0) / (steps + 1.0)
     h_grid = np.linspace(0.0, math.log(vocab), steps)
     grid = gradient_landscape(kind, p_grid, h_grid, vocab)
-    monkeypatch.setattr(ObjectiveKind, "reads_target_only", property(lambda self: False))
+    monkeypatch.setattr(ObjectiveKind, "reads", property(lambda self: Reads.ROW))
     bisected = gradient_landscape(kind, p_grid, h_grid, vocab)
     assert np.isfinite(grid.cells).any()
     assert np.array_equal(grid.cells.view(np.int64), bisected.cells.view(np.int64))

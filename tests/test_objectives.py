@@ -30,9 +30,10 @@ from trustgate import (
     softmax,
 )
 from trustgate.core_math import cayley_alpha, clamp_prob, concentration, deformed_loss, shannon_entropy
-from trustgate import objectives
-from trustgate.objectives import focus_per_row, frozen_state, gate_error_into, loss_per_row
-from trustgate.verification import fd_gradient
+from trustgate import landscape, objectives
+from trustgate.landscape import gradient_landscape
+from trustgate.objectives import Reads, focus_per_row, frozen_state, gate_error_into, loss_per_row
+from trustgate.verification import fd_gradient, gradient_flow_ordering
 
 
 class TestEncoding:
@@ -438,3 +439,47 @@ class TestUnitGateKernel:
         npt.assert_array_equal(gate_error_into(NLL, probs.copy(), labels, np.zeros(2)), 0.5 * error)
         monkeypatch.setitem(objectives._RULES, "eaft", (objectives._unit, objectives._zero))
         assert gate_error_into(EAFT, probs.copy(), labels, np.full(2, 7.0)).tobytes() == error.tobytes()
+
+
+class TestDerivedMemberFacts:
+    """``reads``, ``is_dynamic``, the landscape bisection, the flow refusal and the unit-gate skip follow the table."""
+
+    P_GRID, H_GRID = np.array([0.2, 0.5, 0.8]), np.array([0.5, 1.0, 1.5])
+
+    def test_a_rule_swap_moves_every_derived_fact(self, monkeypatch):
+        realized = []
+        realize = landscape._realize
+        monkeypatch.setattr(landscape, "_realize", lambda *args: realized.append(args) or realize(*args))
+        probs = softmax(np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -2.0]]))
+        labels = np.array([2, 1])
+
+        monkeypatch.setitem(objectives._RULES, "nll", (objectives._normalized_entropy, objectives._zero))
+        assert NLL.reads == Reads.ROW and not NLL.is_dynamic
+        with pytest.raises(DomainError, match="'nll' has a state-dependent gate"):
+            gradient_flow_ordering("strong", (LINEAR, NLL))
+        gradient_landscape(NLL, self.P_GRID, self.H_GRID, 8)
+        assert realized
+        gated = []
+        general = objectives._gate
+        monkeypatch.setattr(objectives, "_gate", lambda *args: gated.append(args) or general(*args))
+        gate_error_into(NLL, probs.copy(), labels, np.zeros(2))
+        assert gated
+
+        realized.clear()
+        monkeypatch.setitem(objectives._RULES, "eaft", (objectives._unit, objectives._zero))
+        assert EAFT.reads == Reads.NOTHING
+        assert gradient_flow_ordering("strong", (LINEAR, EAFT)).passed
+        gradient_landscape(EAFT, self.P_GRID, self.H_GRID, 8)
+        assert not realized
+
+    def test_an_undeclared_rule_has_no_level(self, monkeypatch):
+        """A rule that does not declare what it reads raises; it never falls back to a level."""
+
+        def half(kind, P, targets):
+            return np.full(P.shape[0], 0.5)
+
+        monkeypatch.setitem(objectives._RULES, "deft", (objectives._unit, half))
+        with pytest.raises(KeyError):
+            DEFT.reads
+        with pytest.raises(KeyError):
+            DEFT.is_dynamic

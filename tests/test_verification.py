@@ -73,6 +73,31 @@ class TestSoftmaxJacobian:
 
 
 class TestFiniteDifferenceGradient:
+    def test_suite_groups_split_the_members_by_what_they_read(self, monkeypatch):
+        """fd-gradient-static runs the members that read nothing, fd-gradient-dynamic the rest, in table order."""
+        seen = {"static": [], "dynamic": []}
+        group = seen["static"]
+        difference, report = verification._fd_difference, verification._report
+
+        def spy_difference(kind, *args):
+            if kind not in group:
+                group.append(kind)
+            return difference(kind, *args)
+
+        def spy_report(name, *args, **kwargs):
+            nonlocal group
+            if name == "fd-gradient-static":
+                group = seen["dynamic"]
+            return report(name, *args, **kwargs)
+
+        monkeypatch.setattr(verification, "_fd_difference", spy_difference)
+        monkeypatch.setattr(verification, "_report", spy_report)
+        verification._suite_gradient_reports(np.random.default_rng(0), 1e-6)
+        assert seen == {
+            "static": [NLL, LINEAR, fixed_alpha(0.5), fixed_alpha(1.0)],
+            "dynamic": [CAYLEY, DEFT, EAFT],
+        }
+
     def test_log_loss_symmetric_pair(self):
         npt.assert_allclose(fd_gradient(NLL, [0.0, 0.0], 0), [-0.5, 0.5], atol=1e-8)
 
