@@ -42,10 +42,19 @@ from .core_math import (
 )
 
 
+def _positions(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Flat position row * V + label of each row's target in the C order of a (rows, V) stack."""
+    return np.arange(0, probs.size, probs.shape[1]) + labels
+
+
+def _clamped(p: np.ndarray) -> np.ndarray:
+    # unchecked, unlike core_math.clamp_prob: the per-step path takes no range check
+    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0)
+
+
 def _target_p(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Target probability of each row, clamped to [PROB_FLOOR, 1]."""
-    # unchecked, unlike core_math.clamp_prob: the per-step path takes no range check
-    return np.minimum(np.maximum(probs[np.arange(probs.shape[0]), labels], PROB_FLOOR), 1.0)
+    return _clamped(probs.ravel()[_positions(probs, labels)])
 
 
 # The family as one table. Every member freezes a weight w and a focus
@@ -181,7 +190,10 @@ def softmax_into(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def softmax(z) -> np.ndarray:
-    """Numerically stable softmax of a finite logit vector (length >= 2), or of each row of a (rows, vocab) stack."""
+    """Numerically stable softmax of a finite logit vector (length >= 2), or of each row of a (rows, vocab) stack.
+
+    The result is C-contiguous, and its bits do not depend on the layout of ``z``.
+    """
     arr = np.asarray(z, dtype=np.float64)
     if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
         raise DomainError(
@@ -190,7 +202,7 @@ def softmax(z) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DomainError("logits contain non-finite entries")
     Z, back = _one_or_stack(arr)
-    return back(softmax_into(Z, np.empty_like(Z)))
+    return back(softmax_into(Z, np.empty(Z.shape)))
 
 
 def _with_targets(P: np.ndarray, targets):
@@ -240,8 +252,9 @@ def gate(kind: ObjectiveKind, P, target) -> GateError:
     property suite gate their stacks through it.
     """
     P, targets, back = _with_targets(validate_dist(P), target)
-    g = _gate(kind, P, targets, focus_per_row(kind, P, targets))
-    error = 1.0 - _target_p(P, targets)
+    p = _target_p(P, targets)
+    g = _gate(kind, P, targets, p, focus_per_row(kind, P, targets))
+    error = 1.0 - p
     return GateError(gate=back(g), error=back(error), signal=back(g * error))
 
 
@@ -275,9 +288,16 @@ def focus_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) ->
     return _RULES[kind.name][1](kind, probs, labels)
 
 
-def _gate(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, focus: np.ndarray) -> np.ndarray:
-    """Trust gate w * p^a of each row, given its focus exponent a: the one gate expression."""
-    return _RULES[kind.name][0](kind, probs, labels) * _target_p(probs, labels) ** focus
+def _gate(
+    kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, p: np.ndarray, focus: np.ndarray
+) -> np.ndarray:
+    """Trust gate w * p^a of each row, from its clamped target mass p and focus a: the one gate expression.
+
+    A unit weight is not multiplied in: 1 * x has the bits of x.
+    """
+    weight = _RULES[kind.name][0]
+    powered = p**focus
+    return powered if weight is _unit else weight(kind, probs, labels) * powered
 
 
 def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -292,15 +312,21 @@ def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> 
 def gate_error_into(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, focus: np.ndarray) -> np.ndarray:
     """Overwrite a checked (rows, vocab) stack with gate * (P - onehot) at each row's focus: the one kernel.
 
-    A unit gate (weight 1, focus 0: ``nll``) gives P - onehot unscaled, the same bits, and ignores ``focus``.
+    The target entries are read once and written through their flat positions,
+    which address the caller's array only when it is C-contiguous: any other
+    layout raises DomainError before anything is written. A unit gate (weight
+    1, focus 0: ``nll``) gives P - onehot unscaled, the same bits, and ignores
+    ``focus``.
     """
-    rows = np.arange(probs.shape[0])
+    if not probs.flags.c_contiguous:
+        raise DomainError("gate_error_into writes through flat positions and needs a C-contiguous stack")
+    flat, positions = probs.ravel(), _positions(probs, labels)
     if _RULES[kind.name] == (_unit, _zero):
-        probs[rows, labels] -= 1.0
+        flat[positions] -= 1.0
         return probs
-    g = _gate(kind, probs, labels, focus)
+    g = _gate(kind, probs, labels, _clamped(flat[positions]), focus)
     probs *= g[:, None]
-    probs[rows, labels] -= g
+    flat[positions] -= g
     return probs
 
 

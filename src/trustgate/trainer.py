@@ -26,7 +26,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core_math import DomainError
-from .objectives import NLL, ObjectiveKind, _with_targets, focus_per_row, gate_error_into, loss_per_row, softmax_into
+from .objectives import (
+    NLL, ObjectiveKind, _positions, _with_targets, focus_per_row, gate_error_into, loss_per_row, softmax_into
+)
 
 REGIMES = ("strong", "intermediate", "weak")
 CONFLICT_POLICIES = ("confident_only", "uniform")
@@ -301,6 +303,11 @@ def _by_blocks(rule, kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray)
     return out
 
 
+def _mean(values: np.ndarray) -> float:
+    """Mean of a 1-d float64 array: the bits of ``np.mean``, without its dispatch."""
+    return float(values.sum() / values.size)
+
+
 def _nll_pretrain(table: np.ndarray, labels: np.ndarray, stop_at: float) -> tuple[np.ndarray, int, float]:
     """Full-batch NLL ascent of the label probabilities, in place.
 
@@ -313,7 +320,7 @@ def _nll_pretrain(table: np.ndarray, labels: np.ndarray, stop_at: float) -> tupl
     blocks spread over the workers. The mean is read on the calling thread.
     """
     probs = _softmax_table(table)
-    rows = np.arange(table.shape[0])
+    flat, positions = probs.ravel(), _positions(probs, labels)
     focus = focus_per_row(NLL, probs, labels)
 
     def update(block: slice) -> None:
@@ -326,7 +333,7 @@ def _nll_pretrain(table: np.ndarray, labels: np.ndarray, stop_at: float) -> tupl
 
     blocks = _row_blocks(*table.shape)
     for step in itertools.count():
-        mean_p = float(probs[rows, labels].mean())
+        mean_p = _mean(flat[positions])
         if mean_p >= stop_at:
             return probs, step, mean_p
         if step == _PRETRAIN_MAX_STEPS:
@@ -476,12 +483,15 @@ def finetune(
 
     One table-sized buffer holds the softmax of the current table, both states
     are read from it, and a vector holds the focus of every row. A step takes
-    its members in cache-sized parts (views for a full batch, gathered rows
-    otherwise) through ``gate_error_into`` with their cached focus, the
-    softmax and a focus refresh, so the focus rule runs once per row per step.
-    The parts of a step run on every worker, and the shuffle and the traced
-    means run between steps. Every operation is row-wise, so the buffer equals
-    a fresh softmax of the table bit for bit, on any number of workers.
+    its members in cache-sized parts (views for a full batch, rows gathered
+    once and scattered back otherwise) through ``gate_error_into``, which
+    writes the target entries through flat positions of the C-contiguous part,
+    with their cached focus, then the softmax. A dynamic member's focus rule
+    runs once per row per step, on the new probabilities; a static member's
+    focus is filled once and never refreshed. The parts of a step run on every
+    worker, and the shuffle and the traced means run between steps. Every
+    operation is row-wise, so the buffer equals a fresh softmax of the table
+    bit for bit, on any number of workers.
     """
     labels = _check_labels("labels", labels, model)
     if clean_labels is None:
@@ -491,12 +501,14 @@ def finetune(
     table = model.logit_table.copy()
     probs = _softmax_table(table)
     p_before, loss_before, target_p_before = _label_state(cfg.objective, probs, labels, clean_labels)
-    rows = np.arange(table.shape[0])
+    flat, positions = probs.ravel(), _positions(probs, labels)
     rng = np.random.default_rng(cfg.seed)
     batch = cfg.batch_size if cfg.batch_size is not None else table.shape[0]
     batch = min(batch, table.shape[0])
     full_batch = batch == table.shape[0]
+    # a static member's focus is the same at every state: filled once, never refreshed
     focus = _by_blocks(focus_per_row, cfg.objective, probs, labels)
+    dynamic = cfg.objective.is_dynamic
     # a full batch takes the table's blocks, a minibatch the same cuts of its members
     blocks = _row_blocks(batch, table.shape[1])
     order = np.arange(table.shape[0])
@@ -507,21 +519,24 @@ def finetune(
         # the update lr * gate * (P - onehot), formed over the part's probs
         gate_error_into(cfg.objective, part_probs, part_labels, focus[part])
         part_probs *= cfg.learning_rate
-        table[part] -= part_probs
+        # a view for a full batch; a minibatch gathers its rows once and scatters them back
         updated = table[part]
-        if not np.all(np.isfinite(updated)):
+        updated -= part_probs
+        if not np.isfinite(updated).all():
             raise TrainingError(f"non-finite logits after update at step {step}")
         # the part's probs take the softmax of its updated rows
         softmax_into(updated, part_probs)
         if not full_batch:
+            table[part] = updated
             probs[part] = part_probs
-        focus[part] = focus_per_row(cfg.objective, part_probs, part_labels)
+        if dynamic:
+            focus[part] = focus_per_row(cfg.objective, part_probs, part_labels)
 
     mean_target_p: list[float] = []
     mean_alpha: list[float] = []
     for step in range(cfg.steps):
-        mean_target_p.append(float(probs[rows, labels].mean()))
-        mean_alpha.append(float(focus.mean()))
+        mean_target_p.append(_mean(flat[positions]))
+        mean_alpha.append(_mean(focus))
 
         if full_batch:
             # basic slices: each part's probs and table rows are views

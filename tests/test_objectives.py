@@ -29,7 +29,7 @@ from trustgate import (
     loss,
     softmax,
 )
-from trustgate.core_math import cayley_alpha, clamp_prob, concentration, deformed_loss, shannon_entropy
+from trustgate.core_math import PROB_FLOOR, cayley_alpha, clamp_prob, concentration, deformed_loss, shannon_entropy
 from trustgate import landscape, objectives
 from trustgate.landscape import gradient_landscape
 from trustgate.objectives import Reads, focus_per_row, frozen_state, gate_error_into, loss_per_row
@@ -419,7 +419,8 @@ class TestUnitGateKernel:
         rows = np.arange(labels.size)
         error = probs.copy()
         error[rows, labels] -= 1.0
-        g = objectives._gate(NLL, probs, labels, focus_per_row(NLL, probs, labels))
+        p = objectives._target_p(probs, labels)
+        g = objectives._gate(NLL, probs, labels, p, focus_per_row(NLL, probs, labels))
         general = probs * g[:, None]
         general[rows, labels] -= g
         out = gate_error_into(NLL, probs.copy(), labels, focus)
@@ -439,6 +440,50 @@ class TestUnitGateKernel:
         npt.assert_array_equal(gate_error_into(NLL, probs.copy(), labels, np.zeros(2)), 0.5 * error)
         monkeypatch.setitem(objectives._RULES, "eaft", (objectives._unit, objectives._zero))
         assert gate_error_into(EAFT, probs.copy(), labels, np.full(2, 7.0)).tobytes() == error.tobytes()
+
+
+def _reference_gradient(kind, logits, labels):
+    """The kernel as it was before flat positions: 2-D gathers, a 2-D subtraction, every weight multiplied in."""
+    P = softmax(logits)
+    rows = np.arange(labels.size)
+    weight, focus = objectives._RULES[kind.name]
+    p = np.minimum(np.maximum(P[rows, labels], PROB_FLOOR), 1.0)
+    g = weight(kind, P, labels) * p ** focus(kind, P, labels)
+    out = P * g[:, None]
+    out[rows, labels] -= g
+    return out
+
+
+class TestFlatPositionKernel:
+    """``gate_error_into`` reads and writes the target entries through flat positions of a C-contiguous stack."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=KINDS, stack=logit_stacks())
+    def test_logit_gradient_matches_two_dimensional_indexing(self, kind, stack):
+        """Bit for bit on the stack, on each row alone, and on Fortran-ordered and row-strided logits."""
+        logits, labels = stack
+        expected = _reference_gradient(kind, logits, labels)
+        assert logit_gradient(kind, logits, labels).tobytes() == expected.tobytes()
+        for z, target, row in zip(logits, labels, expected):
+            assert logit_gradient(kind, z, int(target)).tobytes() == row.tobytes()
+        for layout in (np.asfortranarray(logits), np.repeat(logits, 2, axis=0)[::2]):
+            assert logit_gradient(kind, layout, labels).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", default_kinds(), ids=lambda kind: kind.encode())
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda probs: np.repeat(probs, 2, axis=0)[::2]],
+        ids=["fortran", "row-strided"],
+    )
+    def test_never_writes_into_a_silent_copy(self, kind, layout):
+        """A stack that is not C-contiguous is refused before any entry of the caller's array is written."""
+        probs = layout(softmax(np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -2.0], [1.0, 1.0, -4.0]])))
+        labels = np.array([2, 1, 0])
+        before = probs.copy()
+        assert not probs.flags.c_contiguous
+        with pytest.raises(DomainError, match="C-contiguous"):
+            gate_error_into(kind, probs, labels, focus_per_row(kind, probs, labels))
+        assert probs.tobytes() == before.tobytes()
 
 
 class TestDerivedMemberFacts:

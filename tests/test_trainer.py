@@ -38,6 +38,7 @@ from trustgate import (
 )
 from trustgate import objectives, trainer
 from trustgate.cli import parse_and_run
+from trustgate.core_math import PROB_FLOOR
 from trustgate.objectives import focus_per_row, loss_per_row, softmax_into
 from trustgate.trainer import DEFAULT_HISTOGRAM_EDGES, MAX_TABLE_ENTRIES
 
@@ -660,22 +661,85 @@ def test_traces_match_fresh_softmax_of_each_state(kind, batch_size, block_entrie
     assert record.deltas.loss_after.tobytes() == expected_loss.tobytes()
 
 
-def test_full_batch_step_evaluates_the_focus_once_per_row(monkeypatch):
-    """Per block: the start fill, one refresh per step, and the two frozen-loss readings."""
-    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 32)
-    weight, focus = objectives._RULES["deft"]
+def _reference_step(kind, table, labels, members, learning_rate):
+    """The step on ``members`` as the trainer took it before flat positions: a fresh softmax, 2-D indexing."""
+    probs = _reference_softmax(table[members])
+    member_labels = labels[members]
+    rows = np.arange(members.size)
+    weight, focus = objectives._RULES[kind.name]
+    p = np.minimum(np.maximum(probs[rows, member_labels], PROB_FLOOR), 1.0)
+    g = weight(kind, probs, member_labels) * p ** focus(kind, probs, member_labels)
+    update = probs * g[:, None]
+    update[rows, member_labels] -= g
+    update *= learning_rate
+    stepped = table.copy()
+    stepped[members] -= update
+    return stepped
+
+
+@pytest.mark.parametrize("batch_size", [256, 1000, 1], ids=["contexts", "past-contexts", "one-row"])
+@pytest.mark.parametrize("kind", [LINEAR, DEFT], ids=lambda kind: kind.encode())
+def test_edge_batches_match_a_reference_step(kind, batch_size):
+    """A batch of every context or more is a full batch, and a batch of one updates a one-row part.
+
+    The traces equal a fresh softmax and focus of each state's table, and
+    each table is the reference step of the one before on the rows it moved.
+    """
+    task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.25), 4)
+    rows = np.arange(task.model.num_contexts)
+    cfg = TrainConfig(objective=kind, steps=12, batch_size=batch_size, seed=4)
+    tables = _step_tables(task.model, task.labels, cfg, clean_labels=task.clean_labels)
+    record = finetune(task.model, task.labels, cfg, clean_labels=task.clean_labels)
+    states = [_reference_softmax(table) for table in tables]
+    assert record.mean_target_p == [float(probs[rows, task.labels].mean()) for probs in states]
+    assert record.mean_alpha == [float(focus_per_row(kind, probs, task.labels).mean()) for probs in states]
+    final = _reference_softmax(record.final_table)
+    assert record.deltas.p_after.tobytes() == final[rows, task.clean_labels].tobytes()
+    assert record.deltas.loss_after.tobytes() == loss_per_row(kind, final, task.clean_labels).tobytes()
+    for before, after in zip(tables, tables[1:] + [record.final_table]):
+        members = np.flatnonzero((after != before).any(axis=1))
+        assert members.size == min(batch_size, rows.size)
+        assert after.tobytes() == _reference_step(kind, before, task.labels, members, cfg.learning_rate).tobytes()
+
+
+def _count_focus_calls(kind, monkeypatch):
+    """Swap ``kind``'s focus rule for one that records the rows of each call, declared at its own level."""
+    weight, focus = objectives._RULES[kind.name]
     calls = []
 
     def counted(kind, probs, labels):
         calls.append(probs.shape[0])
         return focus(kind, probs, labels)
 
-    monkeypatch.setitem(objectives._RULES, "deft", (weight, counted))
+    monkeypatch.setitem(objectives._RULES, kind.name, (weight, counted))
+    monkeypatch.setitem(objectives._READS, counted, objectives._READS[focus])
+    return calls
+
+
+def test_full_batch_step_evaluates_the_focus_once_per_row(monkeypatch):
+    """Per block: the start fill, one refresh per step, and the two frozen-loss readings."""
+    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 32)
+    calls = _count_focus_calls(DEFT, monkeypatch)
+    assert objectives._READS[objectives._RULES["deft"][1]] == objectives.Reads.ROW
     task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.25), 4)
     steps = 10
     finetune(task.model, task.labels, TrainConfig(objective=DEFT, steps=steps, seed=0))
     blocks = task.model.num_contexts // 32
     assert len(calls) == blocks * (steps + 3)
+    assert set(calls) == {32}
+
+
+@pytest.mark.parametrize("batch_size", [None, 64])
+@pytest.mark.parametrize("kind", [LINEAR, fixed_alpha(0.5)], ids=lambda kind: kind.encode())
+def test_static_focus_is_filled_once_and_never_refreshed(kind, batch_size, monkeypatch):
+    """Per block: the start fill and the two frozen-loss readings, however many steps run."""
+    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 32)
+    calls = _count_focus_calls(kind, monkeypatch)
+    assert not kind.is_dynamic
+    task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.25), 4)
+    finetune(task.model, task.labels, TrainConfig(objective=kind, steps=10, batch_size=batch_size, seed=0))
+    blocks = task.model.num_contexts // 32
+    assert len(calls) == blocks * 3
     assert set(calls) == {32}
 
 
