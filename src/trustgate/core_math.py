@@ -70,13 +70,16 @@ def validate_dist(probs) -> np.ndarray:
 
     Every row must have V >= 2 entries, finite and non-negative, that sum to 1
     within DIST_SUM_TOL; a bad row in a stack gives the message it gives alone.
-    Returns the input as a float64 ndarray. Raises DomainError on the first violation.
+    Returns the input as a C-contiguous float64 ndarray, a copy only when it is
+    not one, so the row functions' bits do not depend on the caller's layout.
+    Raises DomainError on the first violation.
     """
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
         raise DomainError(
             f"distributions must be a vector of length >= 2 or a (rows, >= 2) stack of them, got shape {arr.shape}"
         )
+    arr = np.ascontiguousarray(arr)
     rows = arr.reshape(-1, arr.shape[-1])
     # Only non-negative stacks are summed, so +inf + -inf never warns; NaN fails
     # >= 0, +inf makes its row sum inf, and the checks below name the violation.

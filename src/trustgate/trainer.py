@@ -17,6 +17,7 @@ conflict-injected), ``intermediate`` (pretrained into a middle band), and
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import itertools
 import math
@@ -162,6 +163,8 @@ class TrainConfig:
             raise DomainError(f"steps must lie in [0, {MAX_TRAIN_STEPS}], got {self.steps}")
         if self.batch_size is not None and self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -276,7 +279,7 @@ def _each_block(work, parts: list) -> None:
             except BaseException as exc:  # raised below, once every thread has stopped
                 errors[index] = exc
 
-    # each thread sees the caller's context, numpy's error state included
+    # each thread sees the caller's context, numpy's error state and buffer size included
     futures = [_pool.submit(contextvars.copy_context().run, run) for _ in range(workers - 1)]
     run()
     for future in futures:
@@ -308,40 +311,63 @@ def _mean(values: np.ndarray) -> float:
     return float(values.sum() / values.size)
 
 
-def _nll_pretrain(table: np.ndarray, labels: np.ndarray, stop_at: float) -> tuple[np.ndarray, int, float]:
-    """Full-batch NLL ascent of the label probabilities, in place.
+def _descend(
+    kind: ObjectiveKind, lr: float, table: np.ndarray, probs: np.ndarray, labels: np.ndarray, batch: int, rng
+):
+    """Descend ``table`` on ``labels`` under ``kind`` in place, ``probs`` its softmax: the one training loop.
 
-    As soon as the mean label probability reaches ``stop_at``, returns the
-    softmax of the final table, the number of steps taken and that mean;
-    raises BuildError if the state after _PRETRAIN_MAX_STEPS updates has not. One
-    table-sized buffer holds the probabilities; a step takes the table block by
-    block, forming each block's update in its probabilities through
-    ``gate_error_into`` and then their softmax after the update, with the
-    blocks spread over the workers. The mean is read on the calling thread.
+    A generator: at the start of each step it yields the mean label
+    probability and the focus vector, and it takes the step when resumed. A
+    step forms ``lr * gate * (P - onehot)`` over each part of its ``batch``
+    rows (the table's blocks, or the cuts of a shuffle by ``rng``) through
+    ``gate_error_into``, subtracts it, refuses non-finite rows with
+    TrainingError and softmaxes them back, on every worker; a dynamic
+    member's focus is refreshed. The ufunc buffer is 512 entries while the
+    loop runs (the same bits, column broadcasts kept in cache), and the
+    caller's size comes back when the loop raises or is closed.
     """
-    probs = _softmax_table(table)
     flat, positions = probs.ravel(), _positions(probs, labels)
-    focus = focus_per_row(NLL, probs, labels)
+    focus = _by_blocks(focus_per_row, kind, probs, labels)
+    full_batch, dynamic = batch == table.shape[0], kind.is_dynamic
+    # a full batch takes the table's blocks, a minibatch the same cuts of its members
+    blocks = _row_blocks(batch, table.shape[1])
+    order = np.arange(table.shape[0])
+    cursor = 0
 
-    def update(block: slice) -> None:
-        # the update lr * (P - onehot), then the softmax of the updated rows in its place
-        block_probs = gate_error_into(NLL, probs[block], labels[block], focus[block])
-        block_probs *= _PRETRAIN_LEARNING_RATE
-        block_table = table[block]
-        block_table -= block_probs
-        softmax_into(block_table, block_probs)
+    def update(part) -> None:
+        part_probs, part_labels = probs[part], labels[part]
+        gate_error_into(kind, part_probs, part_labels, focus[part])
+        part_probs *= lr
+        # a view for a full batch; a minibatch gathers its rows once and scatters them back
+        updated = table[part]
+        updated -= part_probs
+        if not np.isfinite(updated).all():
+            raise TrainingError(f"non-finite logits after update at step {step}")
+        # the part's probs take the softmax of its updated rows
+        softmax_into(updated, part_probs)
+        if not full_batch:
+            table[part] = updated
+            probs[part] = part_probs
+        if dynamic:
+            focus[part] = focus_per_row(kind, part_probs, part_labels)
 
-    blocks = _row_blocks(*table.shape)
-    for step in itertools.count():
-        mean_p = _mean(flat[positions])
-        if mean_p >= stop_at:
-            return probs, step, mean_p
-        if step == _PRETRAIN_MAX_STEPS:
-            raise BuildError(
-                f"pretraining did not reach mean target probability {stop_at} "
-                f"within {_PRETRAIN_MAX_STEPS} steps"
-            )
-        _each_block(update, blocks)
+    bufsize = np.setbufsize(512)
+    try:
+        for step in itertools.count():
+            yield _mean(flat[positions]), focus
+            if full_batch:
+                # basic slices: each part's probs and table rows are views
+                parts = blocks
+            else:
+                if cursor + batch > order.size:
+                    rng.shuffle(order)
+                    cursor = 0
+                members = order[cursor : cursor + batch]
+                cursor += batch
+                parts = [members[block] for block in blocks]
+            _each_block(update, parts)
+    finally:
+        np.setbufsize(bufsize)
 
 
 def _inject_conflicts(
@@ -380,6 +406,8 @@ def build_task(spec: RegimeSpec, seed: int) -> SyntheticTask:
     ``weak``: near-zero random logits and a fresh random label mapping, so
     the mean label probability starts near 1/vocab (pretraining stops at
     once, after 0 steps).
+    Pretraining, full-batch NLL, raises BuildError if the state after
+    _PRETRAIN_MAX_STEPS updates is still short of the bar.
     """
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, spec.vocab_size, size=spec.num_contexts).astype(np.int64)
@@ -394,7 +422,17 @@ def build_task(spec: RegimeSpec, seed: int) -> SyntheticTask:
         stop_at = STRONG_PRETRAIN_TARGET
     else:
         stop_at = _INTERMEDIATE_STOP
-    probs, steps, mean_p = _nll_pretrain(table, labels, stop_at)
+    probs = _softmax_table(table)
+    states = _descend(NLL, _PRETRAIN_LEARNING_RATE, table, probs, labels, spec.num_contexts, None)
+    with contextlib.closing(states):
+        for steps, (mean_p, _) in enumerate(states):
+            if mean_p >= stop_at:
+                break
+            if steps == _PRETRAIN_MAX_STEPS:
+                raise BuildError(
+                    f"pretraining did not reach mean target probability {stop_at} "
+                    f"within {_PRETRAIN_MAX_STEPS} steps"
+                )
     if spec.regime == "intermediate" and not low <= mean_p <= high:
         raise BuildError(f"intermediate pretraining landed at {mean_p:.3f}, outside [{low}, {high}]")
 
@@ -479,19 +517,8 @@ def finetune(
     by default, updated in place). Traces record the state at the start of
     each step ``k``, which is the final table of a ``k``-step run; deltas and
     quadrant statistics compare the start and end states on ``clean_labels``
-    (defaults to the supervision labels). No copy of the start table is kept.
-
-    One table-sized buffer holds the softmax of the current table, both states
-    are read from it, and a vector holds the focus of every row. A step takes
-    its members in cache-sized parts (views for a full batch, rows gathered
-    once and scattered back otherwise) through ``gate_error_into``, which
-    writes the target entries through flat positions of the C-contiguous part,
-    with their cached focus, then the softmax. A dynamic member's focus rule
-    runs once per row per step, on the new probabilities; a static member's
-    focus is filled once and never refreshed. The parts of a step run on every
-    worker, and the shuffle and the traced means run between steps. Every
-    operation is row-wise, so the buffer equals a fresh softmax of the table
-    bit for bit, on any number of workers.
+    (defaults to the supervision labels). Both are read from the loop's
+    softmax buffer; no copy of the start table is kept.
     """
     labels = _check_labels("labels", labels, model)
     if clean_labels is None:
@@ -501,54 +528,16 @@ def finetune(
     table = model.logit_table.copy()
     probs = _softmax_table(table)
     p_before, loss_before, target_p_before = _label_state(cfg.objective, probs, labels, clean_labels)
-    flat, positions = probs.ravel(), _positions(probs, labels)
-    rng = np.random.default_rng(cfg.seed)
-    batch = cfg.batch_size if cfg.batch_size is not None else table.shape[0]
-    batch = min(batch, table.shape[0])
-    full_batch = batch == table.shape[0]
-    # a static member's focus is the same at every state: filled once, never refreshed
-    focus = _by_blocks(focus_per_row, cfg.objective, probs, labels)
-    dynamic = cfg.objective.is_dynamic
-    # a full batch takes the table's blocks, a minibatch the same cuts of its members
-    blocks = _row_blocks(batch, table.shape[1])
-    order = np.arange(table.shape[0])
-    cursor = 0
-
-    def update(part) -> None:
-        part_probs, part_labels = probs[part], labels[part]
-        # the update lr * gate * (P - onehot), formed over the part's probs
-        gate_error_into(cfg.objective, part_probs, part_labels, focus[part])
-        part_probs *= cfg.learning_rate
-        # a view for a full batch; a minibatch gathers its rows once and scatters them back
-        updated = table[part]
-        updated -= part_probs
-        if not np.isfinite(updated).all():
-            raise TrainingError(f"non-finite logits after update at step {step}")
-        # the part's probs take the softmax of its updated rows
-        softmax_into(updated, part_probs)
-        if not full_batch:
-            table[part] = updated
-            probs[part] = part_probs
-        if dynamic:
-            focus[part] = focus_per_row(cfg.objective, part_probs, part_labels)
-
+    batch = min(cfg.batch_size or table.shape[0], table.shape[0])
     mean_target_p: list[float] = []
     mean_alpha: list[float] = []
-    for step in range(cfg.steps):
-        mean_target_p.append(_mean(flat[positions]))
-        mean_alpha.append(_mean(focus))
-
-        if full_batch:
-            # basic slices: each part's probs and table rows are views
-            parts = blocks
-        else:
-            if cursor + batch > order.size:
-                rng.shuffle(order)
-                cursor = 0
-            members = order[cursor : cursor + batch]
-            cursor += batch
-            parts = [members[block] for block in blocks]
-        _each_block(update, parts)
+    states = _descend(cfg.objective, cfg.learning_rate, table, probs, labels, batch, np.random.default_rng(cfg.seed))
+    with contextlib.closing(states):
+        for step, (mean_p, focus) in enumerate(states):
+            if step == cfg.steps:
+                break
+            mean_target_p.append(mean_p)
+            mean_alpha.append(_mean(focus))
 
     p_after, loss_after, target_p_after = _label_state(cfg.objective, probs, labels, clean_labels)
     deltas = TokenDeltas(p_before, p_after, loss_before, loss_after)

@@ -29,7 +29,9 @@ from trustgate import (
     loss,
     softmax,
 )
-from trustgate.core_math import PROB_FLOOR, cayley_alpha, clamp_prob, concentration, deformed_loss, shannon_entropy
+from trustgate.core_math import (
+    PROB_FLOOR, cayley_alpha, clamp_prob, concentration, deformed_loss, shannon_entropy, tsallis_entropy
+)
 from trustgate import landscape, objectives
 from trustgate.landscape import gradient_landscape
 from trustgate.objectives import Reads, focus_per_row, frozen_state, gate_error_into, loss_per_row
@@ -460,7 +462,10 @@ class TestFlatPositionKernel:
     @settings(max_examples=200, deadline=None)
     @given(kind=KINDS, stack=logit_stacks())
     def test_logit_gradient_matches_two_dimensional_indexing(self, kind, stack):
-        """Bit for bit on the stack, on each row alone, and on Fortran-ordered and row-strided logits."""
+        """Bit for bit on the stack, on each row alone, and on Fortran-ordered and row-strided logits.
+
+        The distribution entry points give the bits of the C-ordered stack on the other layouts too.
+        """
         logits, labels = stack
         expected = _reference_gradient(kind, logits, labels)
         assert logit_gradient(kind, logits, labels).tobytes() == expected.tobytes()
@@ -468,6 +473,24 @@ class TestFlatPositionKernel:
             assert logit_gradient(kind, z, int(target)).tobytes() == row.tobytes()
         for layout in (np.asfortranarray(logits), np.repeat(logits, 2, axis=0)[::2]):
             assert logit_gradient(kind, layout, labels).tobytes() == expected.tobytes()
+
+        def row_values(probs):
+            return [
+                np.asarray(value).tobytes()
+                for value in (
+                    *dataclasses.astuple(gate(kind, probs, labels)),
+                    loss(kind, probs, labels),
+                    focus_index(kind, probs, labels),
+                    shannon_entropy(probs),
+                    tsallis_entropy(probs, 0.5),
+                    tsallis_entropy(probs, 2.0),
+                    concentration(probs),
+                )
+            ]
+
+        probs = softmax(logits)
+        for layout in (np.asfortranarray(probs), np.repeat(probs, 2, axis=0)[::2]):
+            assert row_values(layout) == row_values(probs)
 
     @pytest.mark.parametrize("kind", default_kinds(), ids=lambda kind: kind.encode())
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Synthetic task construction and fine-tuning dynamics."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -29,6 +30,7 @@ from trustgate import (
     TokenDeltas,
     ToyModel,
     TrainConfig,
+    TrainingError,
     build_task,
     finetune,
     fixed_alpha,
@@ -150,6 +152,20 @@ class TestBuildTask:
         with pytest.raises(BuildError, match=f"within {task.pretrain_steps - 1} steps"):
             build_task(spec, 0)
 
+    def test_non_finite_pretraining_update_exits_one_at_once(self, tmp_path, monkeypatch, capsys):
+        """Pretraining takes the fine-tuning check: a NaN weight is refused after the first update."""
+        monkeypatch.setattr(trainer, "_PRETRAIN_MAX_STEPS", 50)
+        _nan_nll_weight(monkeypatch)
+        with pytest.raises(TrainingError, match="^non-finite logits after update at step 0$"):
+            build_task(RegimeSpec(regime="strong"), 0)
+        config, out = tmp_path / "config.json", tmp_path / "run.json"
+        config.write_text(json.dumps({"regime": "strong", "objective": "linear", "steps": 3}))
+        code = parse_and_run(["train", "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: non-finite logits after update at step 0\n"
+        assert not out.exists()
+
     def test_intermediate_pretraining_past_its_band_raises(self, monkeypatch):
         """The first state past the intermediate stop lies above a band that ends at the stop."""
         spec = RegimeSpec(regime="intermediate")
@@ -178,6 +194,16 @@ class TestBuildTask:
             RegimeSpec(conflict_policy="always")
 
 
+def _nan_nll_weight(monkeypatch):
+    """Give ``nll`` a NaN weight rule, declared as reading nothing, so its unit-gate skip no longer applies."""
+
+    def nan_weight(kind, probs, labels):
+        return np.full(probs.shape[0], np.nan)
+
+    monkeypatch.setitem(objectives._RULES, "nll", (nan_weight, objectives._RULES["nll"][1]))
+    monkeypatch.setitem(objectives._READS, nan_weight, objectives.Reads.NOTHING)
+
+
 LABEL_ARGUMENTS = ["labels", "clean_labels"]
 
 
@@ -197,6 +223,10 @@ class TestFinetune:
         assert record.quadrants["learning"] == 0.0
         assert record.quadrants["forgetting"] == 0.0
         npt.assert_array_equal(record.final_table, task.model.logit_table)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
+            TrainConfig(objective=NLL, seed=-1)
 
     def test_zero_context_table_rejected(self):
         with pytest.raises(DomainError, match="contexts >= 1"):
@@ -741,6 +771,41 @@ def test_static_focus_is_filled_once_and_never_refreshed(kind, batch_size, monke
     blocks = task.model.num_contexts // 32
     assert len(calls) == blocks * 3
     assert set(calls) == {32}
+
+
+@pytest.mark.parametrize(
+    "run, error",
+    [("build", None), ("full-batch", None), ("minibatch", None), ("build", TrainingError), ("build", BuildError)],
+    ids=["build_task", "full-batch", "minibatch", "training-error", "build-error"],
+)
+def test_the_loop_gives_back_the_callers_buffer_size(run, error, monkeypatch):
+    """The loop's ufunc buffer size reaches every worker's steps; the caller and the pool keep their own."""
+    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 32)
+    monkeypatch.setattr(trainer, "BLOCK_WORKERS", 3)
+    task = build_task(RegimeSpec(regime="strong"), 4)
+    pool_size = trainer._pool.submit(np.getbufsize).result()
+    seen = []
+    kernel = trainer.gate_error_into
+    monkeypatch.setattr(trainer, "gate_error_into", lambda *args: seen.append(np.getbufsize()) or kernel(*args))
+    if error is TrainingError:
+        _nan_nll_weight(monkeypatch)
+    if error is BuildError:
+        monkeypatch.setattr(trainer, "_PRETRAIN_MAX_STEPS", 3)
+    runs = {
+        "build": lambda: build_task(RegimeSpec(regime="strong"), 4),
+        "full-batch": lambda: finetune(task.model, task.labels, TrainConfig(objective=DEFT, steps=3)),
+        "minibatch": lambda: finetune(task.model, task.labels, TrainConfig(objective=DEFT, steps=3, batch_size=64)),
+    }
+    caller_size = np.setbufsize(4096)
+    try:
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            runs[run]()
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(caller_size)
+    assert trainer._pool.submit(np.getbufsize).result() == pool_size
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # numpy keeps the size per thread before 2.0
+        assert seen and set(seen) == {512}
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
