@@ -166,6 +166,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         timings = {
             "build_s": built - started,
             "pretrain_steps": task.pretrain_steps,
+            "pretrain_chunks": task.pretrain_chunks,
             "finetune_s": tuned - built,
             "emit_s": time.perf_counter() - tuned,
             "workers": trainer.BLOCK_WORKERS,

@@ -309,18 +309,23 @@ def loss_per_row(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> 
     return w * deformed_loss(p, a)
 
 
-def gate_error_into(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, focus: np.ndarray) -> np.ndarray:
+def gate_error_into(
+    kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, focus: np.ndarray, positions: np.ndarray | None = None
+) -> np.ndarray:
     """Overwrite a checked (rows, vocab) stack with gate * (P - onehot) at each row's focus: the one kernel.
 
-    The target entries are read once and written through their flat positions,
-    which address the caller's array only when it is C-contiguous: any other
-    layout raises DomainError before anything is written. A unit gate (weight
-    1, focus 0: ``nll``) gives P - onehot unscaled, the same bits, and ignores
-    ``focus``.
+    The target entries are read once and written through their flat positions
+    (``_positions(probs, labels)``, or ``positions`` when the caller holds
+    them), which address the caller's array only when it is C-contiguous: any
+    other layout raises DomainError before anything is written. A unit gate
+    (weight 1, focus 0: ``nll``) gives P - onehot unscaled, the same bits, and
+    ignores ``focus``.
     """
     if not probs.flags.c_contiguous:
         raise DomainError("gate_error_into writes through flat positions and needs a C-contiguous stack")
-    flat, positions = probs.ravel(), _positions(probs, labels)
+    flat = probs.ravel()
+    if positions is None:
+        positions = _positions(probs, labels)
     if _RULES[kind.name] == (_unit, _zero):
         flat[positions] -= 1.0
         return probs

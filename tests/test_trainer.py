@@ -138,8 +138,21 @@ class TestBuildTask:
             label_probs(intermediate.model, intermediate.clean_labels).mean()
         )
         weak = build_task(RegimeSpec(regime="weak"), 7)
-        assert weak.pretrain_steps == 0
+        assert weak.pretrain_steps == weak.pretrain_chunks == 0
         assert weak.pretrain_mean_p == float(label_probs(weak.model, weak.clean_labels).mean())
+        # a table of one block takes one step per chunk
+        assert strong.pretrain_chunks == strong.pretrain_steps
+        assert intermediate.pretrain_chunks == intermediate.pretrain_steps
+
+    def test_pretraining_chunks_on_many_blocks(self, monkeypatch):
+        """On 4 blocks the strong build's 54 steps come in chunks of 16, 16, 11, 6, 3, 1 and 1."""
+        admitted = []
+        bound = trainer._nll_bound_steps
+        monkeypatch.setattr(trainer, "_nll_bound_steps", lambda *args: admitted.append(bound(*args)) or admitted[-1])
+        task = build_task(_build_spec("strong"), 1)
+        assert len(trainer._row_blocks(*task.model.logit_table.shape)) == 4
+        assert admitted == [16, 16, 11, 6, 3, 1, 1]
+        assert (task.pretrain_steps, task.pretrain_chunks) == (54, 7)
 
     @pytest.mark.parametrize("regime", ["strong", "intermediate"])
     def test_pretraining_budget_covers_its_last_update(self, regime, monkeypatch):
@@ -771,6 +784,161 @@ def test_static_focus_is_filled_once_and_never_refreshed(kind, batch_size, monke
     blocks = task.model.num_contexts // 32
     assert len(calls) == blocks * 3
     assert set(calls) == {32}
+
+
+@pytest.mark.parametrize("steps", [1, 40])
+def test_full_batch_takes_target_positions_once_per_block(steps, monkeypatch):
+    """A full batch's blocks and labels never change: their positions are taken once, however many steps run.
+
+    ``linear`` reads no positions in its focus, so the calls are the loop's
+    one for the table, one per block, and one per block in each of the two
+    frozen-loss readings. Its static focus is averaged once.
+    """
+    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 32)
+    task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.25), 4)
+    calls, means = [], []
+    positions, mean = objectives._positions, trainer._mean
+    counted = lambda probs, labels: calls.append(probs.shape[0]) or positions(probs, labels)  # noqa: E731
+    monkeypatch.setattr(objectives, "_positions", counted)
+    monkeypatch.setattr(trainer, "_positions", counted)
+    monkeypatch.setattr(trainer, "_mean", lambda values: means.append(values.size) or mean(values))
+    record = finetune(task.model, task.labels, TrainConfig(objective=LINEAR, steps=steps, seed=0))
+    blocks = task.model.num_contexts // 32
+    assert len(calls) == 1 + 3 * blocks
+    # one mean label probability per state and the static focus once
+    assert len(means) == steps + 2
+    assert record.mean_alpha == [1.0] * steps
+
+
+def _poison_blocks(monkeypatch, at):
+    """Make the update of the block starting at row r non-finite at step s, for each (r, s) in ``at``.
+
+    A block's first row is read from the offset of its label view; its step
+    is the number of updates it has taken before.
+    """
+    kernel, taken = trainer.gate_error_into, {}
+
+    def poisoned(kind, probs, labels, focus, positions=None):
+        out = kernel(kind, probs, labels, focus, positions)
+        first_row = (labels.ctypes.data - labels.base.ctypes.data) // labels.itemsize
+        taken[first_row] = step = taken.get(first_row, -1) + 1
+        if (first_row, step) in at:
+            out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(trainer, "gate_error_into", poisoned)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_non_finite_update_raises_at_the_lowest_step_of_any_block(workers, monkeypatch):
+    """A late block failing at an earlier step than an early block: the step-major step, on any worker count.
+
+    Block 0 takes its chunk first and fails at step 5; block 7 fails at
+    step 2, which a step-major loop meets first.
+    """
+    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 32)
+    monkeypatch.setattr(trainer, "BLOCK_WORKERS", workers)
+    task = build_task(RegimeSpec(regime="strong"), 4)
+    _poison_blocks(monkeypatch, {(0, 5), (7 * 32, 2)})
+    with pytest.raises(TrainingError, match="^non-finite logits after update at step 2$"):
+        finetune(task.model, task.labels, TrainConfig(objective=LINEAR, steps=10, seed=0))
+    monkeypatch.setattr(trainer, "_CHUNK_STEPS", 1)
+    _poison_blocks(monkeypatch, {(0, 5), (7 * 32, 2)})
+    with pytest.raises(TrainingError, match="^non-finite logits after update at step 2$"):
+        finetune(task.model, task.labels, TrainConfig(objective=LINEAR, steps=10, seed=0))
+
+
+def test_a_bound_that_admits_the_bar_inside_a_chunk_raises(monkeypatch):
+    """A chunk whose inner mean reaches the bar would overshoot the stop: it is refused, never replayed."""
+    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 32)
+    monkeypatch.setattr(trainer, "_nll_bound_steps", lambda target_p, lr, bar, most: most)
+    spec = RegimeSpec(regime="intermediate")
+    with pytest.raises(BuildError, match=r"^pretraining reached mean target probability 0\.35 at step 7, "
+                       r"inside a chunk of 16 steps that the NLL bound admitted$"):
+        build_task(spec, 0)
+
+
+def _outcome(spec, seed, cfg, clean):
+    """Everything a build and a run produce, or the error they raise, as comparable values."""
+    try:
+        task = build_task(spec, seed)
+        record = finetune(task.model, task.labels, cfg, clean_labels=task.clean_labels if clean else None)
+    except (BuildError, TrainingError) as exc:
+        return type(exc).__name__, str(exc)
+    arrays = [record.final_table, *dataclasses.astuple(record.deltas)]
+    return (
+        _task_digest(task), task.pretrain_steps, task.pretrain_mean_p,
+        json.dumps(record.to_dict()), [array.tobytes() for array in arrays],
+    )
+
+
+@st.composite
+def chunk_cases(draw):
+    """Small tables cut into blocks of 2-8 rows, any member, both pretraining bars, 1-3 workers, some poisoned."""
+    regime = draw(st.sampled_from(["strong", "intermediate"]))
+    policy = "confident_only" if regime == "strong" else "uniform"
+    spec = RegimeSpec(regime, draw(st.integers(8, 40)), draw(st.integers(64, 128)), 0.25, policy)
+    cfg = TrainConfig(
+        objective=draw(st.sampled_from(MEMBERS)), steps=draw(st.integers(0, 36)),
+        batch_size=draw(st.sampled_from([None, 17, 64])), seed=draw(st.integers(0, 99)),
+    )
+    return spec, cfg, {
+        "block_rows": draw(st.integers(2, 8)), "workers": draw(st.integers(1, 3)),
+        "poison": draw(st.sampled_from([None, 0.5, 0.9, 0.99])), "clean": draw(st.booleans()),
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=chunk_cases())
+def test_chunked_loop_matches_one_step_chunks(case):
+    """Chunks of _CHUNK_STEPS give the bytes, traces, pretraining steps and errors of one-step chunks.
+
+    A poisoned case makes a row's update non-finite once its label
+    probability passes the drawn level, in pretraining or fine-tuning.
+    """
+    spec, cfg, draw = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "_BLOCK_ENTRIES", draw["block_rows"] * spec.vocab_size)
+        patch.setattr(trainer, "BLOCK_WORKERS", draw["workers"])
+        if draw["poison"] is not None:
+            kernel = trainer.gate_error_into
+
+            def poisoned(kind, probs, labels, focus, positions=None):
+                passed = probs[np.arange(labels.size), labels] > draw["poison"]
+                out = kernel(kind, probs, labels, focus, positions)
+                out[passed] = np.nan
+                return out
+
+            patch.setattr(trainer, "gate_error_into", poisoned)
+        chunked = _outcome(spec, 5, cfg, draw["clean"])
+        patch.setattr(trainer, "_CHUNK_STEPS", 1)
+        assert _outcome(spec, 5, cfg, draw["clean"]) == chunked
+
+
+@st.composite
+def bound_cases(draw):
+    """Rows whose mass sits on the label and a few rivals (where the bound is tightest), and a bar at a real state."""
+    vocab = draw(st.integers(2, 6))
+    table = draw(hnp.arrays(np.float64, (draw(st.integers(1, 24)), vocab), elements=st.floats(-30.0, 30.0)))
+    labels = draw(hnp.arrays(np.int64, table.shape[:1], elements=st.integers(0, vocab - 1)))
+    return table, labels, draw(st.integers(1, 15)), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=bound_cases())
+def test_nll_bound_never_admits_the_bar_inside_a_chunk(case):
+    """Set the bar at the mean of real state j (or one ulp above it): the bound admits no chunk with j inside."""
+    table, labels, j, above = case
+    lr, most = trainer._PRETRAIN_LEARNING_RATE, 16
+    record = finetune(ToyModel(table), labels, TrainConfig(objective=NLL, learning_rate=lr, steps=most, seed=0))
+    means = record.mean_target_p
+    bar = np.nextafter(means[j], np.inf) if above else means[j]
+    if means[0] >= bar:
+        return  # pretraining would not start
+    start = softmax(table)[np.arange(labels.size), labels]
+    length = trainer._nll_bound_steps(start, lr, bar, most)
+    assert 1 <= length <= most
+    assert all(mean < bar for mean in means[1:length])
 
 
 @pytest.mark.parametrize(
