@@ -101,19 +101,20 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
     return 0
 
 
-_TRAIN_SCHEMA = {
-    "regime": str,
-    "vocab_size": int,
-    "num_contexts": int,
-    "conflict_fraction": (int, float),
-    "conflict_policy": str,
-    "objective": str,
-    "learning_rate": (int, float),
-    "steps": int,
-    "batch_size": (int, type(None)),
-    "seed": int,
-    "task_seed": int,
+# The JSON types a config field accepts, by the annotation of its dataclass field.
+_JSON_TYPES = {
+    "str": str,
+    "int": int,
+    "float": (int, float),
+    "int | None": (int, type(None)),
+    "ObjectiveKind": str,  # its text encoding
 }
+
+_TRAIN_SCHEMA = {
+    field.name: _JSON_TYPES[field.type]
+    for cls in (RegimeSpec, TrainConfig)
+    for field in dataclasses.fields(cls)
+} | {"task_seed": int}
 
 
 def _load_train_config(path: str, args: argparse.Namespace) -> dict:
@@ -131,13 +132,12 @@ def _load_train_config(path: str, args: argparse.Namespace) -> dict:
             raise ConfigError(f"unknown config field {key!r}")
         if not isinstance(value, _TRAIN_SCHEMA[key]) or isinstance(value, bool):
             raise ConfigError(f"config field {key!r} has invalid type {type(value).__name__}")
-        if key in ("seed", "task_seed") and value < 0:
-            raise ConfigError(f"config field {key!r} must be a non-negative integer, got {value}")
-    # flags take precedence over config fields
-    for flag in ("objective", "steps", "seed", "learning_rate"):
-        value = getattr(args, flag)
-        if value is not None:
-            raw[flag] = value
+    if raw.get("task_seed", 0) < 0:
+        raise ConfigError(f"config field 'task_seed' must be a non-negative integer, got {raw['task_seed']}")
+    # flags take precedence over config fields; the dataclasses check every field after this
+    for key, value in vars(args).items():
+        if key in _TRAIN_SCHEMA and value is not None:
+            raw[key] = value
     return raw
 
 
@@ -148,12 +148,9 @@ def _fields_set(cfg: dict, cls) -> dict:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_train_config(args.config, args)
-    try:
-        spec = RegimeSpec(**_fields_set(cfg, RegimeSpec))
-        objective = ObjectiveKind.parse(cfg.get("objective", "nll"))
-        train_cfg = TrainConfig(**{**_fields_set(cfg, TrainConfig), "objective": objective})
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = RegimeSpec(**_fields_set(cfg, RegimeSpec))
+    objective = ObjectiveKind.parse(cfg.get("objective", "nll"))
+    train_cfg = TrainConfig(**{**_fields_set(cfg, TrainConfig), "objective": objective})
     check_target(args.out)  # before the run, not after it
     started = time.perf_counter()
     task = build_task(spec, cfg.get("task_seed", train_cfg.seed))

@@ -22,6 +22,7 @@ import contextvars
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -171,8 +172,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise DomainError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # compared, not converted to float: an int too large for a float is refused, not an OverflowError
+        if not 0.0 < self.learning_rate <= sys.float_info.max:
+            raise DomainError(f"learning_rate must lie in (0, {sys.float_info.max!r}], got {self.learning_rate}")
         if not 0 <= self.steps <= MAX_TRAIN_STEPS:
             raise DomainError(f"steps must lie in [0, {MAX_TRAIN_STEPS}], got {self.steps}")
         if self.batch_size is not None and self.batch_size < 1:

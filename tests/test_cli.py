@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, exit codes, artifacts."""
 
+import dataclasses
 import json
 import os
 import random
@@ -279,13 +280,85 @@ class TestTrain:
         assert code == 2
         assert "usage:" in err
 
-    def test_negative_config_seed_exits_two(self, tmp_path, capsys):
-        config = self._config(tmp_path, task_seed=-1)
-        code, _, err = run_cli(
-            capsys, "train", "--config", str(config), "--out", str(tmp_path / "o.json")
-        )
-        assert code == 2
-        assert "task_seed" in err
+    @pytest.mark.parametrize("field", ["seed", "task_seed"])
+    def test_negative_config_seed_exits_two(self, field, tmp_path, capsys):
+        """A negative seed is refused by TrainConfig, a negative task_seed by the CLI."""
+        message = {
+            "seed": "seed must be >= 0, got -1",
+            "task_seed": "config field 'task_seed' must be a non-negative integer, got -1",
+        }[field]
+        config = self._config(tmp_path, **{field: -1})
+        out_path = tmp_path / "o.json"
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+        assert not out_path.exists()
+
+    def test_flag_overrides_a_bad_config_field(self, tmp_path, capsys):
+        """Every field is checked after the flags override it, so a flag can replace a bad config value."""
+        config = self._config(tmp_path, seed=-1)
+        out_path = tmp_path / "run.json"
+        code, _, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path), "--seed", "3")
+        assert code == 0 and err == ""
+        assert json.loads(out_path.read_text())["config"]["seed"] == 3
+
+    def test_oversized_integer_learning_rate_exits_two(self, tmp_path, capsys):
+        """An int too large for a float is refused in one error line, not a traceback."""
+        config = self._config(tmp_path, learning_rate=10**400)
+        out_path = tmp_path / "o.json"
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: learning_rate must lie in (0, 1.7976931348623157e+308], got 1000")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
+    def test_config_at_the_defaults_matches_an_empty_config(self, tmp_path, capsys):
+        """Spelling out every field at the value the CLI defaults to moves no byte of stdout or the artifact."""
+        defaults = {
+            field.name: field.default
+            for cls in (RegimeSpec, trainer.TrainConfig)
+            for field in dataclasses.fields(cls)
+            if field.default is not dataclasses.MISSING
+        }
+        spelled_out = defaults | {"objective": "nll", "task_seed": defaults["seed"]}
+        assert set(spelled_out) == set(cli._TRAIN_SCHEMA)
+        config, out_path = tmp_path / "config.json", tmp_path / "run.json"
+        runs = []
+        for body in ({}, spelled_out):
+            config.write_text(json.dumps(body))
+            code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path))
+            assert code == 0 and err == ""
+            runs.append((out, out_path.read_bytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("name", [name for name, types in cli._TRAIN_SCHEMA.items() if isinstance(0.5, types)])
+    def test_float_field_accepts_an_int(self, name, tmp_path, capsys):
+        """An int in a float field is taken as written, and the artifact records it as an int."""
+        value = next(v for v in _CONFIG_FIELDS[name][0] if type(v) is int)
+        config = self._config(tmp_path, **{name: value})
+        out_path = tmp_path / "run.json"
+        code, _, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path))
+        assert code == 0 and err == ""
+        recorded = json.loads(out_path.read_text())["config"]
+        assert type(recorded.get(name, value)) is int
+
+    @pytest.mark.parametrize(
+        "name",
+        [name for name, types in cli._TRAIN_SCHEMA.items() if isinstance(1, types) and not isinstance(0.5, types)],
+    )
+    def test_int_field_refuses_a_float(self, name, tmp_path, capsys):
+        value = float(next(v for v in _CONFIG_FIELDS[name][0] if type(v) is int))
+        config = self._config(tmp_path, **{name: value})
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o.json"))
+        assert code == 2 and out == ""
+        assert err == f"error: config field {name!r} has invalid type float\n"
+
+    @pytest.mark.parametrize("name", list(cli._TRAIN_SCHEMA))
+    def test_every_field_refuses_true(self, name, tmp_path, capsys):
+        config = self._config(tmp_path, **{name: True})
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o.json"))
+        assert code == 2 and out == ""
+        assert err == f"error: config field {name!r} has invalid type bool\n"
 
     def test_impossible_conflict_spec_exits_two(self, tmp_path, capsys):
         """Confident-only conflicts on a weak prior are a config error, caught before any work."""
@@ -559,13 +632,20 @@ _CONFIG_FIELDS = {
     "conflict_fraction": ([0, 0.25], [1.0, -0.1, float("nan"), "x"]),
     "conflict_policy": (["confident_only", "uniform"], ["nope"]),
     "objective": _OBJECTIVES,
-    "learning_rate": ([0.5, 10], [0, -1.0, 1e308, float("nan"), float("inf")]),
+    "learning_rate": ([0.5, 10], [0, -1.0, 1e308, 10**400, float("nan"), float("inf")]),
     "steps": ([0, 2, 3], [-1, 2.5]),
     "batch_size": ([None, 1, 16, 1000], [0, -4]),
     "seed": ([0, 5, 2**40], [-1]),
     "task_seed": ([0, 9], [-2]),
     "warmup": ([], [1]),
 }
+
+
+def test_fuzz_pools_cover_the_train_schema():
+    """Every config field has a fuzz pool, so a new dataclass field cannot go unfuzzed."""
+    assert set(_CONFIG_FIELDS) - {"warmup"} == set(cli._TRAIN_SCHEMA)
+
+
 _FLAG_VALUES = {
     "verify": {"--seed": ([], ["-1", "x", "", "1.5", "1e3", "--seed"])},
     "landscape": {

@@ -241,6 +241,11 @@ class TestFinetune:
         with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
             TrainConfig(objective=NLL, seed=-1)
 
+    def test_learning_rate_too_large_for_a_float_rejected(self):
+        """An int beyond the largest float is refused with DomainError rather than raising OverflowError."""
+        with pytest.raises(DomainError, match=r"^learning_rate must lie in \(0, 1\.7976931348623157e\+308\], got 1000"):
+            TrainConfig(objective=NLL, learning_rate=10**400)
+
     def test_zero_context_table_rejected(self):
         with pytest.raises(DomainError, match="contexts >= 1"):
             ToyModel(np.zeros((0, 8)))
