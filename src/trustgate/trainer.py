@@ -338,8 +338,9 @@ def _descend(
     A generator of chunks of steps. It first yields the start state; sent a
     number of steps, it takes them and yields the states they reach. Each
     yield is ``(mean_p, mean_alpha, target_p)``: the mean label probability
-    and the mean focus of each state, as lists, and every row's label
-    probability at the last state.
+    and the mean focus of each state, as lists (a static member's constant
+    focus as it is, not summed), and every row's label probability at the
+    last state.
 
     A step forms ``lr * gate * (P - onehot)`` over each part of its ``batch``
     rows (the table's blocks, or the cuts of a shuffle by ``rng``) through
@@ -359,7 +360,7 @@ def _descend(
     flat, positions = probs.ravel(), _positions(probs, labels)
     focus = _by_blocks(focus_per_row, kind, probs, labels)
     full_batch, dynamic = batch == rows, kind.is_dynamic
-    static_alpha = None if dynamic else _mean(focus)
+    static_alpha = None if dynamic else float(focus[0])
     # a full batch takes the table's blocks, a minibatch the same cuts of its members
     blocks = _row_blocks(batch, table.shape[1])
     if full_batch:

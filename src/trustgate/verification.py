@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -84,7 +85,9 @@ class PropertyReport:
     """Outcome of one numerical property check.
 
     ``passed`` holds exactly when ``max_error`` is within the tolerance the
-    check was configured with (recorded in ``detail``).
+    check was configured with (recorded in ``detail``). A NaN or infinite
+    error is named in ``detail`` and recorded as the largest finite float, so
+    it fails and the JSON stays strict.
     """
 
     name: str
@@ -101,9 +104,24 @@ def reports_to_json(reports: Sequence[PropertyReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
+def _worst(*errors) -> float:
+    """The largest entry of ``errors``, arrays or numbers; NaN if any entry is NaN.
+
+    Every report combines its errors here: Python's ``max`` keeps its current
+    value when the next one is NaN, so it would pass a NaN error. The errors
+    are flattened into one array and reduced once. An empty array adds
+    nothing; a report with a floor passes it as one more error.
+    """
+    return float(np.concatenate(errors, axis=None).max(initial=-math.inf))
+
+
 def _report(name: str, max_error: float, tol: float, detail: str = "") -> PropertyReport:
-    text = f"tol={tol:g}" if not detail else f"{detail} tol={tol:g}"
-    return PropertyReport(name=name, passed=bool(max_error <= tol), max_error=float(max_error), detail=text)
+    max_error, parts = float(max_error), [detail] if detail else []
+    if not math.isfinite(max_error):
+        parts.append(f"max_error={max_error:g}")
+        max_error = sys.float_info.max
+    parts.append(f"tol={tol:g}")
+    return PropertyReport(name=name, passed=max_error <= tol, max_error=max_error, detail=" ".join(parts))
 
 
 def _check_rule(rule: str) -> str:
@@ -382,10 +400,10 @@ def gradient_flow_ordering(regime: str, pair: tuple[ObjectiveKind, ObjectiveKind
     expected = 0 if abs(gate_gap) < 1e-15 else regime_sign * (1 if gate_gap > 0 else -1)
     observed = 0 if abs(delta_formula) < 1e-15 else (1 if delta_formula > 0 else -1)
 
-    max_error = route_error if observed == expected else max(route_error, 1.0)
+    # a wrong sign is one more error, of 1.0
     return _report(
         f"risk-flow-{regime}-{first.encode()}-vs-{second.encode()}",
-        max_error,
+        _worst(route_error, float(observed != expected)),
         1e-9,
         detail=(
             f"regime={regime} pair=({first.encode()},{second.encode()}) "
@@ -452,84 +470,73 @@ def surprisal_linearization_residual(kappa: float) -> float:
 
 def _suite_qlog_reports() -> list[PropertyReport]:
     xs = np.linspace(0.1, 10.0, 100)
-    worst_limit = max(float(np.abs(q_log(xs, q) - np.log(xs)).max()) for q in (1.0 - 1e-7, 1.0 + 1e-7))
-    reports = [_report("qlog-limit-at-one", worst_limit, 1e-5)]
+    limit = (np.abs(q_log(xs, q) - np.log(xs)) for q in (1.0 - 1e-7, 1.0 + 1e-7))
+    reports = [_report("qlog-limit-at-one", _worst(*limit), 1e-5)]
 
-    worst_slope = 0.0
     h = 1e-6
     xs = np.linspace(0.2, 5.0, 25)
+    slope = []
     for q in (-0.5, 0.0, 0.3, 0.7, 1.5, 2.0):
         fd = (q_log(xs + h, q) - q_log(xs - h, q)) / (2.0 * h)
         exact = xs ** (-q)
-        worst_slope = max(worst_slope, float((np.abs(fd - exact) / np.abs(exact)).max()))
-    reports.append(_report("qlog-derivative", worst_slope, 1e-6))
+        slope.append(np.abs(fd - exact) / np.abs(exact))
+    reports.append(_report("qlog-derivative", _worst(*slope), 1e-6))
     return reports
 
 
 def _suite_deformed_loss_report() -> PropertyReport:
     ps = np.linspace(1e-6, 1.0, 400)
-    worst = max(  # must be nonincreasing
-        float(np.diff(deformed_loss(ps, alpha)).max()) for alpha in (0.0, 1e-9, 0.25, 0.5, 1.0, 2.0)
-    )
+    rises = (np.diff(deformed_loss(ps, alpha)) for alpha in (0.0, 1e-9, 0.25, 0.5, 1.0, 2.0))  # must be <= 0
     # L_a(p) = -log p - a log^2 p / 2 + a^2 |log p|^3 / 6 + ...: past the second
     # order the gap is at most 1.7e-13 here, so a log-loss switch would show
     p = np.array([0.01, 0.3, 0.9])
     a = np.array([[1e-9], [1e-7]])
-    continuity = float(np.abs(deformed_loss(p, a) + np.log(p) + a * np.log(p) ** 2 / 2.0).max())
-    return _report(
-        "deformed-loss-monotone-and-continuous-at-zero", max(worst, continuity), 1e-12
-    )
+    continuity = np.abs(deformed_loss(p, a) + np.log(p) + a * np.log(p) ** 2 / 2.0)
+    return _report("deformed-loss-monotone-and-continuous-at-zero", _worst(*rises, continuity), 1e-12)
 
 
 def _suite_concentration_reports(rng: np.random.Generator) -> list[PropertyReport]:
-    worst_range = 0.0
-    worst_renyi = 0.0
+    out_of_range, renyi = [], []
     for dists, _ in _draw_by_size(rng, 10_000, 2, 65, _random_dist, target=False):
         c = concentration(dists)
-        size = dists.shape[1]
-        worst_range = max(worst_range, float((1.0 / size - c).max()), float((c - 1.0).max()))
+        out_of_range += [1.0 / dists.shape[1] - c, c - 1.0]
         # exp(-H2) with H2 = -log c
-        worst_renyi = max(worst_renyi, float(np.abs(c - np.exp(np.log(c))).max()))
+        renyi.append(np.abs(c - np.exp(np.log(c))))
     for size in (2, 7, 33):
         uniform = np.full(size, 1.0 / size)
-        worst_range = max(worst_range, abs(concentration(uniform) - 1.0 / size))
         onehot = np.zeros(size)
         onehot[0] = 1.0
-        worst_range = max(worst_range, abs(concentration(onehot) - 1.0))
+        out_of_range += [abs(concentration(uniform) - 1.0 / size), abs(concentration(onehot) - 1.0)]
     return [
-        _report("concentration-range", worst_range, 1e-12),
-        _report("concentration-equals-collision-exponential", worst_renyi, 1e-12),
+        _report("concentration-range", _worst(*out_of_range, 0.0), 1e-12),
+        _report("concentration-equals-collision-exponential", _worst(*renyi), 1e-12),
     ]
 
 
 def _suite_mobius_reports(cayley_kappa: float) -> list[PropertyReport]:
     zs = np.linspace(0.0, 1.0, 257)
-    worst_inv = max(
-        float(np.abs(mobius_alpha(mobius_alpha(zs, kappa), kappa) - zs).max())
-        for kappa in (0.0, 0.5, 1.0, 2.0)
-    )
-    reports = [_report("mobius-involution", worst_inv, 1e-12)]
+    involution = (np.abs(mobius_alpha(mobius_alpha(zs, kappa), kappa) - zs) for kappa in (0.0, 0.5, 1.0, 2.0))
+    reports = [_report("mobius-involution", _worst(*involution), 1e-12)]
 
     ps = np.concatenate([np.logspace(-6, -0.01, 300), np.linspace(0.01, 0.999, 300)])
-    worst_arc = float(np.abs(np.arctanh(cayley_alpha(ps)) - (-0.25 * np.log1p(-ps))).max())
-    reports.append(_report("cayley-arctanh-identity", worst_arc, 1e-9))
+    arc = np.abs(np.arctanh(cayley_alpha(ps)) - (-0.25 * np.log1p(-ps)))
+    reports.append(_report("cayley-arctanh-identity", _worst(arc), 1e-9))
 
     # leading-order expansions: (p/4 + O(p^2)) at the open end with constant
     # <= 1, (1 - 2 sqrt(1-p) + O(1-p)) at the sharp end with constant <= 2
     low = np.logspace(-8, -3, 50)
-    worst_low = float((np.abs(cayley_alpha(low) - low / 4.0) / low**2).max())
+    low_gap = np.abs(cayley_alpha(low) - low / 4.0) / low**2
     high = 1.0 - np.logspace(-8, math.log10(1e-3), 50)
-    worst_high = float((np.abs(cayley_alpha(high) - (1.0 - 2.0 * np.sqrt(1.0 - high))) / (1.0 - high)).max())
-    reports.append(_report("cayley-asymptotics", max(worst_low, worst_high / 2.0), 1.0))
+    high_gap = np.abs(cayley_alpha(high) - (1.0 - 2.0 * np.sqrt(1.0 - high))) / (1.0 - high)
+    reports.append(_report("cayley-asymptotics", _worst(low_gap, high_gap / 2.0), 1.0))
 
     selected = surprisal_linearization_residual(cayley_kappa)
-    rejected = min(surprisal_linearization_residual(k) for k in (0.0, 2.0) if abs(k - cayley_kappa) > 1e-12)
-    # the selected map must linearize; the rejected kappas must visibly fail
-    max_error = selected if rejected > 1e-6 else max(selected, 1.0)
+    rejected = np.min([surprisal_linearization_residual(k) for k in (0.0, 2.0) if abs(k - cayley_kappa) > 1e-12])
+    # the selected map must linearize; a rejected kappa that does not visibly fail is an error of 1.0
     reports.append(
         _report(
             "cayley-surprisal-linearization",
-            max_error,
+            _worst(selected, float(not rejected > 1e-6)),
             1e-10,
             detail=f"kappa={cayley_kappa:g} residual={selected:.3e} alt_residual={rejected:.3e}",
         )
@@ -539,12 +546,12 @@ def _suite_mobius_reports(cayley_kappa: float) -> list[PropertyReport]:
 
 def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list[PropertyReport]:
     kinds = default_kinds()
-    worst_sum = 0.0
-    for logits, targets in _draw_by_size(rng, 1000, 2, 33, _random_logits):
-        for kind in kinds:
-            sums = np.abs(logit_gradient(kind, logits, targets).sum(axis=1))
-            worst_sum = max(worst_sum, float(sums.max()))
-    reports = [_report("gradient-sum-zero", worst_sum, 1e-12)]
+    sums = [
+        np.abs(logit_gradient(kind, logits, targets).sum(axis=1))
+        for logits, targets in _draw_by_size(rng, 1000, 2, 33, _random_logits)
+        for kind in kinds
+    ]
+    reports = [_report("gradient-sum-zero", _worst(*sums), 1e-12)]
 
     # fd_gradient differences the frozen loss without its constant term, so its
     # rounding error stays a relative ~eps / 2h even where p, and with it the
@@ -553,30 +560,29 @@ def _suite_gradient_reports(rng: np.random.Generator, fd_rel_tol: float) -> list
     static = [kind for kind in kinds + [fixed_alpha(1.0)] if kind.reads == Reads.NOTHING]
     dynamic = [kind for kind in kinds + [fixed_alpha(1.0)] if kind.reads > Reads.NOTHING]
     for label, group in (("static", static), ("dynamic", dynamic)):
-        worst = 0.0
+        errors = []
         for logits, targets in _draw_by_size(rng, 200, 2, 33, _random_logits):
             P0, nudged = softmax(logits), _nudged_target_probs(logits, targets)
             for kind in group:
                 analytic = logit_gradient(kind, logits, targets)
                 numeric = _fd_difference(kind, P0, targets, *nudged)
                 scale = np.maximum(np.abs(analytic).max(axis=1), 1e-300)
-                worst = max(worst, float((np.abs(analytic - numeric).max(axis=1) / scale).max()))
-        reports.append(_report(f"fd-gradient-{label}", worst, fd_rel_tol))
+                errors.append(np.abs(analytic - numeric).max(axis=1) / scale)
+        reports.append(_report(f"fd-gradient-{label}", _worst(*errors), fd_rel_tol))
     return reports
 
 
 def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
-    worst_order = 0.0
+    order = []
     for dists, targets in _draw_by_size(rng, 2000, 2, 33, _random_dist):
         lin, dft, nll = (gate(kind, dists, targets).gate for kind in (LINEAR, DEFT, NLL))
-        worst_order = max(worst_order, float((lin - dft).max()), float((dft - nll).max()))
-    reports = [_report("gate-ordering-linear-deft-nll", worst_order, 1e-12)]
+        order += [lin - dft, dft - nll]
+    reports = [_report("gate-ordering-linear-deft-nll", _worst(*order, 0.0), 1e-12)]
 
     ps = np.linspace(0.01, 0.99, 60)
     alphas = np.linspace(0.0, 3.0, 40)
     gates = ps[None, :] ** alphas[:, None]
-    worst_mono = float(np.max(np.diff(gates, axis=0)))
-    reports.append(_report("gate-monotone-in-alpha", worst_mono, 1e-15))
+    reports.append(_report("gate-monotone-in-alpha", _worst(np.diff(gates, axis=0)), 1e-15))
 
     # confidently misaligned states, one per row: a non-target spike holds mass 0.9
     spike = 0.9
@@ -588,13 +594,10 @@ def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
     dists[:, 1] = spike
     signal = gate(DEFT, dists, np.zeros(p.size, dtype=np.intp)).signal
     bound = p ** ((1.0 - 0.1) ** 2) * (1.0 - p)
-    worst_conflict = float((signal - bound).max())
     cayley_floor = 0.999 - gate(CAYLEY, np.array([1e-6, 1.0 - 1e-6]), 0).signal
-    reports.append(
-        _report("conflict-suppression", max(worst_conflict, cayley_floor, 0.0), 1e-12)
-    )
+    reports.append(_report("conflict-suppression", _worst(signal - bound, cayley_floor, 0.0), 1e-12))
 
-    worst_decomp = 0.0
+    decomposition = []
     for dists, targets in _draw_by_size(rng, 10_000, 2, 65, _random_dist):
         dists = validate_dist(dists)
         size = dists.shape[1]
@@ -608,28 +611,21 @@ def _suite_gate_reports(rng: np.random.Generator) -> list[PropertyReport]:
         identity_gap = np.abs(a - (p2 + q2 * (tail * tail).sum(axis=1)))
         lower = p2 + q2 / (size - 1)
         upper = p2 + q2
-        if a.size:
-            worst_decomp = max(
-                worst_decomp,
-                float(identity_gap.max()),
-                float((lower - a).max()),
-                float((a - upper).max()),
-            )
-    reports.append(_report("focus-decomposition-bounds", worst_decomp, 1e-12))
+        decomposition += [identity_gap, lower - a, a - upper]
+    reports.append(_report("focus-decomposition-bounds", _worst(*decomposition, 0.0), 1e-12))
     return reports
 
 
 def _suite_jacobian_report(rng: np.random.Generator) -> PropertyReport:
-    worst = 0.0
+    gaps = []
     for logits, targets in _draw_by_size(rng, 200, 2, 17, _random_logits):
         P0 = softmax(logits)
         # row ``target`` of each Jacobian: P_t * (delta_tj - P_j)
         jac = softmax_jacobian(logits)[np.arange(targets.size), targets]
         for kind in default_kinds():
             chain = _frozen_loss_derivative(kind, P0, targets)[:, None] * jac
-            analytic = logit_gradient(kind, logits, targets)
-            worst = max(worst, float(np.abs(analytic - chain).max()))
-    return _report("jacobian-chain-consistency", worst, 1e-10)
+            gaps.append(np.abs(logit_gradient(kind, logits, targets) - chain))
+    return _report("jacobian-chain-consistency", _worst(*gaps), 1e-10)
 
 
 def _suite_duality_reports(rng: np.random.Generator) -> list[PropertyReport]:
@@ -637,19 +633,18 @@ def _suite_duality_reports(rng: np.random.Generator) -> list[PropertyReport]:
     # <= 1 both rules give a convex risk in q (q^a is concave, q^(1+a) convex), so restarts cannot do better
     truths = [_random_dist(rng, 2 + index % 2) for index in range(50)]
     orders = (0.25, 0.5, 1.0)
-    worst_risk = 0.0
-    worst_min = 0.0
+    risk_gaps, minimizer_gaps = [], []
     for size in (2, 3):
         rs = np.array(truths[size - 2 :: 2])
         stacked = np.tile(rs, (len(orders), 1))
         starts = np.full((len(stacked), 1, size), 1.0 / size)
         minimizers, risks = _descend(starts, stacked, np.repeat(orders, len(rs)), RULE_PROPER)
         entropy = np.concatenate([tsallis_entropy(rs, 1.0 + alpha) for alpha in orders])
-        worst_risk = max(worst_risk, float(np.abs(risks[:, 0] - entropy).max()))
-        worst_min = max(worst_min, float(np.abs(minimizers[:, 0] - stacked).max()))
+        risk_gaps.append(np.abs(risks[:, 0] - entropy))
+        minimizer_gaps.append(np.abs(minimizers[:, 0] - stacked))
     reports = [
-        _report("duality-proper-risk", worst_risk, 1e-12),
-        _report("duality-proper-minimizer", worst_min, 1e-6),
+        _report("duality-proper-risk", _worst(*risk_gaps), 1e-12),
+        _report("duality-proper-minimizer", _worst(*minimizer_gaps), 1e-6),
     ]
 
     r = np.array([0.8, 0.2])
@@ -660,7 +655,7 @@ def _suite_duality_reports(rng: np.random.Generator) -> list[PropertyReport]:
     reports.append(
         _report(
             "main-rule-escort-shift",
-            max(0.0, 0.05 - distance),
+            _worst(0.05 - distance, 0.0),
             0.0,
             detail=f"minimizer={minimizer.round(6).tolist()} distance={distance:.4f}",
         )
@@ -669,24 +664,22 @@ def _suite_duality_reports(rng: np.random.Generator) -> list[PropertyReport]:
 
 
 def _suite_index_relation_report(rng: np.random.Generator) -> PropertyReport:
-    worst = 0.0
+    gaps = []
     ps = np.linspace(0.01, 1.0, 50)
     for alpha in (0.25, 0.5, 1.0):
-        worst = max(worst, float(np.abs(deformed_loss(ps, alpha) - (-q_log(ps, 1.0 - alpha))).max()))
+        gaps.append(np.abs(deformed_loss(ps, alpha) - (-q_log(ps, 1.0 - alpha))))
         for rs, _ in _draw_by_size(rng, 20, 2, 6, _random_dist, target=False):
-            gap = expected_score(rs, rs, alpha, RULE_PROPER) - tsallis_entropy(rs, 1.0 + alpha)
-            worst = max(worst, float(np.abs(gap).max()))
-    return _report("loss-entropy-index-relation", worst, 1e-12)
+            gaps.append(np.abs(expected_score(rs, rs, alpha, RULE_PROPER) - tsallis_entropy(rs, 1.0 + alpha)))
+    return _report("loss-entropy-index-relation", _worst(*gaps), 1e-12)
 
 
 def _suite_gate_limit_report() -> PropertyReport:
     ps = np.array([1e-3, 1e-6, 1e-9])
     values = cayley_alpha(ps) * np.abs(np.log(ps))
     # each thousandfold step toward p = 0 must shrink alpha*|log p| at least tenfold
-    worst = float((values[1:] - values[:-1] / 10.0).max())
     return _report(
         "gate-open-limit",
-        max(worst, 0.0),
+        _worst(values[1:] - values[:-1] / 10.0, 0.0),
         0.0,
         detail=f"alpha*|log p| at 1e-3,1e-6,1e-9: {[f'{v:.3e}' for v in values]}",
     )
@@ -700,14 +693,12 @@ def _suite_flow_reports() -> list[PropertyReport]:
 
 
 def _suite_peak_reports() -> list[PropertyReport]:
-    convex_worst = 0.0
-    for f in (lambda p: -np.log(p), lambda p: 1.0 - p):
-        convex_worst = max(convex_worst, peak_location(f) - (0.5 + 1e-3))
+    convex = (peak_location(f) - (0.5 + 1e-3) for f in (lambda p: -np.log(p), lambda p: 1.0 - p))
     concave = peak_location(lambda p: (1.0 - p**2) / 2.0)
-    concave_err = max(0.5 - 1e-3 - concave, abs(concave - 2.0 / 3.0) - 1e-3)
+    concave_err = _worst(0.5 - 1e-3 - concave, abs(concave - 2.0 / 3.0) - 1e-3, 0.0)
     return [
-        _report("signal-peak-convex", max(convex_worst, 0.0), 0.0),
-        _report("signal-peak-concave", max(concave_err, 0.0), 0.0, detail=f"argmax={concave:.4f}"),
+        _report("signal-peak-convex", _worst(*convex, 0.0), 0.0),
+        _report("signal-peak-concave", concave_err, 0.0, detail=f"argmax={concave:.4f}"),
     ]
 
 
@@ -717,7 +708,6 @@ def _suite_landscape_reports(rng: np.random.Generator) -> list[PropertyReport]:
     grid = gradient_landscape(NLL, p_grid, h_grid, 8)
     cells = grid.cells
     finite = np.isfinite(cells)
-    norm_err = max(abs(float(cells[finite].max()) - 1.0), max(0.0, -float(cells[finite].min())))
     # The grid gates each NLL cell as the mixing-weight-0 member of its p row, so
     # the reference gates the rows realized at each cell's own entropy instead.
     row, col = np.nonzero(finite)
@@ -725,11 +715,12 @@ def _suite_landscape_reports(rng: np.random.Generator) -> list[PropertyReport]:
     signal = gate(NLL, dists, np.zeros(row.size, dtype=np.intp)).signal
     reference = np.full(cells.shape, np.nan)
     reference[row, col] = signal / signal.max()
-    mismatch = float(np.abs(reference[finite] - cells[finite]).max())
+    mismatch = np.abs(reference[finite] - cells[finite])
     # a row with no finite cell spreads -inf - inf = -inf
     spread = reference.max(axis=1, where=finite, initial=-np.inf) - reference.min(axis=1, where=finite, initial=np.inf)
-    row_spread = float(spread.max(initial=0.0))
-    reports = [_report("landscape-nll-entropy-independent", max(norm_err, mismatch, row_spread), 1e-9)]
+    # normalized to a largest cell of 1 with none negative, as the reference, and flat along each row
+    independence = _worst(abs(cells[finite].max() - 1.0), -cells[finite].min(), mismatch, spread, 0.0)
+    reports = [_report("landscape-nll-entropy-independent", independence, 1e-9)]
 
     # rng.uniform(low, high) is low + (high - low) * rng.random() bit for bit, so
     # the pairs can be drawn before their entropy intervals are known
@@ -739,10 +730,8 @@ def _suite_landscape_reports(rng: np.random.Generator) -> list[PropertyReport]:
     target_h = low + (high - low) * fraction
     dists = validate_dist(construct_distribution(p, target_h, 8))
     entropy = -(dists * np.log(np.where(dists > 0.0, dists, 1.0))).sum(axis=1)
-    worst_entropy = max(
-        float(np.abs(entropy - target_h).max()), float(np.abs(dists[:, 0] - p).max())
-    )
-    reports.append(_report("landscape-distribution-realization", worst_entropy, 1e-6))
+    realization = _worst(np.abs(entropy - target_h), np.abs(dists[:, 0] - p))
+    reports.append(_report("landscape-distribution-realization", realization, 1e-6))
     return reports
 
 

@@ -646,6 +646,25 @@ def test_fuzz_pools_cover_the_train_schema():
     assert set(_CONFIG_FIELDS) - {"warmup"} == set(cli._TRAIN_SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        pytest.param(name, value, id=f"{name}={value!r:.24}")
+        for name, (_, bad) in _CONFIG_FIELDS.items()
+        for value in bad
+    ],
+)
+def test_each_bad_config_value_alone_keeps_exit_code_contract(name, value, tmp_path, capsys):
+    """Each bad value of the fuzz pools, in an otherwise small valid config, exits 0, 1 or 2 in one error line."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"vocab_size": 8, "num_contexts": 64, "steps": 2, name: value}))
+    code, _, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "run.json"))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 _FLAG_VALUES = {
     "verify": {"--seed": ([], ["-1", "x", "", "1.5", "1e3", "--seed"])},
     "landscape": {

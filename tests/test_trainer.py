@@ -250,6 +250,14 @@ class TestFinetune:
         with pytest.raises(DomainError, match="contexts >= 1"):
             ToyModel(np.zeros((0, 8)))
 
+    @pytest.mark.parametrize("alpha", [0.3, 1e308])
+    @pytest.mark.parametrize("batch_size", [None, 64])
+    def test_static_focus_trace_is_its_exponent(self, alpha, batch_size):
+        """A fixed exponent is recorded as written: a mean over 256 rows would round 0.3 and overflow 1e308."""
+        task = build_task(RegimeSpec(regime="weak"), 1)
+        cfg = TrainConfig(objective=fixed_alpha(alpha), steps=3, batch_size=batch_size, seed=0)
+        assert finetune(task.model, task.labels, cfg).mean_alpha == [alpha] * 3
+
     def test_trace_lengths_match_steps(self):
         task = build_task(RegimeSpec(regime="weak"), 1)
         record = finetune(task.model, task.labels, TrainConfig(objective=DEFT, steps=17, seed=0))
@@ -797,7 +805,7 @@ def test_full_batch_takes_target_positions_once_per_block(steps, monkeypatch):
 
     ``linear`` reads no positions in its focus, so the calls are the loop's
     one for the table, one per block, and one per block in each of the two
-    frozen-loss readings. Its static focus is averaged once.
+    frozen-loss readings. Its static focus is read, not averaged.
     """
     monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 32)
     task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.25), 4)
@@ -810,8 +818,8 @@ def test_full_batch_takes_target_positions_once_per_block(steps, monkeypatch):
     record = finetune(task.model, task.labels, TrainConfig(objective=LINEAR, steps=steps, seed=0))
     blocks = task.model.num_contexts // 32
     assert len(calls) == 1 + 3 * blocks
-    # one mean label probability per state and the static focus once
-    assert len(means) == steps + 2
+    # one mean label probability per state
+    assert len(means) == steps + 1
     assert record.mean_alpha == [1.0] * steps
 
 

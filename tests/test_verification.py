@@ -43,7 +43,7 @@ from trustgate import (
     tsallis_entropy,
     validate_dist,
 )
-from trustgate import verification
+from trustgate import objectives, verification
 from trustgate.landscape import construct_distribution, feasible_entropy_range
 from trustgate.verification import reports_to_json
 
@@ -613,6 +613,51 @@ class TestPropertySuite:
         assert isinstance(decoded, list)
         for item in decoded:
             assert set(item) == {"name", "passed", "max_error", "detail"}
+
+
+class TestNonFiniteErrors:
+    """A NaN error fails its report, whichever array holds it, and the suite's JSON stays strict."""
+
+    @pytest.mark.parametrize(
+        "errors",
+        [
+            (np.array([1e-3, 2.0]), np.array([0.5, np.nan])),
+            (0.0, np.array([]), math.nan),
+            (np.array([-1.0]), np.array([np.nan, -2.0]), 0.0),
+        ],
+    )
+    def test_worst_propagates_a_nan_in_any_argument(self, errors):
+        assert math.isnan(verification._worst(*errors))
+
+    def test_worst_is_the_largest_entry_and_skips_empty_arrays(self):
+        assert verification._worst(np.array([-3.0, -1.0]), np.array([]), -2.0) == -1.0
+        assert verification._worst(np.array([-3.0, -1.0]), 0.0) == 0.0
+
+    @pytest.mark.parametrize("error", [math.nan, math.inf, -math.inf])
+    def test_non_finite_error_fails_with_the_largest_float(self, error):
+        report = verification._report("r", error, 1e300, detail="x=1")
+        assert not report.passed and report.max_error == sys.float_info.max
+        assert report.detail == f"x=1 max_error={error:g} tol=1e+300"
+
+    def test_nan_focus_fails_the_reports_that_read_it(self, monkeypatch):
+        """A ``deft`` focus rule returning NaN fails the four reports that read that focus, in strict JSON."""
+
+        def nan_focus(kind, probs, labels):
+            return np.full(probs.shape[0], np.nan)
+
+        monkeypatch.setitem(objectives._RULES, "deft", (objectives._RULES["deft"][0], nan_focus))
+        monkeypatch.setitem(objectives._READS, nan_focus, objectives.Reads.ROW)
+        reports = {r.name: r for r in run_property_suite(7)}
+        for name in (
+            "conflict-suppression",
+            "focus-decomposition-bounds",
+            "gate-ordering-linear-deft-nll",
+            "jacobian-chain-consistency",
+        ):
+            assert not reports[name].passed and "max_error=nan" in reports[name].detail, name
+        json.loads(
+            reports_to_json(list(reports.values())), parse_constant=lambda text: pytest.fail(f"non-strict {text}")
+        )
 
 
 class TestDrawBySize:
