@@ -117,11 +117,12 @@ def _worst(*errors) -> float:
 
 def _report(name: str, max_error: float, tol: float, detail: str = "") -> PropertyReport:
     max_error, parts = float(max_error), [detail] if detail else []
+    passed = math.isfinite(max_error) and bool(max_error <= tol)
     if not math.isfinite(max_error):
         parts.append(f"max_error={max_error:g}")
         max_error = sys.float_info.max
     parts.append(f"tol={tol:g}")
-    return PropertyReport(name=name, passed=max_error <= tol, max_error=max_error, detail=" ".join(parts))
+    return PropertyReport(name=name, passed=passed, max_error=max_error, detail=" ".join(parts))
 
 
 def _check_rule(rule: str) -> str:

@@ -633,11 +633,17 @@ class TestNonFiniteErrors:
         assert verification._worst(np.array([-3.0, -1.0]), np.array([]), -2.0) == -1.0
         assert verification._worst(np.array([-3.0, -1.0]), 0.0) == 0.0
 
+    @pytest.mark.parametrize("tol", [1e300, math.inf])
     @pytest.mark.parametrize("error", [math.nan, math.inf, -math.inf])
-    def test_non_finite_error_fails_with_the_largest_float(self, error):
-        report = verification._report("r", error, 1e300, detail="x=1")
-        assert not report.passed and report.max_error == sys.float_info.max
-        assert report.detail == f"x=1 max_error={error:g} tol=1e+300"
+    def test_non_finite_error_fails_with_the_largest_float(self, error, tol):
+        report = verification._report("r", error, tol, detail="x=1")
+        assert report.passed is False and report.max_error == sys.float_info.max
+        assert report.detail == f"x=1 max_error={error:g} tol={tol:g}"
+
+    def test_numpy_tolerance_keeps_the_report_json_serialisable(self):
+        report = verification._report("r", 1e-9, np.float64(1e-6))
+        assert report.passed is True
+        assert json.loads(verification.reports_to_json([report]))[0]["passed"] is True
 
     def test_nan_focus_fails_the_reports_that_read_it(self, monkeypatch):
         """A ``deft`` focus rule returning NaN fails the four reports that read that focus, in strict JSON."""
