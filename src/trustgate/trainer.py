@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 import math
 import os
@@ -81,9 +82,6 @@ _BOUND_MARGIN = 1e-9
 # (``taskset`` confines a run). Each block writes only its own rows, and every
 # reduction runs after all blocks are done, so no bit depends on this count.
 BLOCK_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# made by the first call that takes blocks off the calling thread
-_pool = None
-_pool_threads = 0
 
 # Confidence threshold for the high/low split of token deltas, and the
 # minimum |delta p| for a token to count as learned/forgotten in the
@@ -254,13 +252,16 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def _forget_pool() -> None:
-    global _pool, _pool_threads
-    _pool, _pool_threads = None, 0  # a forked child has none of the parent's threads
+@functools.cache
+def _pool(threads: int):
+    """The process's pool of ``threads`` block threads, made on first use; it starts a thread only as tasks arrive."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads, "trustgate-blocks")
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_pool.cache_clear)  # a forked child has none of the parent's threads
 
 
 def _each_block(work, parts: list) -> None:
@@ -278,12 +279,7 @@ def _each_block(work, parts: list) -> None:
         for part in parts:
             work(part)
         return
-    global _pool, _pool_threads
-    if _pool_threads < workers - 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool, _pool_threads = ThreadPoolExecutor(workers - 1, "trustgate-blocks"), workers - 1
-
+    pool = _pool(BLOCK_WORKERS - 1)
     claims = itertools.count()
     errors = {}
 
@@ -299,7 +295,7 @@ def _each_block(work, parts: list) -> None:
                 errors[index] = exc
 
     # each thread sees the caller's context, numpy's error state and buffer size included
-    futures = [_pool.submit(contextvars.copy_context().run, run) for _ in range(workers - 1)]
+    futures = [pool.submit(contextvars.copy_context().run, run) for _ in range(workers - 1)]
     run()
     for future in futures:
         future.result()
@@ -325,11 +321,6 @@ def _by_blocks(rule, kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray)
     return out
 
 
-def _mean(values: np.ndarray) -> float:
-    """Mean of a 1-d float64 array: the bits of ``np.mean``, without its dispatch."""
-    return float(values.sum() / values.size)
-
-
 def _descend(
     kind: ObjectiveKind, lr: float, table: np.ndarray, probs: np.ndarray, labels: np.ndarray, batch: int, rng
 ):
@@ -340,21 +331,22 @@ def _descend(
     yield is ``(mean_p, mean_alpha, target_p)``: the mean label probability
     and the mean focus of each state, as lists (a static member's constant
     focus as it is, not summed), and every row's label probability at the
-    last state.
+    last state, in an array of its own that the caller may keep.
 
     A step forms ``lr * gate * (P - onehot)`` over each part of its ``batch``
     rows (the table's blocks, or the cuts of a shuffle by ``rng``) through
     ``gate_error_into``, subtracts it and softmaxes the rows back; a dynamic
     member's focus is refreshed. In a full batch rows never interact, so each
     block takes the whole chunk while it stays in cache, and records its
-    rows' label probability and focus after each step; the means are summed
-    from those records on the calling thread, the bits of step-major order.
-    A minibatch reshuffles every step, so it takes each step over all its
-    parts before the next. A non-finite update stops its part, and once the
-    chunk's parts have stopped the loop raises TrainingError at the lowest
-    such step. The ufunc buffer is 512 entries while the loop runs (the same
-    bits, column broadcasts kept in cache), and the caller's size comes back
-    when the loop raises or is closed.
+    rows' label probability and focus after each step. A minibatch
+    reshuffles every step, so it takes each step over all its parts before
+    the next, and records the whole buffer after each. The calling thread
+    reduces each record in one call, a row per state: the bits of
+    ``np.mean`` of each state, in either order. A non-finite update stops
+    its part, and once the chunk's parts have stopped the loop raises
+    TrainingError at the lowest such step. The ufunc buffer is 512 entries
+    while the loop runs (the same bits, column broadcasts kept in cache), and
+    the caller's size comes back when the loop raises or is closed.
     """
     rows = table.shape[0]
     flat, positions = probs.ravel(), _positions(probs, labels)
@@ -401,8 +393,8 @@ def _descend(
                 focuses[k, block] = focus[block]
 
     def reached(target_p: np.ndarray, focuses: np.ndarray | None) -> tuple[list, list, np.ndarray]:
-        mean_p = [_mean(row) for row in target_p]
-        mean_alpha = [_mean(row) for row in focuses] if dynamic else [static_alpha] * len(mean_p)
+        mean_p = (target_p.sum(axis=1) / rows).tolist()
+        mean_alpha = (focuses.sum(axis=1) / rows).tolist() if dynamic else [static_alpha] * len(mean_p)
         return mean_p, mean_alpha, target_p[-1]
 
     bufsize = np.setbufsize(512)
@@ -449,7 +441,7 @@ def _nll_bound_steps(target_p: np.ndarray, lr: float, bar: float, most: int) -> 
     p = np.maximum(target_p, PROB_FLOOR) if most > 1 else target_p
     for steps in range(1, most):
         p = 1.0 / (1.0 + (1.0 - p) / p * np.exp(-2.0 * lr * (1.0 - p)))
-        if _mean(p) >= bar - _BOUND_MARGIN:
+        if p.sum() / p.size >= bar - _BOUND_MARGIN:
             return steps
     return most
 
@@ -595,13 +587,9 @@ def _check_labels(name: str, labels, model: ToyModel) -> np.ndarray:
         raise DomainError(f"{name}: {exc}") from None
 
 
-def _label_state(
-    kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray, clean_labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clean-label p, clean-label frozen loss and supervised-label p of one state's probs."""
-    rows = np.arange(probs.shape[0])
-    loss = _by_blocks(loss_per_row, kind, probs, clean_labels)
-    return probs[rows, clean_labels], loss, probs[rows, labels]
+def _label_state(kind: ObjectiveKind, probs: np.ndarray, clean_labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clean-label p and clean-label frozen loss of one state's probs."""
+    return probs[np.arange(probs.shape[0]), clean_labels], _by_blocks(loss_per_row, kind, probs, clean_labels)
 
 
 def finetune(
@@ -617,8 +605,10 @@ def finetune(
     by default, updated in place). Traces record the state at the start of
     each step ``k``, which is the final table of a ``k``-step run; deltas and
     quadrant statistics compare the start and end states on ``clean_labels``
-    (defaults to the supervision labels). Both are read from the loop's
-    softmax buffer; no copy of the start table is kept.
+    (defaults to the supervision labels), read from the loop's softmax
+    buffer. The two histograms take the supervised-label probabilities that
+    the loop yields for its start state and its last state. No copy of the
+    start table is kept.
     """
     labels = _check_labels("labels", labels, model)
     if clean_labels is None:
@@ -627,19 +617,20 @@ def finetune(
 
     table = model.logit_table.copy()
     probs = _softmax_table(table)
-    p_before, loss_before, target_p_before = _label_state(cfg.objective, probs, labels, clean_labels)
+    p_before, loss_before = _label_state(cfg.objective, probs, clean_labels)
     batch = min(cfg.batch_size or table.shape[0], table.shape[0])
     states = _descend(cfg.objective, cfg.learning_rate, table, probs, labels, batch, np.random.default_rng(cfg.seed))
     with contextlib.closing(states):
-        mean_target_p, mean_alpha, _ = next(states)
+        mean_target_p, mean_alpha, target_p_before = next(states)
+        target_p_after = target_p_before
         for first in range(0, cfg.steps, _CHUNK_STEPS):
-            mean_p, alpha, _ = states.send(min(_CHUNK_STEPS, cfg.steps - first))
+            mean_p, alpha, target_p_after = states.send(min(_CHUNK_STEPS, cfg.steps - first))
             mean_target_p += mean_p
             mean_alpha += alpha
     # the state after the last step is not traced
     del mean_target_p[cfg.steps :], mean_alpha[cfg.steps :]
 
-    p_after, loss_after, target_p_after = _label_state(cfg.objective, probs, labels, clean_labels)
+    p_after, loss_after = _label_state(cfg.objective, probs, clean_labels)
     deltas = TokenDeltas(p_before, p_after, loss_before, loss_after)
     histograms = [
         _histogram_snapshot(0, target_p_before),

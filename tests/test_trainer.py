@@ -486,6 +486,11 @@ class TestProbabilityHistogram:
         after = record.histograms[-1]["counts"]
         assert after[-1] >= before[-1]
 
+    def test_zero_step_run_ends_on_its_start_histogram(self):
+        task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.25), 4)
+        start, end = finetune(task.model, task.labels, TrainConfig(objective=DEFT, steps=0, seed=0)).histograms
+        assert end == start
+
 
 class TestRegimeContrasts:
     def test_collision_index_initializes_by_regime(self):
@@ -695,8 +700,9 @@ def test_softmax_kernel_matches_reference_on_any_rows(case):
 def test_traces_match_fresh_softmax_of_each_state(kind, batch_size, block_entries, monkeypatch):
     """Every traced value equals a fresh softmax and focus of the table at the start of its step.
 
-    Run with the whole 256 x 32 table as one block and with 5-row blocks,
-    which split a batch of 64 into 13 parts, the last one short.
+    So do the two histograms, of the start table and of the final one. Run
+    with the whole 256 x 32 table as one block and with 5-row blocks, which
+    split a batch of 64 into 13 parts, the last one short.
     """
     monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", block_entries)
     task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.25), 4)
@@ -715,6 +721,9 @@ def test_traces_match_fresh_softmax_of_each_state(kind, batch_size, block_entrie
     assert record.deltas.p_after.tobytes() == final[rows, task.clean_labels].tobytes()
     expected_loss = loss_per_row(kind, final, task.clean_labels)
     assert record.deltas.loss_after.tobytes() == expected_loss.tobytes()
+    for histogram, table in zip(record.histograms, [task.model.logit_table, record.final_table]):
+        counts, _ = np.histogram(_reference_softmax(table)[rows, task.labels], bins=DEFAULT_HISTOGRAM_EDGES)
+        assert histogram["counts"] == counts.tolist()
 
 
 def _reference_step(kind, table, labels, members, learning_rate):
@@ -805,21 +814,18 @@ def test_full_batch_takes_target_positions_once_per_block(steps, monkeypatch):
 
     ``linear`` reads no positions in its focus, so the calls are the loop's
     one for the table, one per block, and one per block in each of the two
-    frozen-loss readings. Its static focus is read, not averaged.
+    frozen-loss readings.
     """
     monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 32)
     task = build_task(RegimeSpec(regime="strong", conflict_fraction=0.25), 4)
-    calls, means = [], []
-    positions, mean = objectives._positions, trainer._mean
+    calls = []
+    positions = objectives._positions
     counted = lambda probs, labels: calls.append(probs.shape[0]) or positions(probs, labels)  # noqa: E731
     monkeypatch.setattr(objectives, "_positions", counted)
     monkeypatch.setattr(trainer, "_positions", counted)
-    monkeypatch.setattr(trainer, "_mean", lambda values: means.append(values.size) or mean(values))
     record = finetune(task.model, task.labels, TrainConfig(objective=LINEAR, steps=steps, seed=0))
     blocks = task.model.num_contexts // 32
     assert len(calls) == 1 + 3 * blocks
-    # one mean label probability per state
-    assert len(means) == steps + 1
     assert record.mean_alpha == [1.0] * steps
 
 
@@ -964,7 +970,7 @@ def test_the_loop_gives_back_the_callers_buffer_size(run, error, monkeypatch):
     monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 32)
     monkeypatch.setattr(trainer, "BLOCK_WORKERS", 3)
     task = build_task(RegimeSpec(regime="strong"), 4)
-    pool_size = trainer._pool.submit(np.getbufsize).result()
+    pool_size = trainer._pool(trainer.BLOCK_WORKERS - 1).submit(np.getbufsize).result()
     seen = []
     kernel = trainer.gate_error_into
     monkeypatch.setattr(trainer, "gate_error_into", lambda *args: seen.append(np.getbufsize()) or kernel(*args))
@@ -984,7 +990,7 @@ def test_the_loop_gives_back_the_callers_buffer_size(run, error, monkeypatch):
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(caller_size)
-    assert trainer._pool.submit(np.getbufsize).result() == pool_size
+    assert trainer._pool(trainer.BLOCK_WORKERS - 1).submit(np.getbufsize).result() == pool_size
     if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # numpy keeps the size per thread before 2.0
         assert seen and set(seen) == {512}
 
