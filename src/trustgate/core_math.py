@@ -60,6 +60,13 @@ def _unit_interval(x, what: str = "probability", slack: float = 0.0) -> np.ndarr
     return arr
 
 
+def _integer(x, what: str) -> int:
+    """``x``, an int or a numpy integer, as a Python int: the one integer check. A bool is refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def clamp_prob(p):
     """Clamp probabilities to [PROB_FLOOR, 1]; reject values outside [0, 1] by more than 1e-9."""
     return _result(np.minimum(np.maximum(_unit_interval(p, slack=1e-9), PROB_FLOOR), 1.0))

@@ -2,10 +2,10 @@
 
 A grid point (p, H) is realized by a spike-plus-tail distribution: mass p on
 the target, and the remaining mass split between a secondary spike and a
-uniform tail, with the mixing weight found by bisection on the Shannon
-entropy. A member has only three distinct entries (p, the spike and V - 2
-equal tail shares), so the bisection evaluates the entropy from those three
-per cell, and each cell's row is built once, after its mixing weight is known.
+uniform tail, with the mixing weight found by one masked bisection on the
+Shannon entropy, where each cell keeps its index and the midpoint it stops at.
+A member has three distinct entries (p, the spike and V - 2 equal tail shares):
+the bisection scores those three per cell, and each row is built only once.
 Only objectives whose gate reads the whole row (``ObjectiveKind.reads`` is
 ``Reads.ROW``) are bisected: every realized row holds p exactly, so each cell
 of the others is gated as the mixing-weight-0 member of its p row. Cells whose
@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core_math import DomainError, _one_or_stack, entropy_rows
+from .core_math import DomainError, _integer, _one_or_stack, entropy_rows
 from .objectives import ObjectiveKind, Reads, gate
 
 _BISECTION_TOL = 1e-6
@@ -166,37 +166,31 @@ def _entropy_bounds(p: np.ndarray, vocab: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _realize(p, entropy, low, high, vocab: int) -> np.ndarray:
-    """Mixing weight of the member hitting each cell's entropy, by one bisection over all the cells.
+    """Mixing weight of the member hitting each cell's entropy, by one masked bisection over all cells.
 
     Cells must be feasible (within _BISECTION_TOL of [low, high]). Each cell
     follows the scalar rule: clamp the target into [low, high], take an
     endpoint member when it lands on one, else bisect the mixing weight from
     [0, 1] until the entropy is within _BISECTION_TOL / 2 of the target or
-    _BISECTION_MAX_ITERS midpoints were tried, keeping the last midpoint.
-    The entropy of each midpoint member is ``_family_entropy``'s, from its
-    three distinct entries; ``_family_rows(p, mix, vocab)`` gives the rows.
+    _BISECTION_MAX_ITERS midpoints were tried. Each cell keeps its index and
+    the midpoint it stops at; ``going`` marks the cells still bisecting, and
+    ``_family_entropy`` scores every cell's member until the last one stops.
     """
     target = np.minimum(np.maximum(entropy, low), high)
     mix = np.where(target == low, 0.0, 1.0)
-    cell = np.flatnonzero((target != low) & (target != high))
-    cell_p, cell_target = p[cell], target[cell]
-    cell_term = entropy_rows(cell_p[:, None])
-    lo, hi = np.zeros(cell.size), np.ones(cell.size)
-    mid = np.empty(0)
+    going = (target != low) & (target != high)
+    term = entropy_rows(p[:, None])
+    lo, hi = np.zeros(p.size), np.ones(p.size)
     for _ in range(_BISECTION_MAX_ITERS):
-        if cell.size == 0:
+        if not going.any():
             break
         mid = 0.5 * (lo + hi)
-        value = _family_entropy(cell_term, cell_p, mid, vocab)
-        below = value < cell_target
+        value = _family_entropy(term, p, mid, vocab)
+        mix = np.where(going, mid, mix)
+        below = value < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        going = np.abs(value - cell_target) > _BISECTION_TOL * 0.5
-        if not going.all():
-            mix[cell[~going]] = mid[~going]
-            cell, cell_p, cell_target, cell_term = cell[going], cell_p[going], cell_target[going], cell_term[going]
-            lo, hi, mid = lo[going], hi[going], mid[going]
-    mix[cell] = mid  # cells that used every iteration keep their last midpoint
+        going &= np.abs(value - target) > _BISECTION_TOL * 0.5
     return mix
 
 
@@ -204,8 +198,10 @@ def feasible_entropy_range(p, vocab: int):
     """Attainable Shannon-entropy interval [low, high] for target mass p in this family.
 
     A scalar p gives a pair of floats; a vector of target masses gives one
-    interval per entry, as two arrays. The vocabulary is at most MAX_GRID_ENTRIES.
+    interval per entry, as two arrays. The vocabulary is an integer (a numpy
+    integer is taken as a Python int), at most MAX_GRID_ENTRIES.
     """
+    vocab = _integer(vocab, "vocabulary")
     if vocab < 3:
         raise DomainError(f"vocabulary must have >= 3 tokens, got {vocab}")
     if vocab > MAX_GRID_ENTRIES:
@@ -304,5 +300,5 @@ def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> Lands
             )
         cells[row, col] = signal / top
     return LandscapeGrid(
-        p_grid=p_grid, h_grid=h_grid, cells=cells, vocab_size=vocab, objective=kind.encode()
+        p_grid=p_grid, h_grid=h_grid, cells=cells, vocab_size=int(vocab), objective=kind.encode()
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core_math import PROB_FLOOR, DomainError
+from .core_math import PROB_FLOOR, DomainError, _integer
 from .objectives import (
     NLL, ObjectiveKind, _positions, _with_targets, focus_per_row, gate_error_into, loss_per_row, softmax_into
 )
@@ -92,6 +92,15 @@ MIN_COUNTED_CHANGE = 0.05
 DEFAULT_HISTOGRAM_EDGES = np.linspace(0.0, 1.0, 21)
 
 
+def _check_fields(config, counts: tuple[str, ...], numbers: tuple[str, ...]) -> None:
+    """Refuse a bool in each field of ``numbers``, and store each of ``counts`` as a Python int."""
+    for name in numbers:
+        if isinstance(getattr(config, name), bool):
+            raise DomainError(f"{name} must be a number, got {getattr(config, name)!r}")
+    for name in counts:
+        object.__setattr__(config, name, _integer(getattr(config, name), name))  # the dataclasses are frozen
+
+
 class BuildError(RuntimeError):
     """A synthetic task could not be constructed as specified."""
 
@@ -111,6 +120,7 @@ class RegimeSpec:
     conflict_policy: str = "confident_only"
 
     def __post_init__(self) -> None:
+        _check_fields(self, ("vocab_size", "num_contexts"), ("conflict_fraction",))
         if self.regime not in REGIMES:
             raise DomainError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
         if self.vocab_size < 8:
@@ -170,6 +180,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        counts = ("steps", "seed") if self.batch_size is None else ("steps", "batch_size", "seed")
+        _check_fields(self, counts, ("learning_rate",))
         # compared, not converted to float: an int too large for a float is refused, not an OverflowError
         if not 0.0 < self.learning_rate <= sys.float_info.max:
             raise DomainError(f"learning_rate must lie in (0, {sys.float_info.max!r}], got {self.learning_rate}")

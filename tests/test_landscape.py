@@ -214,6 +214,48 @@ def test_mixes_match_row_based_bisection_bit_for_bit():
     assert checked >= 100_000
 
 
+# Most midpoints one _realize call may score here. Its guard, _BISECTION_MAX_ITERS,
+# is 200; the grids and cells below stop within 26.
+MOST_MIDPOINTS = 40
+
+
+@pytest.fixture
+def midpoints(monkeypatch):
+    """The number of midpoints (``_family_entropy`` calls) each ``_realize`` call scores, in call order."""
+    counts = []
+    score, realize = landscape._family_entropy, landscape._realize
+
+    def spy_realize(*args):
+        counts.append(0)
+        return realize(*args)
+
+    def spy_score(*args):
+        counts[-1] += 1
+        return score(*args)
+
+    monkeypatch.setattr(landscape, "_family_entropy", spy_score)
+    monkeypatch.setattr(landscape, "_realize", spy_realize)
+    monkeypatch.setitem(globals(), "_realize", spy_realize)  # as this module's tests call it
+    return counts
+
+
+def test_bisection_of_cli_grids_stops_early(midpoints):
+    """The masked bisection scores every cell until the slowest stops, so each call must stop
+    well inside its guard on the CLI's grids, vocabularies 3 to 4096 and 20 x 20 to 300 x 300."""
+    for steps in (20, 50, 100, 200, 300):
+        for vocab in (3, 8, 32, 100, 256, 1024, 4096):
+            if steps * steps * vocab <= MAX_GRID_ENTRIES:
+                p_grid = (np.arange(steps) + 1.0) / (steps + 1.0)
+                gradient_landscape(DEFT, p_grid, np.linspace(0.0, math.log(vocab), steps), vocab)
+    assert midpoints and max(midpoints) <= MOST_MIDPOINTS
+
+
+def test_bisection_of_the_differential_cells_stops_early(midpoints):
+    """Each ``_realize`` call of the 100k-cell differential test stops well inside its guard."""
+    test_mixes_match_row_based_bisection_bit_for_bit()
+    assert midpoints and max(midpoints) <= MOST_MIDPOINTS
+
+
 class TestRowForms:
     """construct_distribution and feasible_entropy_range on vectors of target masses."""
 
@@ -416,6 +458,23 @@ class TestGradientLandscape:
     def test_requires_three_tokens(self):
         with pytest.raises(DomainError, match="vocabulary must have >= 3 tokens, got 2"):
             gradient_landscape(NLL, [0.5], [0.5], 2)
+
+    @pytest.mark.parametrize("vocab", [8.0, np.float64(8.0), 8.5, True, np.True_])
+    def test_refuses_a_vocabulary_that_is_not_an_integer(self, vocab):
+        message = f"vocabulary must be an integer, got {vocab!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            feasible_entropy_range(0.5, vocab)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            construct_distribution(0.5, 1.0, vocab)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            gradient_landscape(NLL, [0.2, 0.5], [0.5, 1.0], vocab)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16])
+    def test_takes_a_numpy_integer_vocabulary_as_an_int(self, integer):
+        grid = gradient_landscape(DEFT, [0.2, 0.5], [0.5, 1.0], integer(8))
+        assert type(grid.vocab_size) is int
+        assert grid.to_json() == gradient_landscape(DEFT, [0.2, 0.5], [0.5, 1.0], 8).to_json()
+        assert np.array_equal(construct_distribution(0.5, 1.0, integer(8)), construct_distribution(0.5, 1.0, 8))
 
     def test_infeasible_cells_absent(self):
         # entropy 0 is unattainable whenever the target holds less than full mass

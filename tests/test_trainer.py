@@ -6,6 +6,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import time
@@ -245,6 +246,45 @@ class TestFinetune:
         """An int beyond the largest float is refused with DomainError rather than raising OverflowError."""
         with pytest.raises(DomainError, match=r"^learning_rate must lie in \(0, 1\.7976931348623157e\+308\], got 1000"):
             TrainConfig(objective=NLL, learning_rate=10**400)
+
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (TrainConfig, "steps", 3.0),
+            (TrainConfig, "steps", True),
+            (TrainConfig, "batch_size", 16.0),
+            (TrainConfig, "batch_size", np.True_),
+            (TrainConfig, "seed", 2.0),
+            (RegimeSpec, "vocab_size", 8.0),
+            (RegimeSpec, "num_contexts", 64.0),
+            (RegimeSpec, "num_contexts", 64.5),
+        ],
+    )
+    def test_count_that_is_not_an_integer_rejected(self, cls, field, value):
+        kwargs = {"objective": NLL} if cls is TrainConfig else {}
+        with pytest.raises(DomainError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            cls(**kwargs, **{field: value})
+
+    @pytest.mark.parametrize(
+        "cls, field", [(TrainConfig, "learning_rate"), (RegimeSpec, "conflict_fraction")]
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_rate_or_fraction_rejected(self, cls, field, value):
+        kwargs = {"objective": NLL} if cls is TrainConfig else {}
+        with pytest.raises(DomainError, match=f"^{field} must be a number, got {value!r}$"):
+            cls(**kwargs, **{field: value})
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_counts_are_kept_as_ints(self, integer):
+        spec = RegimeSpec(regime="weak", vocab_size=integer(8), num_contexts=integer(64))
+        cfg = TrainConfig(objective=DEFT, steps=integer(3), batch_size=integer(16), seed=integer(2))
+        counts = (spec.vocab_size, spec.num_contexts, cfg.steps, cfg.batch_size, cfg.seed)
+        assert [type(count) for count in counts] == [int] * 5
+        task, plain = build_task(spec, 1), build_task(RegimeSpec(regime="weak", vocab_size=8, num_contexts=64), 1)
+        npt.assert_array_equal(task.model.logit_table, plain.model.logit_table)
+        record = finetune(task.model, task.labels, cfg)
+        expected = finetune(plain.model, plain.labels, TrainConfig(objective=DEFT, steps=3, batch_size=16, seed=2))
+        assert json.dumps(record.to_dict()) == json.dumps(expected.to_dict())
 
     def test_zero_context_table_rejected(self):
         with pytest.raises(DomainError, match="contexts >= 1"):
