@@ -60,11 +60,41 @@ def _unit_interval(x, what: str = "probability", slack: float = 0.0) -> np.ndarr
     return arr
 
 
-def _integer(x, what: str) -> int:
-    """``x``, an int or a numpy integer, as a Python int: the one integer check. A bool is refused."""
+def _integer(x, what: str, low=-math.inf, high=math.inf) -> int:
+    """``x``, an int or a numpy integer in [low, high], as a Python int: the one integer check. A bool is refused."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise DomainError(f"{what} must be an integer, got {x!r}")
+    if not low <= int(x) <= high:
+        raise DomainError(f"{what} must {f'lie in [{low}, {high}]' if high < math.inf else f'be >= {low}'}, got {x}")
     return int(x)
+
+
+def _real(x, what: str, low=-math.inf, high=math.inf, closed: str = "both") -> int | float:
+    """``x``, a finite int or float in the interval from ``low`` to ``high``, as a Python number: the one real check.
+
+    ``closed`` names the finite bounds the interval holds: ``both``, ``left``, ``right`` or ``neither``. A bool is
+    refused, and an int is compared, never converted to a float, so one past the float range is refused.
+    """
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{what} must be a number, got {x!r}")
+    # a numpy scalar as the Python number it equals: numpy compares a float32 with the bounds cast to float32
+    x = int(x) if isinstance(x, (int, np.integer)) else float(x)
+    left, right = closed in ("both", "left"), closed in ("both", "right")
+    # NaN fails every comparison
+    if (low <= x if left else low < x) and (x <= high if right else x < high) and abs(x) <= sys.float_info.max:
+        return x
+    if high < math.inf:
+        interval = f"{'[' if left else '('}{low!r}, {high!r}{']' if right else ')'}"
+        raise DomainError(f"{what} must lie in {interval}, got {x!r}")
+    bound = f" and {'>=' if left else '>'} {low!r}" if low > -math.inf else ""
+    raise DomainError(f"{what} must be finite{bound}, got {x!r}")
+
+
+def _choice(x, what: str, choices: tuple[str, ...]) -> str:
+    """``x``, one of the strings ``choices``, as a Python str: the one choice check. A non-string is not looked up."""
+    if not (isinstance(x, str) and x in choices):
+        raise DomainError(f"unknown {what} {x!r}, expected one of {choices}")
+    return str(x)
 
 
 def clamp_prob(p):
@@ -124,8 +154,7 @@ def q_log(x, q: float):
     Recovers the natural logarithm at q == 1, and tends to it as q -> 1.
     Strictly increasing in x with derivative x^(-q). Any finite order q is valid.
     """
-    if not math.isfinite(q):
-        raise DomainError(f"q_log order must be finite, got {q!r}")
+    q = _real(q, "q_log order")
     arr = np.asarray(x, dtype=np.float64)
     _refuse_first(arr, ~((arr > 0.0) & (arr < math.inf)), "q_log requires x > 0")
     if q == 1.0:
@@ -181,8 +210,7 @@ def tsallis_entropy(r, q: float):
     taken as log 1, so it adds 0: full precision at every q != 1 (where d is
     at least 1.1e-16), and no power of r exceeds 1.
     """
-    if not math.isfinite(q) or q <= 0.0:
-        raise DomainError(f"entropy order must be > 0, got {q!r}")
+    q = _real(q, "entropy order", 0, closed="neither")
     if q == 1.0:
         return shannon_entropy(r)
     arr = validate_dist(r)
@@ -230,7 +258,6 @@ def mobius_alpha(z, kappa: float):
     is an involution; kappa = 1 reproduces ``cayley_alpha`` under
     z = sqrt(1 - p).
     """
-    if not math.isfinite(kappa) or kappa <= -1.0:
-        raise DomainError(f"map parameter must be > -1, got {kappa!r}")
+    kappa = _real(kappa, "kappa", -1, closed="neither")
     z = _unit_interval(z, "radius")
     return _result((1.0 - z) / (1.0 + kappa * z))

@@ -36,6 +36,8 @@ _BLOCK_ENTRIES = 1 << 14
 # 100 x 100 grid at vocabulary 32 fifty times over and is checked before
 # anything is allocated.
 MAX_GRID_ENTRIES = 2**24
+# The vocabularies a landscape takes, from the smallest with a tail.
+_VOCABULARY = (3, MAX_GRID_ENTRIES)
 
 
 class FeasibilityError(DomainError):
@@ -148,7 +150,9 @@ def _blocks(count: int, vocab: int):
 
 
 def check_grid_size(p_steps: int, h_steps: int, vocab: int) -> None:
-    """Refuse a grid of more than MAX_GRID_ENTRIES p steps x entropy steps x vocabulary entries."""
+    """Refuse a grid of more than MAX_GRID_ENTRIES p steps x entropy steps x vocabulary entries, checking each count."""
+    p_steps, h_steps = _integer(p_steps, "p_steps", 1), _integer(h_steps, "h_steps", 1)
+    vocab = _integer(vocab, "vocabulary", *_VOCABULARY)
     if p_steps * h_steps * vocab > MAX_GRID_ENTRIES:
         raise DomainError(
             f"a {p_steps} x {h_steps} grid at vocabulary {vocab} exceeds "
@@ -198,14 +202,10 @@ def feasible_entropy_range(p, vocab: int):
     """Attainable Shannon-entropy interval [low, high] for target mass p in this family.
 
     A scalar p gives a pair of floats; a vector of target masses gives one
-    interval per entry, as two arrays. The vocabulary is an integer (a numpy
-    integer is taken as a Python int), at most MAX_GRID_ENTRIES.
+    interval per entry, as two arrays. The vocabulary is an integer from 3 to
+    MAX_GRID_ENTRIES (a numpy integer is taken as a Python int).
     """
-    vocab = _integer(vocab, "vocabulary")
-    if vocab < 3:
-        raise DomainError(f"vocabulary must have >= 3 tokens, got {vocab}")
-    if vocab > MAX_GRID_ENTRIES:
-        raise DomainError(f"vocabulary {vocab} exceeds {MAX_GRID_ENTRIES} entries")
+    vocab = _integer(vocab, "vocabulary", *_VOCABULARY)
     p, back = _one_or_stack(np.asarray(p, dtype=np.float64), row_ndim=0)
     if p.ndim != 1:
         raise DomainError(f"target probabilities must be a scalar or a 1-d vector, got shape {p.shape}")
@@ -227,6 +227,7 @@ def construct_distribution(p, entropy, vocab: int) -> np.ndarray:
     naming the attainable interval of the first pair that cannot be realized.
     At most MAX_GRID_ENTRIES target masses x vocabulary entries are realized.
     """
+    vocab = _integer(vocab, "vocabulary", *_VOCABULARY)
     p, entropy, back = _one_or_stack(
         np.asarray(p, dtype=np.float64), np.asarray(entropy, dtype=np.float64), row_ndim=0
     )

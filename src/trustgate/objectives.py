@@ -33,7 +33,9 @@ from .core_math import (
     MIN_ORDER,
     PROB_FLOOR,
     DomainError,
+    _choice,
     _one_or_stack,
+    _real,
     cayley_focus,
     collision_mass,
     deformed_loss,
@@ -71,7 +73,7 @@ def _zero(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndar
 
 
 def _fixed(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return np.full(probs.shape[0], float(kind.alpha))  # type: ignore[arg-type]
+    return np.full(probs.shape[0], kind.alpha)
 
 
 def _cayley(kind: ObjectiveKind, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -107,19 +109,18 @@ class ObjectiveKind:
     """One member of the objective family.
 
     ``name`` is one of ``nll``, ``linear``, ``alpha``, ``cayley``, ``deft``,
-    ``eaft``; a fixed-exponent member (``alpha``) carries its exponent, which
-    must be finite and at least MIN_ORDER, the smallest normal float.
+    ``eaft``; a fixed-exponent member (``alpha``) carries its exponent as a
+    float (1 and 1.0 encode alike), finite and at least MIN_ORDER, the
+    smallest normal float.
     """
 
     name: str
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in _RULES:
-            raise DomainError(f"unknown objective {self.name!r}, expected one of {tuple(_RULES)}")
+        object.__setattr__(self, "name", _choice(self.name, "objective", tuple(_RULES)))  # the dataclass is frozen
         if self.name == "alpha":
-            if self.alpha is None or not MIN_ORDER <= self.alpha < math.inf:
-                raise DomainError(f"fixed-exponent objective requires alpha >= {MIN_ORDER!r}, got {self.alpha!r}")
+            object.__setattr__(self, "alpha", float(_real(self.alpha, "fixed exponent alpha", MIN_ORDER)))
         elif self.alpha is not None:
             raise DomainError(f"objective {self.name!r} takes no exponent parameter")
 
@@ -141,7 +142,9 @@ class ObjectiveKind:
 
     @classmethod
     def parse(cls, text: str) -> "ObjectiveKind":
-        """Parse the canonical text encoding."""
+        """Parse the canonical text encoding; ``parse(kind.encode()) == kind``."""
+        if not isinstance(text, str):
+            raise DomainError(f"objective encoding must be a string, got {text!r}")
         text = text.strip()
         if text.startswith("alpha:"):
             try:
@@ -161,7 +164,7 @@ EAFT = ObjectiveKind("eaft")
 
 def fixed_alpha(alpha: float) -> ObjectiveKind:
     """Fixed-exponent member of the family with the given alpha >= MIN_ORDER."""
-    return ObjectiveKind("alpha", float(alpha))
+    return ObjectiveKind("alpha", alpha)
 
 
 def default_kinds() -> list[ObjectiveKind]:

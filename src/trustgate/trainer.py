@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core_math import PROB_FLOOR, DomainError, _integer
+from .core_math import PROB_FLOOR, DomainError, _choice, _integer, _real
 from .objectives import (
     NLL, ObjectiveKind, _positions, _with_targets, focus_per_row, gate_error_into, loss_per_row, softmax_into
 )
@@ -92,15 +92,6 @@ MIN_COUNTED_CHANGE = 0.05
 DEFAULT_HISTOGRAM_EDGES = np.linspace(0.0, 1.0, 21)
 
 
-def _check_fields(config, counts: tuple[str, ...], numbers: tuple[str, ...]) -> None:
-    """Refuse a bool in each field of ``numbers``, and store each of ``counts`` as a Python int."""
-    for name in numbers:
-        if isinstance(getattr(config, name), bool):
-            raise DomainError(f"{name} must be a number, got {getattr(config, name)!r}")
-    for name in counts:
-        object.__setattr__(config, name, _integer(getattr(config, name), name))  # the dataclasses are frozen
-
-
 class BuildError(RuntimeError):
     """A synthetic task could not be constructed as specified."""
 
@@ -120,23 +111,18 @@ class RegimeSpec:
     conflict_policy: str = "confident_only"
 
     def __post_init__(self) -> None:
-        _check_fields(self, ("vocab_size", "num_contexts"), ("conflict_fraction",))
-        if self.regime not in REGIMES:
-            raise DomainError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
-        if self.vocab_size < 8:
-            raise DomainError(f"vocab_size must be >= 8, got {self.vocab_size}")
-        if self.num_contexts < 64:
-            raise DomainError(f"num_contexts must be >= 64, got {self.num_contexts}")
+        for name, value in dict(
+            regime=_choice(self.regime, "regime", REGIMES),
+            vocab_size=_integer(self.vocab_size, "vocab_size", 8),
+            num_contexts=_integer(self.num_contexts, "num_contexts", 64),
+            conflict_fraction=_real(self.conflict_fraction, "conflict_fraction", 0, 1, closed="left"),
+            conflict_policy=_choice(self.conflict_policy, "conflict_policy", CONFLICT_POLICIES),
+        ).items():
+            object.__setattr__(self, name, value)  # the dataclass is frozen
         if self.vocab_size * self.num_contexts > MAX_TABLE_ENTRIES:
             raise DomainError(
                 f"a {self.num_contexts} x {self.vocab_size} logit table exceeds "
                 f"{MAX_TABLE_ENTRIES} entries"
-            )
-        if not 0.0 <= self.conflict_fraction < 1.0:
-            raise DomainError(f"conflict_fraction must lie in [0, 1), got {self.conflict_fraction}")
-        if self.conflict_policy not in CONFLICT_POLICIES:
-            raise DomainError(
-                f"unknown conflict_policy {self.conflict_policy!r}, expected one of {CONFLICT_POLICIES}"
             )
         if self.regime == "weak" and self.conflict_policy == "confident_only" and self.num_conflicts:
             raise DomainError(
@@ -180,17 +166,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        counts = ("steps", "seed") if self.batch_size is None else ("steps", "batch_size", "seed")
-        _check_fields(self, counts, ("learning_rate",))
-        # compared, not converted to float: an int too large for a float is refused, not an OverflowError
-        if not 0.0 < self.learning_rate <= sys.float_info.max:
-            raise DomainError(f"learning_rate must lie in (0, {sys.float_info.max!r}], got {self.learning_rate}")
-        if not 0 <= self.steps <= MAX_TRAIN_STEPS:
-            raise DomainError(f"steps must lie in [0, {MAX_TRAIN_STEPS}], got {self.steps}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.objective, ObjectiveKind):
+            raise DomainError(f"objective must be an ObjectiveKind, got {self.objective!r}")
+        for name, value in dict(
+            learning_rate=_real(self.learning_rate, "learning_rate", 0, sys.float_info.max, closed="right"),
+            steps=_integer(self.steps, "steps", 0, MAX_TRAIN_STEPS),
+            batch_size=None if self.batch_size is None else _integer(self.batch_size, "batch_size", 1),
+            seed=_integer(self.seed, "seed", 0),
+        ).items():
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
 
 @dataclass(frozen=True)
@@ -500,7 +484,7 @@ def build_task(spec: RegimeSpec, seed: int) -> SyntheticTask:
     first state that can reach the bar, so the state where it stops is a
     chunk's last; a mean inside a chunk at the bar raises BuildError.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     labels = rng.integers(0, spec.vocab_size, size=spec.num_contexts).astype(np.int64)
     table = rng.normal(0.0, _WEAK_LOGIT_SCALE, size=(spec.num_contexts, spec.vocab_size))
 

@@ -26,7 +26,10 @@ from .core_math import (
     MIN_ORDER,
     PROB_FLOOR,
     DomainError,
+    _choice,
+    _integer,
     _one_or_stack,
+    _real,
     cayley_alpha,
     concentration,
     deformed_loss,
@@ -125,24 +128,6 @@ def _report(name: str, max_error: float, tol: float, detail: str = "") -> Proper
     return PropertyReport(name=name, passed=passed, max_error=max_error, detail=" ".join(parts))
 
 
-def _check_rule(rule: str) -> str:
-    if rule not in _SCORING_RULES:
-        raise DomainError(f"unknown scoring rule {rule!r}, expected one of {_SCORING_RULES}")
-    return rule
-
-
-def _check_order(alpha: float, high: float = math.inf) -> float:
-    """A finite score order in [MIN_ORDER, high]: a subnormal order keeps too few bits to score with."""
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"score order must be > 0, got {alpha!r}")
-    if not MIN_ORDER <= alpha <= high:
-        raise DomainError(
-            f"score order {alpha!r} under- or overflows the score arithmetic; "
-            f"expected {MIN_ORDER:g} <= alpha <= {high:.4g}"
-        )
-    return alpha
-
-
 def softmax_jacobian(z) -> np.ndarray:
     """Jacobian of softmax: J[i, j] = P_i * (delta_ij - P_j).
 
@@ -220,11 +205,11 @@ def expected_score(r, phat, alpha: float, rule: str = RULE_PROPER):
     ``r`` and ``phat`` are two distributions, or two (rows, vocab) stacks
     scored row by row; a pair of distributions gives a Python float.
     """
-    rule = _check_rule(rule)
+    rule = _choice(rule, "scoring rule", _SCORING_RULES)
+    alpha = _real(alpha, "score order", MIN_ORDER)
     r, q = validate_dist(r), validate_dist(phat)
     if r.shape != q.shape:
         raise DomainError(f"shape mismatch: r has shape {r.shape}, phat has shape {q.shape}")
-    alpha = _check_order(alpha)
     r, q, back = _one_or_stack(r, q)
     with np.errstate(over="ignore"):  # a log q overflows to -inf for huge a; expm1 gives -1
         return back(_risk_rows(q, r, alpha, rule))
@@ -309,9 +294,9 @@ def minimize_risk(r, alpha: float, rule: str = RULE_PROPER):
     others. Orders outside [2.2e-308, 24.6], where the score arithmetic
     underflows, are rejected.
     """
-    rule = _check_rule(rule)
+    rule = _choice(rule, "scoring rule", _SCORING_RULES)
+    alpha = _real(alpha, "score order", MIN_ORDER, _MAX_ORDER)
     rs, back = _one_or_stack(validate_dist(r))
-    alpha = _check_order(alpha, _MAX_ORDER)
     problems, dim = rs.shape
     if dim > _MAX_VOCAB:
         raise DomainError(f"unsupported size: vocabulary {dim} exceeds {_MAX_VOCAB}")
@@ -356,8 +341,7 @@ def gradient_flow_ordering(regime: str, pair: tuple[ObjectiveKind, ObjectiveKind
     whose gate reads anything of the prediction (``kind.reads`` above
     ``Reads.NOTHING``) is refused.
     """
-    if regime not in _REGIMES:
-        raise DomainError(f"unknown regime {regime!r}, expected one of {_REGIMES}")
+    regime, seed = _choice(regime, "regime", _REGIMES), _integer(seed, "seed", 0)
     for kind in pair:
         if kind.reads > Reads.NOTHING:
             raise DomainError(
@@ -747,16 +731,16 @@ def run_property_suite(
 
     ``cayley_kappa`` (finite, > -1) substitutes a different member of the
     endpoint-swapping map family into the linearization check (any value
-    other than 1 must make that report fail); ``fd_rel_tol`` overrides the
-    finite-difference tolerance. A failed check is reported, not raised. A
-    sub-suite that raises, which means a fault in the library its checks
-    call, gives one failing report ``suite-<name>-raised`` in place of its
-    own, naming the exception. Reports are returned sorted by name. A
-    ``timings`` dict receives the wall seconds of each sub-suite, by name in
-    the order they ran.
+    other than 1 must make that report fail); ``fd_rel_tol`` (finite, >= 0)
+    overrides the finite-difference tolerance. A failed check is reported,
+    not raised. A sub-suite that raises, which means a fault in the library
+    its checks call, gives one failing report ``suite-<name>-raised`` in
+    place of its own, naming the exception. Reports are returned sorted by
+    name. A ``timings`` dict receives the wall seconds of each sub-suite, by
+    name in the order they ran.
     """
-    if not math.isfinite(cayley_kappa) or cayley_kappa <= -1.0:
-        raise DomainError(f"cayley_kappa must be finite and > -1, got {cayley_kappa!r}")
+    seed, fd_rel_tol = _integer(seed, "seed", 0), _real(fd_rel_tol, "fd_rel_tol", 0)
+    cayley_kappa = _real(cayley_kappa, "cayley_kappa", -1, closed="neither")  # mobius_alpha's interval
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(7)]
     suites: dict[str, Callable[[], list[PropertyReport]]] = {
         "qlog": _suite_qlog_reports,

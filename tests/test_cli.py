@@ -146,7 +146,7 @@ class TestLandscape:
             "--out", str(out_path),
         )
         assert code == 2 and out == ""
-        assert "requires alpha >= 2.2250738585072014e-308, got 1e-320" in err
+        assert err == "error: fixed exponent alpha must be finite and >= 2.2250738585072014e-308, got 1e-320\n"
         assert not out_path.exists()
 
     def _no_grid(self, monkeypatch):
@@ -242,7 +242,7 @@ class TestTrain:
         flags = ["--objective", "alpha:1e-320"] if where == "flag" else []
         code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path), *flags)
         assert code == 2 and out == ""
-        assert "requires alpha >= 2.2250738585072014e-308, got 1e-320" in err
+        assert err == "error: fixed exponent alpha must be finite and >= 2.2250738585072014e-308, got 1e-320\n"
         assert not out_path.exists()
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
@@ -546,7 +546,8 @@ class TestDuality:
     def test_subnormal_order_exits_two(self, alpha, capsys):
         code, out, err = run_cli(capsys, "duality", "--r", "0.8,0.2", "--alpha", alpha)
         assert code == 2 and out == ""
-        assert f"score order {float(alpha)!r} under- or overflows" in err
+        interval = f"[2.2250738585072014e-308, {verification._MAX_ORDER!r}]"
+        assert err == f"error: score order must lie in {interval}, got {float(alpha)!r}\n"
 
     def test_underflowing_order_exits_two(self, tmp_path, capsys):
         """At order 1e300 every p^a underflows and the risk surface is flat: a usage error."""
@@ -555,7 +556,9 @@ class TestDuality:
             capsys, "duality", "--r", "0.8,0.2", "--alpha", "1e300", "--out", str(out_path)
         )
         assert code == 2
-        assert "score order 1e+300" in err and out == ""
+        interval = f"[2.2250738585072014e-308, {verification._MAX_ORDER!r}]"
+        assert err == f"error: score order must lie in {interval}, got 1e+300\n"
+        assert out == ""
         assert not out_path.exists()
 
 

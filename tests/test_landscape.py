@@ -320,7 +320,7 @@ class TestGridSizeBound:
             construct_distribution(np.full(1024, 0.5), 1.0, 2**14)
 
     def test_feasible_entropy_range_refuses_a_vocabulary_past_the_bound(self, unrealized):
-        message = f"vocabulary {MAX_GRID_ENTRIES + 1} exceeds {MAX_GRID_ENTRIES} entries"
+        message = f"vocabulary must lie in [3, {MAX_GRID_ENTRIES}], got {MAX_GRID_ENTRIES + 1}"
         with pytest.raises(DomainError, match=re.escape(message)):
             feasible_entropy_range(0.5, MAX_GRID_ENTRIES + 1)
         with pytest.raises(AssertionError):  # the bound itself is admitted
@@ -456,11 +456,12 @@ class TestGradientLandscape:
             gradient_landscape(NLL, p_grid, [0.5, 1.0], 8)
 
     def test_requires_three_tokens(self):
-        with pytest.raises(DomainError, match="vocabulary must have >= 3 tokens, got 2"):
+        with pytest.raises(DomainError, match=re.escape(f"vocabulary must lie in [3, {MAX_GRID_ENTRIES}], got 2")):
             gradient_landscape(NLL, [0.5], [0.5], 2)
 
-    @pytest.mark.parametrize("vocab", [8.0, np.float64(8.0), 8.5, True, np.True_])
+    @pytest.mark.parametrize("vocab", [8.0, np.float64(8.0), 8.5, True, np.True_, "8", None])
     def test_refuses_a_vocabulary_that_is_not_an_integer(self, vocab):
+        """A string is named as well: it is checked before it is multiplied into the grid bound."""
         message = f"vocabulary must be an integer, got {vocab!r}"
         with pytest.raises(DomainError, match=re.escape(message)):
             feasible_entropy_range(0.5, vocab)
@@ -468,6 +469,8 @@ class TestGradientLandscape:
             construct_distribution(0.5, 1.0, vocab)
         with pytest.raises(DomainError, match=re.escape(message)):
             gradient_landscape(NLL, [0.2, 0.5], [0.5, 1.0], vocab)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            check_grid_size(2, 2, vocab)
 
     @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16])
     def test_takes_a_numpy_integer_vocabulary_as_an_int(self, integer):

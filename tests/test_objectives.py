@@ -40,22 +40,34 @@ from trustgate.verification import fd_gradient, gradient_flow_ordering
 
 class TestEncoding:
     @pytest.mark.parametrize(
-        "text", ["nll", "linear", "alpha:0.5", "alpha:2.0", "cayley", "deft", "eaft"]
+        "text", ["nll", "linear", "alpha:0.5", "alpha:2.0", "cayley", "deft", "eaft", "exponents"]
     )
     def test_round_trip(self, text):
-        kind = ObjectiveKind.parse(text)
-        assert ObjectiveKind.parse(kind.encode()) == kind
+        """An exponent given as an int or a numpy float is stored as the float it equals, and encodes as one."""
+        kinds = [ObjectiveKind.parse(text)] if text != "exponents" else [
+            ObjectiveKind("alpha", exponent) for exponent in (0.5, np.float64(0.5), np.float32(0.5), 1, 1.0)
+        ]
+        for kind in kinds:
+            assert ObjectiveKind.parse(kind.encode()) == kind
+            assert kind.alpha is None or type(kind.alpha) is float
+        if text == "exponents":
+            assert [kind.encode() for kind in kinds] == ["alpha:0.5"] * 3 + ["alpha:1.0"] * 2
+            assert fixed_alpha(np.float64(0.5)) == kinds[0]
 
     def test_fixed_exponent_must_be_positive(self):
         with pytest.raises(DomainError):
             ObjectiveKind.parse("alpha:0")
         with pytest.raises(DomainError):
             ObjectiveKind.parse("alpha:-1")
+        for flag in (True, np.True_):
+            with pytest.raises(DomainError, match=f"^fixed exponent alpha must be a number, got {flag!r}$"):
+                fixed_alpha(flag)
 
     @pytest.mark.parametrize("text", ["alpha:1e-320", "alpha:2e-308", "alpha:inf", "alpha:nan"])
     def test_fixed_exponent_must_be_a_finite_normal_float(self, text):
         """A subnormal exponent keeps too few bits for the loss -expm1(a log p) / a."""
-        with pytest.raises(DomainError, match="requires alpha >= 2.2250738585072014e-308"):
+        message = f"fixed exponent alpha must be finite and >= 2.2250738585072014e-308, got {text[6:]}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             ObjectiveKind.parse(text)
 
     def test_smallest_fixed_exponent_gives_the_log_loss(self):
@@ -66,6 +78,8 @@ class TestEncoding:
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
             ObjectiveKind.parse("focal")
+        with pytest.raises(DomainError, match="^objective encoding must be a string, got None$"):
+            ObjectiveKind.parse(None)
 
     def test_static_members_take_no_exponent(self):
         with pytest.raises(DomainError):

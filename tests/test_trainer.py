@@ -36,7 +36,9 @@ from trustgate import (
     finetune,
     fixed_alpha,
     gate,
+    gradient_flow_ordering,
     quadrant_stats,
+    run_property_suite,
     softmax,
 )
 from trustgate import objectives, trainer
@@ -242,6 +244,27 @@ class TestFinetune:
         with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
             TrainConfig(objective=NLL, seed=-1)
 
+    @pytest.mark.parametrize(
+        "seeded",
+        [
+            lambda seed: build_task(RegimeSpec(regime="weak"), seed),
+            run_property_suite,
+            lambda seed: gradient_flow_ordering("weak", (LINEAR, NLL), seed),
+        ],
+        ids=["build_task", "run_property_suite", "gradient_flow_ordering"],
+    )
+    @pytest.mark.parametrize("seed", [None, True, 3.0, -1, np.float64(2.0)])
+    def test_seed_that_is_not_a_non_negative_integer_rejected(self, seeded, seed):
+        """A seed is never left to numpy, which would draw one from the OS for None: the runs are deterministic."""
+        message = "seed must be >= 0, got -1" if seed == -1 else f"seed must be an integer, got {seed!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            seeded(seed)
+
+    def test_objective_that_is_not_an_objective_kind_rejected(self):
+        """A text encoding is parsed by the caller: a string would fail only at the first step."""
+        with pytest.raises(DomainError, match="^objective must be an ObjectiveKind, got 'nll'$"):
+            TrainConfig("nll")
+
     def test_learning_rate_too_large_for_a_float_rejected(self):
         """An int beyond the largest float is refused with DomainError rather than raising OverflowError."""
         with pytest.raises(DomainError, match=r"^learning_rate must lie in \(0, 1\.7976931348623157e\+308\], got 1000"):
@@ -268,10 +291,10 @@ class TestFinetune:
     @pytest.mark.parametrize(
         "cls, field", [(TrainConfig, "learning_rate"), (RegimeSpec, "conflict_fraction")]
     )
-    @pytest.mark.parametrize("value", [True, False])
-    def test_bool_rate_or_fraction_rejected(self, cls, field, value):
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.5", "0.1", None])
+    def test_rate_or_fraction_that_is_not_a_number_rejected(self, cls, field, value):
         kwargs = {"objective": NLL} if cls is TrainConfig else {}
-        with pytest.raises(DomainError, match=f"^{field} must be a number, got {value!r}$"):
+        with pytest.raises(DomainError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"):
             cls(**kwargs, **{field: value})
 
     @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
