@@ -2,7 +2,10 @@
 
 Exit codes: 0 success (for ``verify``: every property passed), 1 runtime
 failure, 2 usage or configuration error. Flags override config-file fields;
-there are no environment variables.
+there are no environment variables. The CLI refuses only what the library
+cannot see: an unreadable or non-JSON config, a config that is not a JSON
+object, an unknown config field and a malformed ``--r``; every value goes to
+the library, whose DomainError message is printed as given.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import time
 import numpy as np
 
 from . import trainer
-from .core_math import DomainError, tsallis_entropy
+from .core_math import DomainError, _integer, tsallis_entropy
 from .landscape import check_grid_size, gradient_landscape
 from .objectives import ObjectiveKind
 from .trainer import RegimeSpec, TrainConfig, build_task, finetune
@@ -82,10 +85,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_landscape(args: argparse.Namespace) -> int:
-    if args.p_steps < 1 or args.h_steps < 1:
-        raise ConfigError("p-steps and h-steps must be >= 1")
-    if args.vocab < 3:
-        raise ConfigError(f"vocab must be >= 3, got {args.vocab}")
     check_grid_size(args.p_steps, args.h_steps, args.vocab)
     kind = ObjectiveKind.parse(args.objective)
     check_target(args.out)  # before the grid, not after it
@@ -101,20 +100,7 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
     return 0
 
 
-# The JSON types a config field accepts, by the annotation of its dataclass field.
-_JSON_TYPES = {
-    "str": str,
-    "int": int,
-    "float": (int, float),
-    "int | None": (int, type(None)),
-    "ObjectiveKind": str,  # its text encoding
-}
-
-_TRAIN_SCHEMA = {
-    field.name: _JSON_TYPES[field.type]
-    for cls in (RegimeSpec, TrainConfig)
-    for field in dataclasses.fields(cls)
-} | {"task_seed": int}
+_TRAIN_FIELDS = {field.name for cls in (RegimeSpec, TrainConfig) for field in dataclasses.fields(cls)} | {"task_seed"}
 
 
 def _load_train_config(path: str, args: argparse.Namespace) -> dict:
@@ -127,16 +113,12 @@ def _load_train_config(path: str, args: argparse.Namespace) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
-    for key, value in raw.items():
-        if key not in _TRAIN_SCHEMA:
+    for key in raw:
+        if key not in _TRAIN_FIELDS:
             raise ConfigError(f"unknown config field {key!r}")
-        if not isinstance(value, _TRAIN_SCHEMA[key]) or isinstance(value, bool):
-            raise ConfigError(f"config field {key!r} has invalid type {type(value).__name__}")
-    if raw.get("task_seed", 0) < 0:
-        raise ConfigError(f"config field 'task_seed' must be a non-negative integer, got {raw['task_seed']}")
-    # flags take precedence over config fields; the dataclasses check every field after this
+    # flags take precedence over config fields; the library checks every value after this
     for key, value in vars(args).items():
-        if key in _TRAIN_SCHEMA and value is not None:
+        if key in _TRAIN_FIELDS and value is not None:
             raw[key] = value
     return raw
 
@@ -151,9 +133,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     spec = RegimeSpec(**_fields_set(cfg, RegimeSpec))
     objective = ObjectiveKind.parse(cfg.get("objective", "nll"))
     train_cfg = TrainConfig(**{**_fields_set(cfg, TrainConfig), "objective": objective})
+    task_seed = _integer(cfg.get("task_seed", train_cfg.seed), "task_seed", 0)
     check_target(args.out)  # before the run, not after it
     started = time.perf_counter()
-    task = build_task(spec, cfg.get("task_seed", train_cfg.seed))
+    task = build_task(spec, task_seed)
     built = time.perf_counter()
     record = finetune(task.model, task.labels, train_cfg, clean_labels=task.clean_labels)
     record.config["regime"] = spec.regime
@@ -201,17 +184,6 @@ def _cmd_duality(args: argparse.Namespace) -> int:
     return 0
 
 
-def _seed(text: str) -> int:
-    """argparse type for RNG seeds: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: expected a non-negative integer")
-    return value
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; each ``parse_args`` call starts from its defaults."""
@@ -223,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the full numerical property suite")
-    p_verify.add_argument("--seed", type=_seed, default=7)
+    p_verify.add_argument("--seed", type=int, default=7)
     p_verify.add_argument(
         "--timings", action="store_true",
         help="write the wall seconds of each sub-suite as one JSON line on stderr",
@@ -248,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--objective", default=None)
     p_train.add_argument("--steps", type=int, default=None)
-    p_train.add_argument("--seed", type=_seed, default=None)
+    p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     p_train.add_argument(
         "--timings", action="store_true",

@@ -52,9 +52,24 @@ def _refuse_first(values: np.ndarray, bad: np.ndarray, message: str) -> None:
         raise DomainError(f"{message}, got {values[bad][0].tolist()!r}")
 
 
+def _floats(x, what: str) -> np.ndarray:
+    """``x``, a number or a rectangular nesting of numbers, as a float64 array: the one array check.
+
+    Text, bools, objects (``None``, or an int past the range of int64 and
+    uint64) and a ragged nesting are refused naming ``x``, not parsed or cast.
+    """
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # numpy refuses a ragged nesting
+        raise DomainError(f"{what} must be a rectangular array of numbers, got a ragged nesting") from exc
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def _unit_interval(x, what: str = "probability", slack: float = 0.0) -> np.ndarray:
     """``x`` as a float64 array, every entry in [0, 1] widened by ``slack``: the one range check."""
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _floats(x, what)
     # NaN fails both comparisons
     _refuse_first(arr, ~((arr >= -slack) & (arr <= 1.0 + slack)), f"{what} must lie in [0, 1]")
     return arr
@@ -111,7 +126,7 @@ def validate_dist(probs) -> np.ndarray:
     not one, so the row functions' bits do not depend on the caller's layout.
     Raises DomainError on the first violation.
     """
-    arr = np.asarray(probs, dtype=np.float64)
+    arr = _floats(probs, "distribution")
     if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
         raise DomainError(
             f"distributions must be a vector of length >= 2 or a (rows, >= 2) stack of them, got shape {arr.shape}"
@@ -155,7 +170,7 @@ def q_log(x, q: float):
     Strictly increasing in x with derivative x^(-q). Any finite order q is valid.
     """
     q = _real(q, "q_log order")
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _floats(x, "q_log argument")
     _refuse_first(arr, ~((arr > 0.0) & (arr < math.inf)), "q_log requires x > 0")
     if q == 1.0:
         return _result(np.log(arr))
@@ -171,7 +186,7 @@ def deformed_loss(p, alpha):
     nonincreasing in p for fixed alpha. Each exponent is 0 or at least
     MIN_ORDER. Input probabilities are clamped to [PROB_FLOOR, 1] first.
     """
-    a = np.asarray(alpha, dtype=np.float64)
+    a = _floats(alpha, "focus exponent")
     zero = a == 0.0
     normal = (a >= MIN_ORDER) & (a < math.inf)
     _refuse_first(a, ~(zero | normal), f"focus exponent must be 0 or >= {MIN_ORDER!r}")

@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core_math import DomainError, _integer, _one_or_stack, entropy_rows
+from .core_math import DomainError, _floats, _integer, _one_or_stack, entropy_rows
 from .objectives import ObjectiveKind, Reads, gate
 
 _BISECTION_TOL = 1e-6
@@ -206,7 +206,7 @@ def feasible_entropy_range(p, vocab: int):
     MAX_GRID_ENTRIES (a numpy integer is taken as a Python int).
     """
     vocab = _integer(vocab, "vocabulary", *_VOCABULARY)
-    p, back = _one_or_stack(np.asarray(p, dtype=np.float64), row_ndim=0)
+    p, back = _one_or_stack(_floats(p, "target probability"), row_ndim=0)
     if p.ndim != 1:
         raise DomainError(f"target probabilities must be a scalar or a 1-d vector, got shape {p.shape}")
     outside = ~((0.0 < p) & (p < 1.0))
@@ -228,9 +228,7 @@ def construct_distribution(p, entropy, vocab: int) -> np.ndarray:
     At most MAX_GRID_ENTRIES target masses x vocabulary entries are realized.
     """
     vocab = _integer(vocab, "vocabulary", *_VOCABULARY)
-    p, entropy, back = _one_or_stack(
-        np.asarray(p, dtype=np.float64), np.asarray(entropy, dtype=np.float64), row_ndim=0
-    )
+    p, entropy, back = _one_or_stack(_floats(p, "target probability"), _floats(entropy, "entropy"), row_ndim=0)
     if p.size * vocab > MAX_GRID_ENTRIES:
         raise DomainError(f"{p.size} target masses at vocabulary {vocab} exceed {MAX_GRID_ENTRIES} entries")
     low, high = feasible_entropy_range(p, vocab)
@@ -272,8 +270,7 @@ def gradient_landscape(kind: ObjectiveKind, p_grid, h_grid, vocab: int) -> Lands
     caller does. Raises DomainError when feasible cells exist but none carries
     a positive finite signal, since the grid then cannot be normalized.
     """
-    p_grid = np.asarray(p_grid, dtype=np.float64)
-    h_grid = np.asarray(h_grid, dtype=np.float64)
+    p_grid, h_grid = _floats(p_grid, "p grid"), _floats(h_grid, "entropy grid")
     _check_grid(p_grid, "p")
     _check_grid(h_grid, "entropy")
     check_grid_size(p_grid.size, h_grid.size, vocab)

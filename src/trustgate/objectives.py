@@ -34,6 +34,7 @@ from .core_math import (
     PROB_FLOOR,
     DomainError,
     _choice,
+    _floats,
     _one_or_stack,
     _real,
     cayley_focus,
@@ -197,7 +198,7 @@ def softmax(z) -> np.ndarray:
 
     The result is C-contiguous, and its bits do not depend on the layout of ``z``.
     """
-    arr = np.asarray(z, dtype=np.float64)
+    arr = _floats(z, "logits")
     if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
         raise DomainError(
             f"logits must be a vector of length >= 2 or a (rows, >= 2) stack of them, got shape {arr.shape}"

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core_math import PROB_FLOOR, DomainError, _choice, _integer, _real
+from .core_math import PROB_FLOOR, DomainError, _choice, _floats, _integer, _real
 from .objectives import (
     NLL, ObjectiveKind, _positions, _with_targets, focus_per_row, gate_error_into, loss_per_row, softmax_into
 )
@@ -143,7 +143,7 @@ class ToyModel:
     logit_table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = np.asarray(self.logit_table, dtype=np.float64)
+        table = _floats(self.logit_table, "logit table")
         if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 2:
             raise DomainError(f"logit table must be (contexts >= 1, vocab >= 2), got {table.shape}")
         if not np.all(np.isfinite(table)):

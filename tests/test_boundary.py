@@ -1,9 +1,12 @@
-"""The library boundary: every scalar argument of every exported callable is checked before any work.
+"""The library boundary: every scalar and every array of numbers passed to an exported callable is checked first.
 
 A scalar that its documented type or interval does not admit raises
 DomainError naming the argument; a numpy scalar is taken as the plain Python
-value. Array-likes and ObjectiveKind parameters of functions are outside this
-contract, and the meta-check keeps the table in step with the exports.
+value. An array-like of numbers (a distribution, logits, a grid) that holds
+text, bools or objects, or is a ragged nesting, raises DomainError naming the
+argument too. Index arrays (targets, labels) have the targets check of the
+objectives; ObjectiveKind and other structured parameters of functions are
+outside this contract. The meta-check keeps the tables in step with the exports.
 """
 
 import dataclasses
@@ -22,23 +25,38 @@ from hypothesis import strategies as st
 
 import trustgate
 from trustgate import (
+    DEFT,
     NLL,
     DomainError,
     ObjectiveKind,
     RegimeSpec,
+    ToyModel,
     TrainConfig,
     build_task,
+    cayley_alpha,
+    clamp_prob,
+    concentration,
     construct_distribution,
+    deformed_loss,
     expected_score,
+    fd_gradient,
     feasible_entropy_range,
     fixed_alpha,
+    focus_index,
+    gate,
     gradient_flow_ordering,
     gradient_landscape,
+    logit_gradient,
+    loss,
     minimize_risk,
     mobius_alpha,
     q_log,
     run_property_suite,
+    shannon_entropy,
+    softmax,
+    softmax_jacobian,
     tsallis_entropy,
+    validate_dist,
 )
 from trustgate.core_math import MIN_ORDER
 from trustgate.landscape import MAX_GRID_ENTRIES, check_grid_size
@@ -120,17 +138,43 @@ TABLE = {
                                     MAX_GRID_ENTRIES),
 }
 
-# Parameters of exported callables that are not scalars, each with its reason.
+# Every array-like parameter of numbers: how to call with it set to x (a vector,
+# one row for the 2-d logit table) and every other argument valid, and the name
+# its DomainError gives the argument.
+ARRAYS = {
+    "cayley_alpha.p": (cayley_alpha, "probability"),
+    "clamp_prob.p": (clamp_prob, "probability"),
+    "concentration.P": (concentration, "distribution"),
+    "deformed_loss.p": (lambda x: deformed_loss(x, 0.5), "probability"),
+    "deformed_loss.alpha": (lambda x: deformed_loss(0.5, x), "focus exponent"),
+    "mobius_alpha.z": (lambda x: mobius_alpha(x, 1.0), "radius"),
+    "q_log.x": (lambda x: q_log(x, 0.5), "q_log argument"),
+    "shannon_entropy.r": (shannon_entropy, "distribution"),
+    "tsallis_entropy.r": (lambda x: tsallis_entropy(x, 2.0), "distribution"),
+    "validate_dist.probs": (validate_dist, "distribution"),
+    "focus_index.P": (lambda x: focus_index(DEFT, x, 0), "distribution"),
+    "gate.P": (lambda x: gate(DEFT, x, 0), "distribution"),
+    "loss.P": (lambda x: loss(DEFT, x, 0), "distribution"),
+    "logit_gradient.z": (lambda x: logit_gradient(DEFT, x, 0), "logits"),
+    "softmax.z": (softmax, "logits"),
+    "softmax_jacobian.z": (softmax_jacobian, "logits"),
+    "fd_gradient.z": (lambda x: fd_gradient(DEFT, x, 0), "logits"),
+    "expected_score.r": (lambda x: expected_score(x, R, 0.5), "distribution"),
+    "expected_score.phat": (lambda x: expected_score(R, x, 0.5), "distribution"),
+    "minimize_risk.r": (lambda x: minimize_risk(x, 0.5), "distribution"),
+    "construct_distribution.p": (lambda x: construct_distribution(x, 1.0, 8), "target probability"),
+    "construct_distribution.entropy": (lambda x: construct_distribution(R, x, 8), "entropy"),
+    "feasible_entropy_range.p": (lambda x: feasible_entropy_range(x, 8), "target probability"),
+    "gradient_landscape.p_grid": (lambda x: gradient_landscape(NLL, x, [0.5, 1.0], 8), "p grid"),
+    "gradient_landscape.h_grid": (lambda x: gradient_landscape(NLL, [0.2, 0.5], x, 8), "entropy grid"),
+    "ToyModel.logit_table": (lambda x: ToyModel([x]), "logit table"),
+}
+
+# Parameters of exported callables that are neither scalars nor arrays of numbers, each with its reason.
 NOT_SCALAR = {
-    "array-like": {
-        "cayley_alpha.p", "clamp_prob.p", "concentration.P", "deformed_loss.p", "deformed_loss.alpha",
-        "mobius_alpha.z", "q_log.x", "shannon_entropy.r", "tsallis_entropy.r", "validate_dist.probs",
-        "focus_index.P", "focus_index.target", "gate.P", "gate.target", "loss.P", "loss.target",
-        "logit_gradient.z", "logit_gradient.target", "softmax.z", "softmax_jacobian.z", "fd_gradient.z",
-        "fd_gradient.target", "expected_score.r", "expected_score.phat", "minimize_risk.r",
-        "construct_distribution.p", "construct_distribution.entropy", "feasible_entropy_range.p",
-        "gradient_landscape.p_grid", "gradient_landscape.h_grid", "ToyModel.logit_table", "finetune.labels",
-        "finetune.clean_labels",
+    "array of indices": {
+        "focus_index.target", "gate.target", "loss.target", "logit_gradient.target", "fd_gradient.target",
+        "finetune.labels", "finetune.clean_labels",
     },
     "ObjectiveKind-valued": {
         "focus_index.kind", "gate.kind", "loss.kind", "logit_gradient.kind", "fd_gradient.kind",
@@ -164,7 +208,7 @@ def exported_parameters() -> set[str]:
 
 
 def test_every_exported_parameter_is_in_the_table_or_named_as_not_scalar():
-    listed = set(TABLE).union(*NOT_SCALAR.values())
+    listed = set(TABLE).union(ARRAYS, *NOT_SCALAR.values())
     exported = exported_parameters()
     assert exported - listed == set(), "parameters missing from the boundary table"
     # the table's extra rows: a method and a function the CLI calls, which trustgate does not export
@@ -235,3 +279,22 @@ def test_a_numpy_scalar_gives_the_result_of_the_plain_value(name):
     row = TABLE[name]
     numpy_form = {"real": np.float64, "integer": np.int64, "choice": np.str_}[row.kind](row.valid)
     assert same(row.call(numpy_form), row.call(row.valid))
+
+
+# Array-likes the contract refuses for every array of numbers.
+BAD_ARRAYS = {
+    "numeric-strings": ["0.5", "0.5"],
+    "bools": [True, False],
+    "none-entry": [None, 0.5],
+    "int-past-the-float-range": [HUGE, 0],
+    "ragged": [[0.5, 0.5], [0.5]],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ARRAYS))
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_an_array_that_is_not_of_numbers_raises_domain_error_naming_it(name, bad):
+    call, what = ARRAYS[name]
+    value = BAD_ARRAYS[bad]
+    with pytest.raises(DomainError, match=rf"^{re.escape(what)} must (hold real|be a rectangular array of) numbers"):
+        call(value)

@@ -7,8 +7,11 @@ import random
 
 import numpy as np
 import pytest
-from trustgate import RegimeSpec, build_task, cli, trainer, tsallis_entropy, verification
+from trustgate import (
+    NLL, DomainError, ObjectiveKind, RegimeSpec, build_task, cli, trainer, tsallis_entropy, verification,
+)
 from trustgate.cli import parse_and_run
+from trustgate.landscape import MAX_GRID_ENTRIES
 
 
 def run_cli(capsys, *argv):
@@ -51,9 +54,10 @@ class TestVerify:
         assert failed[0]["detail"].startswith("DomainError: radius must lie in [0, 1]")
 
     def test_negative_seed_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--seed", "-1")
-        assert code == 2
-        assert "usage:" in err and "non-negative" in err
+        """run_property_suite refuses the seed before any work, in one error line."""
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
 
 
 class TestLandscape:
@@ -117,7 +121,25 @@ class TestLandscape:
             "--out", str(out_path),
         )
         assert code == 2
-        assert f"vocab must be >= 3, got {vocab}" in err
+        assert err == f"error: vocabulary must lie in [3, {MAX_GRID_ENTRIES}], got {vocab}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("axis", ["p", "h"])
+    @pytest.mark.parametrize("steps", ["-1", "0"])
+    def test_empty_grid_is_usage_error(self, axis, steps, tmp_path, capsys):
+        out_path = tmp_path / "g.csv"
+        counts = {"p": "2", "h": "2", axis: steps}
+        code, out, err = run_cli(
+            capsys,
+            "landscape",
+            "--objective", "nll",
+            "--p-steps", counts["p"],
+            "--h-steps", counts["h"],
+            "--vocab", "8",
+            "--out", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {axis}_steps must be >= 1, got {steps}\n"
         assert not out_path.exists()
 
     def test_unknown_objective_is_usage_error(self, tmp_path, capsys):
@@ -190,6 +212,19 @@ class TestLandscape:
         self._no_grid(monkeypatch)
         code, _, err = self._landscape(capsys, p_steps, str(tmp_path / "nodir" / "x.csv"), objective)
         assert code == 2 and message in err
+
+
+_TRAIN_DATACLASS_FIELDS = [*dataclasses.fields(RegimeSpec), *dataclasses.fields(trainer.TrainConfig)]
+# JSON values of the wrong type, by the annotation of the dataclass field: true, a
+# float where a count is due, a string where a number is due, a number where text is
+# due, and null where None is not a default.
+_WRONGLY_TYPED = {
+    "str": [True, 3, None],
+    "ObjectiveKind": [True, 5, None],
+    "int": [True, 8.0, "8", None],
+    "int | None": [True, 8.0, "8"],
+    "float": [True, "0.5", None],
+}
 
 
 class TestTrain:
@@ -278,29 +313,26 @@ class TestTrain:
             "--seed", "-3",
         )
         assert code == 2
-        assert "usage:" in err
+        assert err == "error: seed must be >= 0, got -3\n"
 
     @pytest.mark.parametrize("field", ["seed", "task_seed"])
     def test_negative_config_seed_exits_two(self, field, tmp_path, capsys):
-        """A negative seed is refused by TrainConfig, a negative task_seed by the CLI."""
-        message = {
-            "seed": "seed must be >= 0, got -1",
-            "task_seed": "config field 'task_seed' must be a non-negative integer, got -1",
-        }[field]
+        """A negative seed is refused by TrainConfig, a negative task_seed by the integer check of the library."""
         config = self._config(tmp_path, **{field: -1})
         out_path = tmp_path / "o.json"
         code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path))
         assert code == 2 and out == ""
-        assert err == f"error: {message}\n"
+        assert err == f"error: {field} must be >= 0, got -1\n"
         assert not out_path.exists()
 
-    def test_flag_overrides_a_bad_config_field(self, tmp_path, capsys):
-        """Every field is checked after the flags override it, so a flag can replace a bad config value."""
-        config = self._config(tmp_path, seed=-1)
+    @pytest.mark.parametrize("name, value, flag", [("seed", -1, "3"), ("seed", None, "3"), ("steps", "2", "2")])
+    def test_flag_overrides_a_bad_config_field(self, name, value, flag, tmp_path, capsys):
+        """Every value is checked after the flags override it, so a flag can replace a bad or wrongly typed one."""
+        config = self._config(tmp_path, **{name: value})
         out_path = tmp_path / "run.json"
-        code, _, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path), "--seed", "3")
+        code, _, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path), f"--{name}", flag)
         assert code == 0 and err == ""
-        assert json.loads(out_path.read_text())["config"]["seed"] == 3
+        assert json.loads(out_path.read_text())["config"][name] == int(flag)
 
     def test_oversized_integer_learning_rate_exits_two(self, tmp_path, capsys):
         """An int too large for a float is refused in one error line, not a traceback."""
@@ -315,13 +347,10 @@ class TestTrain:
     def test_config_at_the_defaults_matches_an_empty_config(self, tmp_path, capsys):
         """Spelling out every field at the value the CLI defaults to moves no byte of stdout or the artifact."""
         defaults = {
-            field.name: field.default
-            for cls in (RegimeSpec, trainer.TrainConfig)
-            for field in dataclasses.fields(cls)
-            if field.default is not dataclasses.MISSING
+            field.name: field.default for field in _TRAIN_DATACLASS_FIELDS if field.default is not dataclasses.MISSING
         }
         spelled_out = defaults | {"objective": "nll", "task_seed": defaults["seed"]}
-        assert set(spelled_out) == set(cli._TRAIN_SCHEMA)
+        assert set(spelled_out) == cli._TRAIN_FIELDS
         config, out_path = tmp_path / "config.json", tmp_path / "run.json"
         runs = []
         for body in ({}, spelled_out):
@@ -331,7 +360,7 @@ class TestTrain:
             runs.append((out, out_path.read_bytes()))
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("name", [name for name, types in cli._TRAIN_SCHEMA.items() if isinstance(0.5, types)])
+    @pytest.mark.parametrize("name", [field.name for field in _TRAIN_DATACLASS_FIELDS if field.type == "float"])
     def test_float_field_accepts_an_int(self, name, tmp_path, capsys):
         """An int in a float field is taken as written, and the artifact records it as an int."""
         value = next(v for v in _CONFIG_FIELDS[name][0] if type(v) is int)
@@ -343,22 +372,28 @@ class TestTrain:
         assert type(recorded.get(name, value)) is int
 
     @pytest.mark.parametrize(
-        "name",
-        [name for name, types in cli._TRAIN_SCHEMA.items() if isinstance(1, types) and not isinstance(0.5, types)],
+        "name, value",
+        [
+            pytest.param(field.name, value, id=f"{field.name}={value!r}")
+            for field in _TRAIN_DATACLASS_FIELDS
+            for value in _WRONGLY_TYPED[field.type]
+        ],
     )
-    def test_int_field_refuses_a_float(self, name, tmp_path, capsys):
-        value = float(next(v for v in _CONFIG_FIELDS[name][0] if type(v) is int))
+    def test_wrongly_typed_field_gets_the_library_message(self, name, value, tmp_path, capsys):
+        """The CLI prints what the dataclass or ObjectiveKind.parse raises for the same value, in one line."""
+        with pytest.raises(DomainError) as refused:
+            if name == "objective":
+                ObjectiveKind.parse(value)
+            elif name in {field.name for field in dataclasses.fields(RegimeSpec)}:
+                RegimeSpec(**{name: value})
+            else:
+                trainer.TrainConfig(NLL, **{name: value})
         config = self._config(tmp_path, **{name: value})
-        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o.json"))
+        out_path = tmp_path / "o.json"
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path))
         assert code == 2 and out == ""
-        assert err == f"error: config field {name!r} has invalid type float\n"
-
-    @pytest.mark.parametrize("name", list(cli._TRAIN_SCHEMA))
-    def test_every_field_refuses_true(self, name, tmp_path, capsys):
-        config = self._config(tmp_path, **{name: True})
-        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o.json"))
-        assert code == 2 and out == ""
-        assert err == f"error: config field {name!r} has invalid type bool\n"
+        assert err == f"error: {refused.value}\n"
+        assert name in err and not out_path.exists()
 
     def test_impossible_conflict_spec_exits_two(self, tmp_path, capsys):
         """Confident-only conflicts on a weak prior are a config error, caught before any work."""
@@ -629,7 +664,7 @@ _OBJECTIVES = (
     ["alpha:1e308", "alpha:1e-320", "alpha:-1", "alpha:nan", "alpha:inf", "alpha:x", "focal", ""],
 )
 _CONFIG_FIELDS = {
-    "regime": (["strong", "weak", "intermediate"], ["bogus", 3]),
+    "regime": (["strong", "weak", "intermediate"], ["bogus", 3, None]),
     "vocab_size": ([8, 9], [4, -1, "8", 8.0, True]),
     "num_contexts": ([64, 65], [10, 0, None]),
     "conflict_fraction": ([0, 0.25], [1.0, -0.1, float("nan"), "x"]),
@@ -639,14 +674,14 @@ _CONFIG_FIELDS = {
     "steps": ([0, 2, 3], [-1, 2.5]),
     "batch_size": ([None, 1, 16, 1000], [0, -4]),
     "seed": ([0, 5, 2**40], [-1]),
-    "task_seed": ([0, 9], [-2]),
+    "task_seed": ([0, 9], [-2, "3", None]),
     "warmup": ([], [1]),
 }
 
 
 def test_fuzz_pools_cover_the_train_schema():
     """Every config field has a fuzz pool, so a new dataclass field cannot go unfuzzed."""
-    assert set(_CONFIG_FIELDS) - {"warmup"} == set(cli._TRAIN_SCHEMA)
+    assert set(_CONFIG_FIELDS) - {"warmup"} == cli._TRAIN_FIELDS
 
 
 @pytest.mark.parametrize(
