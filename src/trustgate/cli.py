@@ -148,6 +148,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "pretrain_steps": task.pretrain_steps,
             "pretrain_chunks": task.pretrain_chunks,
             "finetune_s": tuned - built,
+            "finetune_updates": record.updates,
             "emit_s": time.perf_counter() - tuned,
             "workers": trainer.BLOCK_WORKERS,
         }

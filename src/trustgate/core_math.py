@@ -112,6 +112,14 @@ def _choice(x, what: str, choices: tuple[str, ...]) -> str:
     return str(x)
 
 
+def _instance(x, what: str, cls: type):
+    """``x``, an instance of ``cls``: the one check of a structured argument, made before its first attribute read."""
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{what} must be {article} {cls.__name__}, got {x!r}")
+    return x
+
+
 def clamp_prob(p):
     """Clamp probabilities to [PROB_FLOOR, 1]; reject values outside [0, 1] by more than 1e-9."""
     return _result(np.minimum(np.maximum(_unit_interval(p, slack=1e-9), PROB_FLOOR), 1.0))

@@ -182,12 +182,24 @@ class GateError:
     signal: float | np.ndarray
 
 
+# Widest row, and fewest rows, for which softmax_into takes the row max from a transposed copy. At 256 x 32 the
+# copy's column max took 11 us against 23 us for the row max, at 1024 x 64 76 against 105 us, and at 256 x 128
+# 43 against 32 us (2 vCPU Xeon, numpy 2.4.6).
+_NARROW_ROW = 64
+
+
 def softmax_into(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Row-wise softmax of ``logits`` into ``out`` (may be ``logits``): the one kernel, unchecked.
 
     A row's bits depend on that row alone, so a subset of rows gives the bits of the whole stack.
     """
-    np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    rows, width = logits.shape
+    if width <= _NARROW_ROW <= rows:
+        # numpy's row max pays per row; a transposed copy's column max does not (a max rounds nothing: same bits)
+        row_max = np.ascontiguousarray(logits.T).max(axis=0)[:, None]
+    else:
+        row_max = logits.max(axis=1, keepdims=True)
+    np.subtract(logits, row_max, out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=1, keepdims=True)
     return out

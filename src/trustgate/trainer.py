@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core_math import PROB_FLOOR, DomainError, _choice, _floats, _integer, _real
+from .core_math import PROB_FLOOR, DomainError, _choice, _floats, _instance, _integer, _real
 from .objectives import (
     NLL, ObjectiveKind, _positions, _with_targets, focus_per_row, gate_error_into, loss_per_row, softmax_into
 )
@@ -166,8 +166,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.objective, ObjectiveKind):
-            raise DomainError(f"objective must be an ObjectiveKind, got {self.objective!r}")
+        _instance(self.objective, "objective", ObjectiveKind)
         for name, value in dict(
             learning_rate=_real(self.learning_rate, "learning_rate", 0, sys.float_info.max, closed="right"),
             steps=_integer(self.steps, "steps", 0, MAX_TRAIN_STEPS),
@@ -221,7 +220,9 @@ class RunRecord:
     ``mean_target_p`` and ``mean_alpha`` are recorded at the start of each
     step (index 0 is the initial state); deltas compare the initial and final
     states on the original labels. ``final_table`` is kept for downstream
-    analysis and is not part of the JSON form.
+    analysis, and ``updates`` counts the table updates the run took: one per
+    step for a full batch, one per epoch segment for a minibatch. Neither is
+    part of the JSON form.
     """
 
     config: dict
@@ -231,6 +232,7 @@ class RunRecord:
     quadrants: dict
     histograms: list[dict]
     final_table: np.ndarray = field(repr=False)
+    updates: int
 
     def to_dict(self) -> dict:
         return {
@@ -324,97 +326,131 @@ def _descend(
 
     A generator of chunks of steps. It first yields the start state; sent a
     number of steps, it takes them and yields the states they reach. Each
-    yield is ``(mean_p, mean_alpha, target_p)``: the mean label probability
-    and the mean focus of each state, as lists (a static member's constant
-    focus as it is, not summed), and every row's label probability at the
-    last state, in an array of its own that the caller may keep.
+    yield is ``(mean_p, mean_alpha, target_p, updates)``: the mean label
+    probability and the mean focus of each state, as lists (a static
+    member's constant focus as it is, not summed), every row's label
+    probability at the last state, in an array of its own that the caller
+    may keep, and the number of table updates taken so far.
 
-    A step forms ``lr * gate * (P - onehot)`` over each part of its ``batch``
-    rows (the table's blocks, or the cuts of a shuffle by ``rng``) through
+    A step forms ``lr * gate * (P - onehot)`` over its ``batch`` rows through
     ``gate_error_into``, subtracts it and softmaxes the rows back; a dynamic
-    member's focus is refreshed. In a full batch rows never interact, so each
-    block takes the whole chunk while it stays in cache, and records its
-    rows' label probability and focus after each step. A minibatch
-    reshuffles every step, so it takes each step over all its parts before
-    the next, and records the whole buffer after each. The calling thread
-    reduces each record in one call, a row per state: the bits of
-    ``np.mean`` of each state, in either order. A non-finite update stops
-    its part, and once the chunk's parts have stopped the loop raises
-    TrainingError at the lowest such step. The ufunc buffer is 512 entries
-    while the loop runs (the same bits, column broadcasts kept in cache), and
-    the caller's size comes back when the loop raises or is closed.
+    member's focus is refreshed. Rows never interact, so a full batch takes
+    each block of the table through the whole chunk while it stays in cache,
+    and records its rows' label probability and focus after each step. A
+    minibatch takes consecutive cuts of ``batch`` rows from an order of the
+    rows, the unshuffled one first, and shuffles it by ``rng`` when the next
+    cut would run past its end. The cuts between two shuffles are disjoint,
+    so each such epoch (cut short where the chunk ends) is one update of the
+    union of its cuts, each row at the step of its cut: the table's blocks
+    when the union is every row, else the sorted union in parts, each
+    gathered once and scattered back. The calling thread rebuilds the
+    epoch's records from the states before and after it, a row at step
+    ``k`` holding the state after its update when its step is at most
+    ``k``, and reduces each record in one call, a row per state: the bits of
+    ``np.mean`` of each state of the step-major loop. A non-finite update
+    stops its part, and once the parts have stopped the loop raises
+    TrainingError at the lowest step among the failing rows, the step the
+    step-major loop meets first. The ufunc buffer is 512 entries while the
+    loop runs (the same bits, column broadcasts kept in cache), and the
+    caller's size comes back when the loop raises or is closed.
     """
-    rows = table.shape[0]
+    rows, width = table.shape
     flat, positions = probs.ravel(), _positions(probs, labels)
     focus = _by_blocks(focus_per_row, kind, probs, labels)
-    full_batch, dynamic = batch == rows, kind.is_dynamic
+    dynamic = kind.is_dynamic
     static_alpha = None if dynamic else float(focus[0])
-    # a full batch takes the table's blocks, a minibatch the same cuts of its members
-    blocks = _row_blocks(batch, table.shape[1])
-    if full_batch:
-        # basic slices: a block's probs and table rows are views, and its target positions never change
-        blocks = [(block, _positions(probs[block], labels[block])) for block in blocks]
+    # for an epoch of every row: basic slices, whose probs and table rows are views and whose target positions
+    # never change
+    blocks = None
+    if rows % batch == 0:
+        blocks = [(block, _positions(probs[block], labels[block])) for block in _row_blocks(rows, width)]
     order = np.arange(rows)
-    cursor = 0
-    failed = []  # the step of each part whose update turned non-finite
+    cursor = updates = 0
+    step_of = np.zeros(rows, dtype=np.int64)  # each row's step in the current epoch (stale outside it)
+    failed = []  # the lowest step of each part whose update turned non-finite
 
-    def update(part, part_positions, step) -> bool:
-        """The one step body, on ``part``'s rows; False, with nothing softmaxed or scattered, if non-finite."""
+    def update(part, part_positions, step: np.ndarray) -> bool:
+        """The one update, of ``part``'s rows, each at its ``step``.
+
+        False, with nothing softmaxed or scattered, if the new rows are not finite.
+        """
         part_probs, part_labels = probs[part], labels[part]
         gate_error_into(kind, part_probs, part_labels, focus[part], part_positions)
         part_probs *= lr
-        # a view for a full batch; a minibatch gathers its rows once and scatters them back
+        # a view for a block; the rows of a partial epoch are gathered once and scattered back
         updated = table[part]
         updated -= part_probs
         if not np.isfinite(updated).all():
-            failed.append(step)
+            failed.append(int(step[~np.isfinite(updated).all(axis=1)].min()))
             return False
         # the part's probs take the softmax of its updated rows
         softmax_into(updated, part_probs)
-        if not full_batch:
+        if not isinstance(part, slice):
             table[part] = updated
             probs[part] = part_probs
+        del updated  # gathered rows are freed before the focus rule takes its temporaries
         if dynamic:
             focus[part] = focus_per_row(kind, part_probs, part_labels)
         return True
 
-    def chunk_on(part: tuple, first: int, target_p: np.ndarray, focuses: np.ndarray | None) -> None:
+    def chunk_on(part: tuple, row_steps: np.ndarray, target_p: np.ndarray, focuses: np.ndarray | None) -> None:
+        """Update a block once per row of ``row_steps`` (each row's step), recording its rows after each."""
         block, block_positions = part
         block_flat = probs[block].ravel()
-        for k in range(target_p.shape[0]):
-            if not update(block, block_positions, first + k):
+        for k in range(row_steps.shape[0]):
+            if not update(block, block_positions, row_steps[k, block]):
                 return
             target_p[k, block] = block_flat[block_positions]
             if dynamic:
                 focuses[k, block] = focus[block]
 
-    def reached(target_p: np.ndarray, focuses: np.ndarray | None) -> tuple[list, list, np.ndarray]:
+    def reached(target_p: np.ndarray, focuses: np.ndarray | None) -> tuple[list, list, np.ndarray, int]:
         mean_p = (target_p.sum(axis=1) / rows).tolist()
         mean_alpha = (focuses.sum(axis=1) / rows).tolist() if dynamic else [static_alpha] * len(mean_p)
-        return mean_p, mean_alpha, target_p[-1]
+        return mean_p, mean_alpha, target_p[-1], updates
 
     bufsize = np.setbufsize(512)
     try:
-        steps = yield reached(flat[positions][None], focus[None])
+        before_p, before_focus = flat[positions], focus.copy()
+        steps = yield reached(before_p[None], focus[None])
         first = 0
         while True:
             target_p = np.empty((steps, rows))
             focuses = np.empty((steps, rows)) if dynamic else None
-            if full_batch:
-                _each_block(lambda part: chunk_on(part, first, target_p, focuses), blocks)
+            if batch == rows:
+                row_steps = np.broadcast_to(np.arange(first, first + steps)[:, None], target_p.shape)
+                _each_block(lambda part: chunk_on(part, row_steps, target_p, focuses), blocks)
+                updates += steps
             else:
-                for k in range(steps):
-                    if cursor + batch > order.size:
+                k = 0
+                while k < steps and not failed:
+                    if cursor + batch > rows:
                         rng.shuffle(order)
                         cursor = 0
-                    members = order[cursor : cursor + batch]
-                    cursor += batch
-                    _each_block(lambda part: update(part, None, first + k), [members[block] for block in blocks])
-                    if failed:
-                        break
-                    target_p[k] = flat[positions]
+                    cuts = min(steps - k, (rows - cursor) // batch)
+                    members = order[cursor : cursor + cuts * batch]
+                    cursor += cuts * batch
+                    step_of[members] = first + k + np.arange(members.size) // batch
+                    end = k + cuts - 1  # the epoch's last step, by which each of its rows has taken its update
+                    if members.size == rows:
+                        ends = (target_p[end : end + 1], focuses[end : end + 1] if dynamic else None)
+                        _each_block(lambda part: chunk_on(part, step_of[None], *ends), blocks)
+                    else:
+                        union = np.sort(members)
+                        parts = [union[cut] for cut in _row_blocks(union.size, width)]
+                        _each_block(lambda part: update(part, None, step_of[part]), parts)
+                        target_p[end] = flat[positions]
+                        if dynamic:
+                            focuses[end] = focus
+                    updates += 1
+                    # each earlier step of the epoch holds a row's state before its update or after it
+                    later = step_of > np.arange(first + k, first + end)[:, None]
+                    target_p[k:end] = np.where(later, before_p, target_p[end])
+                    before_p = target_p[end]
                     if dynamic:
-                        focuses[k] = focus
+                        focuses[k:end] = np.where(later, before_focus, focuses[end])
+                        before_focus = focuses[end]
+                    k = end + 1
             if failed:
                 raise TrainingError(f"non-finite logits after update at step {min(failed)}")
             first += steps
@@ -484,6 +520,7 @@ def build_task(spec: RegimeSpec, seed: int) -> SyntheticTask:
     first state that can reach the bar, so the state where it stops is a
     chunk's last; a mean inside a chunk at the bar raises BuildError.
     """
+    _instance(spec, "spec", RegimeSpec)
     rng = np.random.default_rng(_integer(seed, "seed", 0))
     labels = rng.integers(0, spec.vocab_size, size=spec.num_contexts).astype(np.int64)
     table = rng.normal(0.0, _WEAK_LOGIT_SCALE, size=(spec.num_contexts, spec.vocab_size))
@@ -503,7 +540,7 @@ def build_task(spec: RegimeSpec, seed: int) -> SyntheticTask:
     steps = chunks = 0
     states = _descend(NLL, _PRETRAIN_LEARNING_RATE, table, probs, labels, spec.num_contexts, None)
     with contextlib.closing(states):
-        (mean_p,), _, target_p = next(states)
+        (mean_p,), _, target_p, _ = next(states)
         while mean_p < stop_at:
             if steps == _PRETRAIN_MAX_STEPS:
                 raise BuildError(
@@ -513,7 +550,7 @@ def build_task(spec: RegimeSpec, seed: int) -> SyntheticTask:
             length = _nll_bound_steps(
                 target_p, _PRETRAIN_LEARNING_RATE, stop_at, min(longest, _PRETRAIN_MAX_STEPS - steps)
             )
-            means, _, target_p = states.send(length)
+            means, _, target_p, _ = states.send(length)
             if max(means[:-1], default=-math.inf) >= stop_at:
                 inner = next(k for k, mean in enumerate(means) if mean >= stop_at)
                 raise BuildError(
@@ -606,6 +643,8 @@ def finetune(
     the loop yields for its start state and its last state. No copy of the
     start table is kept.
     """
+    _instance(model, "model", ToyModel)
+    _instance(cfg, "cfg", TrainConfig)
     labels = _check_labels("labels", labels, model)
     if clean_labels is None:
         clean_labels = labels
@@ -617,10 +656,10 @@ def finetune(
     batch = min(cfg.batch_size or table.shape[0], table.shape[0])
     states = _descend(cfg.objective, cfg.learning_rate, table, probs, labels, batch, np.random.default_rng(cfg.seed))
     with contextlib.closing(states):
-        mean_target_p, mean_alpha, target_p_before = next(states)
+        mean_target_p, mean_alpha, target_p_before, updates = next(states)
         target_p_after = target_p_before
         for first in range(0, cfg.steps, _CHUNK_STEPS):
-            mean_p, alpha, target_p_after = states.send(min(_CHUNK_STEPS, cfg.steps - first))
+            mean_p, alpha, target_p_after, updates = states.send(min(_CHUNK_STEPS, cfg.steps - first))
             mean_target_p += mean_p
             mean_alpha += alpha
     # the state after the last step is not traced
@@ -641,4 +680,5 @@ def finetune(
         quadrants=quadrant_stats(deltas),
         histograms=histograms,
         final_table=table,
+        updates=updates,
     )

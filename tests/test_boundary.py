@@ -1,12 +1,14 @@
-"""The library boundary: every scalar and every array of numbers passed to an exported callable is checked first.
+"""The library boundary: every scalar, array of numbers and record passed to an exported callable is checked first.
 
 A scalar that its documented type or interval does not admit raises
 DomainError naming the argument; a numpy scalar is taken as the plain Python
 value. An array-like of numbers (a distribution, logits, a grid) that holds
 text, bools or objects, or is a ragged nesting, raises DomainError naming the
-argument too. Index arrays (targets, labels) have the targets check of the
-objectives; ObjectiveKind and other structured parameters of functions are
-outside this contract. The meta-check keeps the tables in step with the exports.
+argument too, and so does a value other than the record a task or run takes
+(a RegimeSpec, a ToyModel, a TrainConfig). Index arrays (targets, labels)
+have the targets check of the objectives; ObjectiveKind-valued and other
+structured parameters of functions are outside this contract. The meta-check
+keeps the tables in step with the exports.
 """
 
 import dataclasses
@@ -41,6 +43,7 @@ from trustgate import (
     expected_score,
     fd_gradient,
     feasible_entropy_range,
+    finetune,
     fixed_alpha,
     focus_index,
     gate,
@@ -180,11 +183,18 @@ NOT_SCALAR = {
         "focus_index.kind", "gate.kind", "loss.kind", "logit_gradient.kind", "fd_gradient.kind",
         "gradient_landscape.kind", "gradient_flow_ordering.pair",
     },
-    "another structured value": {
-        "build_task.spec", "finetune.model", "finetune.cfg", "quadrant_stats.deltas", "peak_location.f",
-        "run_property_suite.timings",
-    },
+    "another structured value": {"quadrant_stats.deltas", "peak_location.f", "run_property_suite.timings"},
 }
+# Every parameter that takes one of the library's records: how to call with it set to x
+# and every other argument valid, the name its DomainError gives the argument, and the
+# record's type.
+MODEL = ToyModel(np.zeros((4, 8)))
+RECORD_ARGS = {
+    "build_task.spec": (lambda x: build_task(x, 1), "spec", RegimeSpec),
+    "finetune.model": (lambda x: finetune(x, [0] * 4, TrainConfig(NLL, steps=1)), "model", ToyModel),
+    "finetune.cfg": (lambda x: finetune(MODEL, [0] * 4, x), "cfg", TrainConfig),
+}
+
 # Records the library returns, not inputs it checks.
 RECORDS = ("GateError", "LandscapeGrid", "PropertyReport", "RunRecord", "SyntheticTask", "TokenDeltas")
 
@@ -208,7 +218,7 @@ def exported_parameters() -> set[str]:
 
 
 def test_every_exported_parameter_is_in_the_table_or_named_as_not_scalar():
-    listed = set(TABLE).union(ARRAYS, *NOT_SCALAR.values())
+    listed = set(TABLE).union(ARRAYS, RECORD_ARGS, *NOT_SCALAR.values())
     exported = exported_parameters()
     assert exported - listed == set(), "parameters missing from the boundary table"
     # the table's extra rows: a method and a function the CLI calls, which trustgate does not export
@@ -298,3 +308,18 @@ def test_an_array_that_is_not_of_numbers_raises_domain_error_naming_it(name, bad
     value = BAD_ARRAYS[bad]
     with pytest.raises(DomainError, match=rf"^{re.escape(what)} must (hold real|be a rectangular array of) numbers"):
         call(value)
+
+
+# Values that are not the record a parameter takes: a string, None, a dict of its
+# fields, a number, a bare object, and the other records.
+BAD_RECORDS = ["x", None, {"regime": "weak"}, 1, object(), RegimeSpec(), MODEL, TrainConfig(NLL)]
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_ARGS))
+def test_a_value_that_is_not_the_record_raises_domain_error_naming_it(name):
+    call, what, cls = RECORD_ARGS[name]
+    for value in BAD_RECORDS:
+        if isinstance(value, cls):
+            continue
+        with pytest.raises(DomainError, match=rf"^{what} must be an? {cls.__name__}, got "):
+            call(value)

@@ -485,11 +485,14 @@ class TestTrain:
         assert timed.read_bytes() == plain.read_bytes()
         (line,) = timed_err.splitlines()
         timings = json.loads(line)
-        assert list(timings) == ["build_s", "pretrain_steps", "pretrain_chunks", "finetune_s", "emit_s", "workers"]
+        assert list(timings) == [
+            "build_s", "pretrain_steps", "pretrain_chunks", "finetune_s", "finetune_updates", "emit_s", "workers"
+        ]
         assert all(timings[key] >= 0.0 for key in ("build_s", "finetune_s", "emit_s"))
         task = build_task(RegimeSpec("strong", 32, 256, conflict_fraction=0.25), 3)
         assert timings["pretrain_steps"] == task.pretrain_steps > 0
         assert timings["pretrain_chunks"] == task.pretrain_chunks > 0
+        assert timings["finetune_updates"] == 10  # one per step of a full batch
         assert timings["workers"] == trainer.BLOCK_WORKERS
 
     def test_determinism_across_invocations(self, tmp_path, capsys):

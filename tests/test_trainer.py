@@ -735,8 +735,8 @@ def _reference_softmax(table):
 
 @st.composite
 def tables_and_rows(draw):
-    """Logit tables up to 64 x 300 in [-700, 700], with a subset of their rows in any order."""
-    rows = draw(st.integers(1, 64))
+    """Logit tables up to 128 x 300 in [-700, 700], with a subset of their rows in any order."""
+    rows = draw(st.integers(1, 128))
     vocab = draw(st.integers(2, 300))
     table = draw(hnp.arrays(np.float64, (rows, vocab), elements=st.floats(-700.0, 700.0)))
     subset = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=rows, unique=True))
@@ -930,6 +930,83 @@ def test_non_finite_update_raises_at_the_lowest_step_of_any_block(workers, monke
         finetune(task.model, task.labels, TrainConfig(objective=LINEAR, steps=10, seed=0))
 
 
+def _poison_labels(monkeypatch, at):
+    """Make the n-th update of the rows labelled L non-finite, for each L: n in ``at``."""
+    kernel, taken = objectives.gate_error_into, {}
+
+    def poisoned(kind, probs, labels, focus, positions=None):
+        out = kernel(kind, probs, labels, focus, positions)
+        for label, nth in at.items():
+            if (labels == label).any():
+                taken[label] = taken.get(label, 0) + 1
+                if taken[label] == nth:
+                    out[labels == label] = np.nan
+        return out
+
+    monkeypatch.setattr(trainer, "gate_error_into", poisoned)
+
+
+def _update_steps(rows, batch, seed, steps):
+    """The steps at which each row is updated in a step-major minibatch run: the reference cuts and shuffles."""
+    rng, order, cursor, taken = np.random.default_rng(seed), np.arange(rows), 0, {}
+    for step in range(steps):
+        if cursor + batch > rows:
+            rng.shuffle(order)
+            cursor = 0
+        for row in order[cursor : cursor + batch]:
+            taken.setdefault(int(row), []).append(step)
+        cursor += batch
+    return taken
+
+
+@pytest.mark.parametrize("chunk_steps", [trainer._CHUNK_STEPS, 1])
+@pytest.mark.parametrize("batch_size", [64, 60], ids=["whole-epochs", "partial-epochs"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_non_finite_minibatch_update_raises_at_the_step_major_step(workers, batch_size, chunk_steps, monkeypatch):
+    """Row 150, in the first epoch's third cut, fails at once; row 10, in its first cut, fails one epoch later.
+
+    Together they raise at row 150's step, 2; row 10 alone raises at its
+    step in the second epoch. Two rows of one block that fail in the second
+    epoch at different steps raise at the lower. Each step is the one
+    step-major order meets first, on any worker count and chunk length,
+    whether an epoch takes every row (batch 64 of 256) or leaves 16 out
+    (batch 60).
+    """
+    monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 8)
+    monkeypatch.setattr(trainer, "BLOCK_WORKERS", workers)
+    monkeypatch.setattr(trainer, "_CHUNK_STEPS", chunk_steps)
+    cfg = TrainConfig(objective=DEFT, steps=20, batch_size=batch_size, seed=0)
+    taken = _update_steps(256, batch_size, cfg.seed, cfg.steps)
+    assert taken[150][0] == 2 and taken[10][0] == 0
+    # two rows of the block of rows 32-63 whose second updates come at different steps
+    by_step = sorted(range(32, 64), key=lambda row: taken[row][1])
+    early, late = by_step[0], by_step[-1]
+    assert taken[early][1] < taken[late][1]
+    model = ToyModel(np.random.default_rng(0).normal(size=(256, 8)))
+    labels = np.zeros(256, dtype=np.int64)
+    labels[[150, 10, late, early]] = [1, 2, 3, 4]
+    for poison, step in [({1: 1, 2: 2}, 2), ({2: 2}, taken[10][1]), ({3: 2, 4: 2}, taken[early][1])]:
+        _poison_labels(monkeypatch, poison)
+        with pytest.raises(TrainingError, match=f"^non-finite logits after update at step {step}$"):
+            finetune(model, labels, cfg)
+
+
+@pytest.mark.parametrize(
+    "batch_size, steps, updates",
+    [(None, 10, 10), (256, 40, 40), (64, 10, 3), (64, 40, 10), (96, 40, 20), (48, 20, 5), (1, 20, 2)],
+)
+def test_updates_count_the_epoch_segments(batch_size, steps, updates):
+    """A full batch takes one update per step; a minibatch one per epoch, cut again where a chunk of 16 ends.
+
+    At 256 rows: 64 gives epochs of 4 steps; 96 two cuts of 192 rows; 48
+    five cuts, so its fourth epoch straddles the first chunk's end.
+    """
+    task = build_task(RegimeSpec(regime="weak"), 3)
+    record = finetune(task.model, task.labels, TrainConfig(objective=NLL, steps=steps, batch_size=batch_size))
+    assert record.updates == updates
+    assert "updates" not in record.to_dict()
+
+
 def test_a_bound_that_admits_the_bar_inside_a_chunk_raises(monkeypatch):
     """A chunk whose inner mean reaches the bar would overshoot the stop: it is refused, never replayed."""
     monkeypatch.setattr(trainer, "_BLOCK_ENTRIES", 32 * 32)
@@ -956,13 +1033,24 @@ def _outcome(spec, seed, cfg, clean):
 
 @st.composite
 def chunk_cases(draw):
-    """Small tables cut into blocks of 2-8 rows, any member, both pretraining bars, 1-3 workers, some poisoned."""
+    """Small tables cut into blocks of 2-8 rows, any member, both pretraining bars, 1-3 workers, some poisoned.
+
+    The batch is a full one, one row, a divisor or a non-divisor of the row
+    count, the row count itself, or more; runs of up to 40 steps cut epochs
+    at the chunks' ends.
+    """
     regime = draw(st.sampled_from(["strong", "intermediate"]))
     policy = "confident_only" if regime == "strong" else "uniform"
-    spec = RegimeSpec(regime, draw(st.integers(8, 40)), draw(st.integers(64, 128)), 0.25, policy)
+    rows = draw(st.integers(64, 128))
+    spec = RegimeSpec(regime, draw(st.integers(8, 40)), rows, 0.25, policy)
+    divisors = [size for size in range(2, rows // 2 + 1) if rows % size == 0]
+    batches = {
+        "full": st.just(None), "one": st.just(1), "rows": st.just(rows), "past-rows": st.integers(rows + 1, 2 * rows),
+        "divisor": st.sampled_from(divisors or [1]), "non-divisor": st.integers(2, rows - 1).filter(lambda b: rows % b),
+    }
     cfg = TrainConfig(
-        objective=draw(st.sampled_from(MEMBERS)), steps=draw(st.integers(0, 36)),
-        batch_size=draw(st.sampled_from([None, 17, 64])), seed=draw(st.integers(0, 99)),
+        objective=draw(st.sampled_from(MEMBERS)), steps=draw(st.integers(0, 40)),
+        batch_size=draw(st.sampled_from(sorted(batches)).flatmap(batches.get)), seed=draw(st.integers(0, 99)),
     )
     return spec, cfg, {
         "block_rows": draw(st.integers(2, 8)), "workers": draw(st.integers(1, 3)),
@@ -970,7 +1058,7 @@ def chunk_cases(draw):
     }
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(case=chunk_cases())
 def test_chunked_loop_matches_one_step_chunks(case):
     """Chunks of _CHUNK_STEPS give the bytes, traces, pretraining steps and errors of one-step chunks.
